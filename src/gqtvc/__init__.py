@@ -3,11 +3,12 @@ hierarchy up to the t-vertex condition."""
 
 from .algebra import AlgebraError, Field, Matrix2, field_make
 from .formulas import FormulaId, expected_count, verify_formula
-from .geometry import (GeometryError, PartialLinearSpace, QClan,
-                       build_elliptic_gq, build_flock_gq, build_symplectic_gq,
-                       build_t2star_gq, check_gq_axiom, dualize,
-                       export_incidence, parse_incidence, payne_qclan,
-                       point_graph, validate_pls)
+from .geometry import (CONSTRUCTIONS, GeometryError, PartialLinearSpace,
+                       QClan, build_elliptic_gq, build_flock_gq,
+                       build_symplectic_gq, build_t2star_gq, check_gq_axiom,
+                       dualize, export_incidence, get_construction,
+                       parse_incidence, payne_qclan, point_graph,
+                       validate_pls)
 from .graph import (CanonicalCode, Graph, GraphError, canonical_code,
                     complement, from_graph6, graph_from_edges,
                     induced_subgraph, read_graph6_file, to_graph6,

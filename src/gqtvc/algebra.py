@@ -109,9 +109,6 @@ class Field:
             r = self.mul[r][a]
         return r
 
-    def modulus_str(self) -> str:
-        return "[" + ", ".join(str(c) for c in self.modulus) + "]"
-
 
 def _vec(idx: int, p: int, e: int) -> list[int]:
     out = []

@@ -1,5 +1,10 @@
 """Command-line front end.
 
+Each subcommand is one row of ``COMMANDS``: its name, the options it
+reads, and a function that returns the exit code, the report fields and
+the lines to print.  ``main`` prints the lines and writes the report,
+with its provenance, for every subcommand alike.
+
 Exit codes: 0 pass/satisfied, 1 fail/violated, 2 inconclusive (budget
 exhausted), 3 usage error.
 """
@@ -10,102 +15,92 @@ import argparse
 import json
 import sys
 import time
-from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from .formulas import (COMPLETE_S_CASES, FormulaError, FormulaId,
-                       ORDER5_FAMILIES, expected_count, verify_formula)
-from .geometry import (GeometryError, PartialLinearSpace, build_elliptic_gq,
-                       build_flock_gq, build_symplectic_gq, build_t2star_gq,
-                       check_gq_axiom, dualize, export_incidence, payne_qclan,
-                       point_graph, validate_pls)
+                       ORDER5_FAMILIES, verify_formula)
+from .geometry import (CONSTRUCTIONS, GeometryError, check_gq_axiom,
+                       export_incidence, get_construction, point_graph,
+                       validate_pls)
 from .graph import Graph, GraphError, read_graph6_file, write_graph6_file
 from .gtypes import ORDER5_COMPLEMENTS, order5_type
 from .regularity import DEGENERATE, check_isoregular, srg_parameters
-from .tvc import (PreconditionError, check_tvc, count_k44_per_edge,
-                  count_type_anchored, find_distinguisher)
+from .tvc import (PreconditionError, TvcVerdict, check_tvc,
+                  count_k44_per_edge, count_type_anchored)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
+EXIT_BY_STATUS = {"satisfied": EXIT_PASS, "violated": EXIT_FAIL,
+                  "inconclusive": EXIT_INCONCLUSIVE}
+
+# exit code, report fields, printed lines
+Result = tuple[int, dict, list[str]]
+
 
 class UsageError(Exception):
     pass
 
 
-_BUILDERS = {
-    "w2": lambda: build_symplectic_gq(2),
-    "w3": lambda: build_symplectic_gq(3),
-    "q5_2": lambda: build_elliptic_gq(2),
-    "q5_3": lambda: build_elliptic_gq(3),
-    "t2star": build_t2star_gq,
-    "payne": lambda: build_flock_gq(payne_qclan()),
-}
-
-_FIELD_SIZES = {"w2": 2, "w3": 3, "q5_2": 2, "q5_3": 3, "t2star": 4,
-                "payne": 5}
-
-
-@lru_cache(maxsize=None)
-def get_construction(name: str, dual: bool = False) -> PartialLinearSpace:
-    if name not in _BUILDERS:
-        raise UsageError(f"unknown construction {name!r}; "
-                         f"choose from {', '.join(sorted(_BUILDERS))}")
-    pls = _BUILDERS[name]()
-    return dualize(pls) if dual else pls
+def _exit(ok) -> int:
+    return EXIT_PASS if ok else EXIT_FAIL
 
 
 def _provenance(args) -> dict:
     out = {}
     if getattr(args, "construct", None):
         out["construction"] = args.construct
-        out["dual"] = bool(getattr(args, "dual", False))
-        out["field_size"] = _FIELD_SIZES[args.construct]
-    if getattr(args, "input", None):
-        out["input"] = args.input
-    for key in ("t", "k", "mode", "budget_seconds", "threads"):
+        out["dual"] = args.dual
+        out["field_size"] = CONSTRUCTIONS[args.construct].field_size
+    for key in ("input", "t", "k", "mode", "budget_seconds", "threads"):
         if getattr(args, key, None) is not None:
             out[key] = getattr(args, key)
     return out
 
 
 def _load_graph(args) -> Graph:
-    if getattr(args, "input", None):
+    if args.input:
         graphs = read_graph6_file(args.input)
         if not graphs:
             raise UsageError(f"no graphs in {args.input}")
         return graphs[0]
-    if getattr(args, "construct", None):
+    if args.construct:
         return point_graph(get_construction(args.construct, args.dual))
     raise UsageError("provide --construct or --input")
 
 
-def _emit(args, report: dict, lines: list[str]) -> None:
-    for line in lines:
-        print(line)
-    if getattr(args, "json_out", None):
-        report = dict(report)
-        report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-        with open(args.json_out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+def _verdict_result(verdict: TvcVerdict) -> Result:
+    report = {"t": verdict.t, "status": verdict.status}
+    lines = [f"{verdict.t}-vertex condition: {verdict.status} "
+             f"({verdict.mode} mode)"]
+    w = verdict.witness
+    if w is not None:
+        report["witness"] = {
+            "type_order": w.graph_type.order,
+            "type_rows": list(w.graph_type.rows),
+            "pair_a": list(w.pair_a), "count_a": w.count_a,
+            "pair_b": list(w.pair_b), "count_b": w.count_b,
+        }
+        lines.append(f"pair {w.pair_a} has count {w.count_a}, "
+                     f"pair {w.pair_b} has count {w.count_b}")
+    return EXIT_BY_STATUS[verdict.status], report, lines
 
 
 # -- subcommands ----------------------------------------------------------
 
-def cmd_construct(args) -> int:
+def run_construct(args) -> Result:
     pls = get_construction(args.construct, args.dual)
     res = validate_pls(pls)
     gq = check_gq_axiom(pls) if res else res
-    report = _provenance(args)
-    report.update({
+    report = {
         "points": pls.num_points,
         "lines": len(pls.lines),
         "pls_valid": bool(res),
         "gq_axiom": bool(gq),
         "order": list(gq.order) if gq.order else None,
-    })
+    }
     lines = [f"points: {pls.num_points}  lines: {len(pls.lines)}"]
     if gq:
         lines.append(f"GQ of order {gq.order}: axiom holds")
@@ -116,128 +111,78 @@ def cmd_construct(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(export_incidence(pls))
         lines.append(f"incidence written to {args.out}")
-    _emit(args, report, lines)
-    return EXIT_PASS if gq else EXIT_FAIL
+    return _exit(gq), report, lines
 
 
-def cmd_check_srg(args) -> int:
-    g = _load_graph(args)
-    params = srg_parameters(g)
-    report = _provenance(args)
+def run_check_srg(args) -> Result:
+    params = srg_parameters(_load_graph(args))
     if params is None:
-        report["srg"] = False
-        _emit(args, report, ["not strongly regular"])
-        return EXIT_FAIL
+        return EXIT_FAIL, {"srg": False}, ["not strongly regular"]
     if params is DEGENERATE:
-        report["srg"] = "degenerate"
-        _emit(args, report, ["degenerate (complete or empty)"])
-        return EXIT_PASS
-    report["srg"] = True
-    report["parameters"] = [params.v, params.k, params.lam, params.mu]
-    report["feasible"] = params.feasible()
-    _emit(args, report, [
+        return (EXIT_PASS, {"srg": "degenerate"},
+                ["degenerate (complete or empty)"])
+    feasible = params.feasible()
+    report = {"srg": True, "feasible": feasible,
+              "parameters": [params.v, params.k, params.lam, params.mu]}
+    return EXIT_PASS, report, [
         f"SRG({params.v}, {params.k}, {params.lam}, {params.mu})",
         f"identity k(k-lam-1) = (v-k-1)mu: "
-        f"{'holds' if params.feasible() else 'FAILS'}",
-    ])
-    return EXIT_PASS
+        f"{'holds' if feasible else 'FAILS'}",
+    ]
 
 
-def cmd_check_isoregular(args) -> int:
-    g = _load_graph(args)
-    rep = check_isoregular(g, args.k)
-    report = _provenance(args)
-    report["isoregular"] = rep.ok
-    report["table"] = {f"order{c.order}_edges{_code_edges(c)}": v
-                       for c, v in sorted(rep.table.items())}
+def run_check_isoregular(args) -> Result:
+    rep = check_isoregular(_load_graph(args), args.k)
+    report = {"isoregular": rep.ok,
+              "table": {f"order{c.order}_edges{c.bits.bit_count()}": v
+                        for c, v in sorted(rep.table.items())}}
     lines = [f"{args.k}-isoregular: {'yes' if rep.ok else 'no'}"]
     if not rep.ok:
         report["witness"] = [list(rep.witness[0]), list(rep.witness[1])]
         lines.append(f"witness sets: {rep.witness[0]} vs {rep.witness[1]}")
-    _emit(args, report, lines)
-    return EXIT_PASS if rep.ok else EXIT_FAIL
+    return _exit(rep.ok), report, lines
 
 
-def _code_edges(code) -> int:
-    return bin(code.bits).count("1")
+def run_check_tvc(args) -> Result:
+    return _verdict_result(check_tvc(
+        _load_graph(args), args.t, mode=args.mode, k=args.k,
+        budget_seconds=args.budget_seconds, threads=args.threads))
 
 
-def cmd_check_tvc(args) -> int:
-    g = _load_graph(args)
-    verdict = check_tvc(g, args.t, mode=args.mode, k=args.k,
-                        budget_seconds=args.budget_seconds,
-                        threads=args.threads)
-    report = _provenance(args)
-    report["t"] = args.t
-    report["status"] = verdict.status
-    lines = [f"{args.t}-vertex condition: {verdict.status} ({verdict.mode} mode)"]
+def run_find_distinguisher(args) -> Result:
+    verdict = check_tvc(_load_graph(args), args.t, mode="reduced", k=args.k,
+                        budget_seconds=args.budget_seconds)
+    code, report, lines = _verdict_result(verdict)
+    report["distinguisher"] = None
     if verdict.witness is not None:
-        w = verdict.witness
-        report["witness"] = {
-            "type_order": w.graph_type.order,
-            "type_rows": list(w.graph_type.rows),
-            "pair_a": list(w.pair_a), "count_a": w.count_a,
-            "pair_b": list(w.pair_b), "count_b": w.count_b,
-        }
-        lines.append(f"pair {w.pair_a} has count {w.count_a}, "
-                     f"pair {w.pair_b} has count {w.count_b}")
-    _emit(args, report, lines)
-    if verdict.status == "satisfied":
-        return EXIT_PASS
-    if verdict.status == "violated":
-        return EXIT_FAIL
-    return EXIT_INCONCLUSIVE
+        ty = verdict.witness.graph_type
+        report["distinguisher"] = {"order": ty.order, "rows": list(ty.rows),
+                                   "pair_adjacent": ty.pair_adjacent}
+        lines.append(f"distinguishing type of order {ty.order}: rows "
+                     f"{ty.rows}, pair adjacent: {ty.pair_adjacent}")
+    return code, report, lines
 
 
-def cmd_find_distinguisher(args) -> int:
+def run_count_type(args) -> Result:
     g = _load_graph(args)
-    from .tvc import BudgetExceeded
-    try:
-        ty = find_distinguisher(g, args.t, args.k,
-                                budget_seconds=args.budget_seconds)
-    except BudgetExceeded:
-        _emit(args, _provenance(args) | {"status": "inconclusive"},
-              ["budget exhausted"])
-        return EXIT_INCONCLUSIVE
-    report = _provenance(args)
-    if ty is None:
-        report["distinguisher"] = None
-        _emit(args, report, [f"no distinguisher of order {args.t}; "
-                             "the condition holds"])
-        return EXIT_PASS
-    report["distinguisher"] = {"order": ty.order, "rows": list(ty.rows),
-                               "pair_adjacent": ty.pair_adjacent}
-    _emit(args, report, [f"distinguishing type of order {ty.order}: "
-                         f"rows {ty.rows}, pair adjacent: {ty.pair_adjacent}"])
-    return EXIT_FAIL
+    x, y = args.x, args.y
+    if not (0 <= x < g.n and 0 <= y < g.n) or x == y:
+        raise UsageError(f"--x and --y must be distinct vertices in "
+                         f"0..{g.n - 1}")
+    adj = g.has_edge(x, y)
+    count = count_type_anchored(g, order5_type(args.type, adj), (x, y))
+    report = {"type": args.type, "pair": [x, y], "pair_adjacent": adj,
+              "count": count}
+    return EXIT_PASS, report, [f"type {args.type} anchored at ({x}, {y}): "
+                               f"{count}"]
 
 
-def cmd_count_type(args) -> int:
-    g = _load_graph(args)
-    if args.type not in ORDER5_COMPLEMENTS:
-        raise UsageError(f"unknown type {args.type!r}; choose from "
-                         f"{', '.join(ORDER5_COMPLEMENTS)}")
-    adj = g.has_edge(args.x, args.y)
-    ty = order5_type(args.type, adj)
-    count = count_type_anchored(g, ty, (args.x, args.y))
-    report = _provenance(args)
-    report.update({"type": args.type, "pair": [args.x, args.y],
-                   "pair_adjacent": adj, "count": count})
-    _emit(args, report, [f"type {args.type} anchored at "
-                         f"({args.x}, {args.y}): {count}"])
-    return EXIT_PASS
-
-
-def cmd_k44_census(args) -> int:
-    g = _load_graph(args)
-    counts = count_k44_per_edge(g, stop_after_values=args.stop_after_values,
+def run_k44_census(args) -> Result:
+    counts = count_k44_per_edge(_load_graph(args),
+                                stop_after_values=args.stop_after_values,
                                 max_edges=args.max_edges)
     values = sorted(set(counts.values()))
-    report = _provenance(args)
-    report.update({
-        "edges_scanned": len(counts),
-        "distinct_values": values,
-    })
+    report = {"edges_scanned": len(counts), "distinct_values": values}
     lines = [f"scanned {len(counts)} edges; distinct K4,4 counts: {values}"]
     if len(values) >= 2:
         by_val = {}
@@ -245,17 +190,14 @@ def cmd_k44_census(args) -> int:
             by_val.setdefault(c, e)
         report["witness_edges"] = {str(v): list(by_val[v]) for v in values}
         lines.append("per-edge counts differ; the 8-vertex condition fails")
-    _emit(args, report, lines)
-    return EXIT_FAIL if len(values) >= 2 else EXIT_PASS
+    return _exit(len(values) < 2), report, lines
 
 
-def cmd_export_graph6(args) -> int:
+def run_export_graph6(args) -> Result:
     g = _load_graph(args)
     write_graph6_file(args.out, [g])
-    report = _provenance(args)
-    report.update({"out": args.out, "vertices": g.n})
-    _emit(args, report, [f"wrote {g.n}-vertex graph to {args.out}"])
-    return EXIT_PASS
+    return (EXIT_PASS, {"out": args.out, "vertices": g.n},
+            [f"wrote {g.n}-vertex graph to {args.out}"])
 
 
 def _parse_formula(args) -> FormulaId:
@@ -273,127 +215,109 @@ def _parse_formula(args) -> FormulaId:
     return FormulaId("completeS", case, zx, args.size)
 
 
-def cmd_verify_formula(args) -> int:
-    pls = get_construction(args.construct, args.dual) if args.construct else None
-    if pls is None:
-        raise UsageError("verify-formula needs --construct")
+def run_verify_formula(args) -> Result:
     fid = _parse_formula(args)
-    rep = verify_formula(pls, fid)
-    report = _provenance(args)
-    report.update({
+    rep = verify_formula(get_construction(args.construct, args.dual), fid)
+    report = {
         "formula": fid.label(),
         "order": list(rep.order),
         "pairs_checked": rep.pairs_checked,
         "mismatches": [[list(p), want, got] for p, want, got in
                        rep.mismatches[:10]],
-    })
-    lines = [f"{fid.label()} on GQ{rep.order}: "
-             f"{'all ' + str(rep.pairs_checked) + ' pairs match' if rep.ok else str(len(rep.mismatches)) + ' mismatches'}"]
-    _emit(args, report, lines)
-    return EXIT_PASS if rep.ok else EXIT_FAIL
+    }
+    outcome = (f"all {rep.pairs_checked} pairs match" if rep.ok
+               else f"{len(rep.mismatches)} mismatches")
+    return _exit(rep.ok), report, [f"{fid.label()} on GQ{rep.order}: "
+                                   f"{outcome}"]
 
 
-# -- argument parsing -----------------------------------------------------
+# -- the command table ----------------------------------------------------
 
-def _add_source(p, need_graph=True):
-    p.add_argument("--construct", choices=sorted(_BUILDERS))
-    p.add_argument("--dual", action="store_true")
-    if need_graph:
-        p.add_argument("--input", help="graph6 file")
+def _opt(*flags, **kwargs):
+    return flags, kwargs
 
 
-def _add_common(p):
-    p.add_argument("--json-out", dest="json_out")
-    p.add_argument("--budget-seconds", dest="budget_seconds", type=float)
-    p.add_argument("--threads", type=int, default=1)
+NAMES = sorted(CONSTRUCTIONS)
+DUAL = _opt("--dual", action="store_true")
+GEOMETRY = (_opt("--construct", required=True, choices=NAMES), DUAL)
+GRAPH = (_opt("--construct", choices=NAMES), DUAL,
+         _opt("--input", help="graph6 file"))
+T = _opt("--t", type=int, required=True)
+K2 = _opt("--k", type=int, default=2,
+          help="isoregularity level for reduced mode")
+BUDGET = _opt("--budget-seconds", dest="budget_seconds", type=float)
+JSON_OUT = _opt("--json-out", dest="json_out")
+
+
+class Command(NamedTuple):
+    name: str
+    run: Callable[[argparse.Namespace], Result]
+    options: tuple
+    help: str | None = None
+
+
+COMMANDS = (
+    Command("construct", run_construct, GEOMETRY + (
+        _opt("--out", help="write the incidence structure here"),),
+        "build and validate a geometry"),
+    Command("check-srg", run_check_srg, GRAPH),
+    Command("check-isoregular", run_check_isoregular, GRAPH + (
+        _opt("--k", type=int, default=3),)),
+    Command("check-tvc", run_check_tvc, GRAPH + (
+        T, _opt("--mode", choices=["exhaustive", "reduced"],
+                default="exhaustive"),
+        K2, BUDGET, _opt("--threads", type=int, default=1))),
+    Command("find-distinguisher", run_find_distinguisher,
+            GRAPH + (T, K2, BUDGET)),
+    Command("count-type", run_count_type, GRAPH + (
+        _opt("--type", required=True, choices=list(ORDER5_COMPLEMENTS)),
+        _opt("--x", type=int, required=True),
+        _opt("--y", type=int, required=True))),
+    Command("k44-census", run_k44_census, GRAPH + (
+        _opt("--stop-after-values", dest="stop_after_values", type=int),
+        _opt("--max-edges", dest="max_edges", type=int))),
+    Command("export-graph6", run_export_graph6,
+            GRAPH + (_opt("--out", required=True),)),
+    Command("verify-formula", run_verify_formula, GEOMETRY + (
+        _opt("--family", required=True,
+             choices=sorted(ORDER5_FAMILIES) + ["completeS"]),
+        _opt("--dx"), _opt("--dy"), _opt("--size", type=int),
+        _opt("--zx-eq-zy", dest="zx_eq_zy", action="store_true",
+             default=None))),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="gqtvc")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("construct", help="build and validate a geometry")
-    _add_source(p, need_graph=False)
-    p.add_argument("--out", help="write the incidence structure here")
-    _add_common(p)
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("check-srg")
-    _add_source(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_check_srg)
-
-    p = sub.add_parser("check-isoregular")
-    _add_source(p)
-    p.add_argument("--k", type=int, default=3)
-    _add_common(p)
-    p.set_defaults(func=cmd_check_isoregular)
-
-    p = sub.add_parser("check-tvc")
-    _add_source(p)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--mode", choices=["exhaustive", "reduced"],
-                   default="exhaustive")
-    p.add_argument("--k", type=int, default=2,
-                   help="isoregularity level for reduced mode")
-    _add_common(p)
-    p.set_defaults(func=cmd_check_tvc)
-
-    p = sub.add_parser("find-distinguisher")
-    _add_source(p)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--k", type=int, default=2)
-    _add_common(p)
-    p.set_defaults(func=cmd_find_distinguisher)
-
-    p = sub.add_parser("count-type")
-    _add_source(p)
-    p.add_argument("--type", required=True)
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--y", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_count_type)
-
-    p = sub.add_parser("k44-census")
-    _add_source(p)
-    p.add_argument("--stop-after-values", dest="stop_after_values", type=int)
-    p.add_argument("--max-edges", dest="max_edges", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_k44_census)
-
-    p = sub.add_parser("export-graph6")
-    _add_source(p)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_export_graph6)
-
-    p = sub.add_parser("verify-formula")
-    _add_source(p, need_graph=False)
-    p.add_argument("--family", required=True,
-                   choices=sorted(ORDER5_FAMILIES) + ["completeS"])
-    p.add_argument("--dx")
-    p.add_argument("--dy")
-    p.add_argument("--size", type=int)
-    p.add_argument("--zx-eq-zy", dest="zx_eq_zy", action="store_true",
-                   default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_verify_formula)
-
+    for cmd in COMMANDS:
+        p = sub.add_parser(cmd.name, help=cmd.help)
+        for flags, kwargs in cmd.options + (JSON_OUT,):
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(run=cmd.run)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0,) else 0
+        return EXIT_USAGE if exc.code else EXIT_PASS
     try:
-        return args.func(args)
+        code, fields, lines = args.run(args)
+        for line in lines:
+            print(line)
+        if args.json_out:
+            report = _provenance(args) | fields
+            report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
+            with open(args.json_out, "w") as fh:
+                json.dump(report, fh, indent=2, sort_keys=True)
+                fh.write("\n")
     except (UsageError, FormulaError, GeometryError, GraphError,
             PreconditionError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from .algebra import AlgebraError, Field, Matrix2, anisotropic_difference_check, field_make
 from .graph import Graph
@@ -456,3 +457,30 @@ def build_flock_gq(clan: QClan) -> PartialLinearSpace:
         lines.append(tuple(sorted(sym)))
 
     return PartialLinearSpace.make(npts, lines, (q * q, q))
+
+
+# -- the built-in constructions -------------------------------------------
+
+class Construction(NamedTuple):
+    build: Callable[[], PartialLinearSpace]
+    field_size: int
+
+
+CONSTRUCTIONS = {
+    "w2": Construction(lambda: build_symplectic_gq(2), 2),
+    "w3": Construction(lambda: build_symplectic_gq(3), 3),
+    "q5_2": Construction(lambda: build_elliptic_gq(2), 2),
+    "q5_3": Construction(lambda: build_elliptic_gq(3), 3),
+    "t2star": Construction(build_t2star_gq, 4),
+    "payne": Construction(lambda: build_flock_gq(payne_qclan()), 5),
+}
+
+
+@lru_cache(maxsize=None)
+def get_construction(name: str, dual: bool = False) -> PartialLinearSpace:
+    """The built-in quadrangle registered under ``name``, or its dual."""
+    if name not in CONSTRUCTIONS:
+        raise GeometryError(f"unknown construction {name!r}; "
+                            f"choose from {', '.join(sorted(CONSTRUCTIONS))}")
+    pls = CONSTRUCTIONS[name].build()
+    return dualize(pls) if dual else pls

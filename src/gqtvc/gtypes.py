@@ -45,9 +45,6 @@ class GraphType:
                              min_bits_pair_fixed(self.rows, self.order, swap_ok=True),
                              self.pair_adjacent)
 
-    def structure_bits(self) -> int:
-        return self.code.bits
-
     def concrete(self, adjacent: bool) -> "GraphType":
         return GraphType(self.order, self.rows, adjacent)
 
@@ -159,7 +156,7 @@ def enumerate_types(t: int, min_add_valency: int) -> tuple[GraphType, ...]:
         ty = GraphType(t, rows, None)
         if all(v >= min_add_valency for v in ty.additional_valencies()):
             out.append(ty)
-    out.sort(key=lambda ty: (ty.edge_count_structure(), ty.structure_bits()))
+    out.sort(key=lambda ty: (ty.edge_count_structure(), ty.code.bits))
     return tuple(out)
 
 

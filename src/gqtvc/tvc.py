@@ -7,12 +7,17 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import (CanonicalCode, Graph, bits_of, min_bits_pair_fixed,
                     rows_from_bits)
-from .gtypes import GraphType, enumerate_types, pair_fixing_aut_order
-from .regularity import check_isoregular, srg_parameters, SrgParams
+from .gtypes import (MAX_TYPE_ORDER, GraphType, enumerate_types,
+                     pair_fixing_aut_order)
+from .regularity import check_isoregular, srg_parameters
+
+
+# largest t of the exhaustive scan and of pair_fingerprint
+MAX_EXHAUSTIVE_ORDER = 7
 
 
 class BudgetExceeded(Exception):
@@ -35,9 +40,6 @@ class Fingerprint:
 
     pair_class: str  # "edge" or "non-edge"
     counts: tuple  # sorted ((CanonicalCode, count), ...)
-
-    def as_dict(self) -> dict:
-        return dict(self.counts)
 
     def total(self) -> int:
         return sum(c for _, c in self.counts)
@@ -152,8 +154,9 @@ def pair_fingerprint(g: Graph, t: int, pair: tuple[int, int],
     x, y = pair
     if x == y:
         raise ValueError("pair must consist of distinct vertices")
-    if not 3 <= t <= 7:
-        raise ValueError("exhaustive fingerprints support 3 <= t <= 7")
+    if not 3 <= t <= MAX_EXHAUSTIVE_ORDER:
+        raise ValueError("exhaustive fingerprints support "
+                         f"3 <= t <= {MAX_EXHAUSTIVE_ORDER}")
     memo = memo or _CodeMemo(t)
     adj = g.has_edge(x, y)
     tallies = _labelled_tallies(g, t, x, y, deadline)
@@ -191,7 +194,7 @@ def _exhaustive_scan_chunk(g: Graph, t: int, pairs, refs, memo, deadline):
     return None
 
 
-def _mismatch_witness(t, mismatch, ref_counts, counts):
+def _mismatch_witness(t, ref_counts, counts):
     """Pick one differing code and build a concrete witness."""
     keys = set(ref_counts) | set(counts)
     for key in sorted(keys):
@@ -208,11 +211,18 @@ def check_tvc(g: Graph, t: int, mode: str = "exhaustive", k: int | None = None,
               deadline: float | None = None) -> TvcVerdict:
     """Decide the t-vertex condition.
 
-    ``mode='exhaustive'`` scans every (t-2)-subset through every pair.
-    ``mode='reduced'`` requires the graph to be k-isoregular and uses
-    only types whose additional vertices have valency >= k+1; the
-    (t-1)-level condition is established recursively first.
+    ``mode='exhaustive'`` scans every (t-2)-subset through every pair,
+    for 2 <= t <= 7.  ``mode='reduced'`` requires the graph to be
+    k-isoregular and uses only types whose additional vertices have
+    valency >= k+1, for 2 <= t <= 8; the levels below t are checked
+    first, and a failure there is reported as the violation, since the
+    t-vertex condition implies the (t-1)-vertex condition.
     """
+    top = {"exhaustive": MAX_EXHAUSTIVE_ORDER, "reduced": MAX_TYPE_ORDER}
+    if mode not in top:
+        raise ValueError(f"unknown mode {mode!r}")
+    if not 2 <= t <= top[mode]:
+        raise ValueError(f"{mode} mode needs 2 <= t <= {top[mode]}, got {t}")
     if deadline is None and budget_seconds is not None:
         deadline = time.monotonic() + budget_seconds
     if t == 2:
@@ -226,23 +236,15 @@ def check_tvc(g: Graph, t: int, mode: str = "exhaustive", k: int | None = None,
     try:
         if mode == "exhaustive":
             return _check_tvc_exhaustive(g, t, deadline, threads)
-        if mode == "reduced":
-            if k is None:
-                raise PreconditionError("reduced mode needs an isoregularity level")
-            return _check_tvc_reduced(g, t, k, deadline)
+        if k is None:
+            raise PreconditionError("reduced mode needs an isoregularity level")
+        return _check_tvc_reduced(g, t, k, deadline)
     except BudgetExceeded:
         return TvcVerdict(t, "inconclusive", mode=mode)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _pair_lists(g: Graph):
-    edges = list(g.edges())
-    non_edges = list(g.non_edges())
-    return edges, non_edges
 
 
 def _check_tvc_exhaustive(g: Graph, t: int, deadline, threads=1) -> TvcVerdict:
-    edges, non_edges = _pair_lists(g)
+    edges, non_edges = list(g.edges()), list(g.non_edges())
     memo = _CodeMemo(t)
     refs = {}
     for adj, pairs in ((True, edges), (False, non_edges)):
@@ -254,7 +256,7 @@ def _check_tvc_exhaustive(g: Graph, t: int, deadline, threads=1) -> TvcVerdict:
         fwd, bwd = _canonical_counts(tallies, memo)
         if fwd != bwd:
             # the reference pair itself is orientation-asymmetric
-            key, a, b, rows = _mismatch_witness(t, None, fwd, bwd)
+            key, a, b, rows = _mismatch_witness(t, fwd, bwd)
             ty = GraphType(t, rows, g.has_edge(x, y))
             return TvcVerdict(t, "violated",
                               TvcWitness(ty, (x, y), a, (y, x), b))
@@ -269,7 +271,7 @@ def _check_tvc_exhaustive(g: Graph, t: int, deadline, threads=1) -> TvcVerdict:
         return TvcVerdict(t, "satisfied")
     pair, ref_pair, counts = result
     ref_counts = refs[g.has_edge(*pair)][0]
-    key, a, b, rows = _mismatch_witness(t, None, ref_counts, counts)
+    key, a, b, rows = _mismatch_witness(t, ref_counts, counts)
     ty = GraphType(t, rows, g.has_edge(*pair))
     return TvcVerdict(t, "violated", TvcWitness(ty, ref_pair, a, pair, b))
 
@@ -279,31 +281,37 @@ def _check_tvc_exhaustive(g: Graph, t: int, deadline, threads=1) -> TvcVerdict:
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(g, t, refs):
+def _worker_init(g, t, refs, deadline):
     _WORKER_STATE["g"] = g
     _WORKER_STATE["t"] = t
     _WORKER_STATE["refs"] = refs
     _WORKER_STATE["memo"] = _CodeMemo(t)
+    # time.monotonic() is system-wide, so the parent's deadline holds here
+    _WORKER_STATE["deadline"] = deadline
 
 
 def _worker_scan(pairs):
     return _exhaustive_scan_chunk(_WORKER_STATE["g"], _WORKER_STATE["t"],
                                   pairs, _WORKER_STATE["refs"],
-                                  _WORKER_STATE["memo"], None)
+                                  _WORKER_STATE["memo"],
+                                  _WORKER_STATE["deadline"])
 
 
 def _parallel_scan(g, t, pairs, refs, deadline, threads):
     from concurrent.futures import ProcessPoolExecutor
     chunk = max(1, len(pairs) // (threads * 8))
     chunks = [pairs[i:i + chunk] for i in range(0, len(pairs), chunk)]
-    with ProcessPoolExecutor(max_workers=threads, initializer=_worker_init,
-                             initargs=(g, t, refs)) as pool:
+    pool = ProcessPoolExecutor(max_workers=threads, initializer=_worker_init,
+                               initargs=(g, t, refs, deadline))
+    try:
         # results consumed in submission order keeps the verdict
-        # independent of scheduling
+        # independent of scheduling; a BudgetExceeded raised in a worker
+        # is raised again here
         for result in pool.map(_worker_scan, chunks):
-            _check_deadline(deadline)
             if result is not None:
                 return result
+    finally:
+        pool.shutdown(cancel_futures=True)
     return None
 
 
@@ -371,25 +379,18 @@ def count_type_anchored(g: Graph, ty: GraphType, pair: tuple[int, int],
     return total // aut
 
 
-def _reduced_level(g: Graph, t: int, k: int, deadline) -> TvcVerdict:
-    """One reduced-mode level, assuming the (t-1)-level already holds."""
-    mismatch = _scan_types_for_mismatch(g, enumerate_types(t, k + 1), deadline)
-    if mismatch is None:
-        return TvcVerdict(t, "satisfied", mode="reduced")
-    return TvcVerdict(t, "violated", mismatch, mode="reduced")
-
-
 def _scan_types_for_mismatch(g: Graph, types, deadline) -> TvcWitness | None:
-    edges, non_edges = _pair_lists(g)
+    edges, non_edges = list(g.edges()), list(g.non_edges())
     for ty in types:
         for adj, pairs in ((True, edges), (False, non_edges)):
-            if not pairs:
-                continue
             cty = ty.concrete(adj)
             ref = None
             ref_pair = None
             for x, y in pairs:
                 for pair in ((x, y), (y, x)):
+                    # count_type_anchored looks at the clock only every
+                    # 1024 search nodes, more than one count may visit
+                    _check_deadline(deadline)
                     c = count_type_anchored(g, cty, pair, deadline)
                     if ref is None:
                         ref = c
@@ -400,38 +401,28 @@ def _scan_types_for_mismatch(g: Graph, types, deadline) -> TvcWitness | None:
 
 
 def _check_tvc_reduced(g: Graph, t: int, k: int, deadline) -> TvcVerdict:
-    report = check_isoregular(g, k)
-    if not report.ok:
+    if not check_isoregular(g, k).ok:
         raise PreconditionError(f"graph is not {k}-isoregular")
-    # establish the chain (k+2)..t-1 first; below level 4 the condition
-    # is equivalent to strong regularity, which k-isoregularity covers
-    for level in range(max(4, 4), t):
-        verdict = _reduced_level(g, level, k, deadline)
-        if not verdict.satisfied:
-            raise PreconditionError(
-                f"the {level}-vertex condition fails; reduced mode at "
-                f"level {t} is not applicable")
-    return _reduced_level(g, t, k, deadline)
+    # each level assumes the one below it holds; below level 4 the
+    # condition is strong regularity, which k-isoregularity covers
+    for level in range(4, t + 1):
+        witness = _scan_types_for_mismatch(g, enumerate_types(level, k + 1),
+                                           deadline)
+        if witness is not None:
+            return TvcVerdict(t, "violated", witness, mode="reduced")
+    return TvcVerdict(t, "satisfied", mode="reduced")
 
 
-def find_distinguisher(g: Graph, t: int, k: int,
-                       budget_seconds: float | None = None,
-                       deadline: float | None = None) -> GraphType | None:
-    """First type (in enumeration order) of order t, additional valency
-    >= k+1, whose anchored counts are non-constant on edges or
-    non-edges; None if every such type is constant, in which case the
-    t-vertex condition holds."""
-    if deadline is None and budget_seconds is not None:
-        deadline = time.monotonic() + budget_seconds
-    report = check_isoregular(g, k)
-    if not report.ok:
-        raise PreconditionError(f"graph is not {k}-isoregular")
-    for level in range(4, t):
-        verdict = _reduced_level(g, level, k, deadline)
-        if not verdict.satisfied:
-            raise PreconditionError(f"the {level}-vertex condition fails")
-    mismatch = _scan_types_for_mismatch(g, enumerate_types(t, k + 1), deadline)
-    return None if mismatch is None else mismatch.graph_type
+def find_distinguisher(g: Graph, t: int, k: int) -> GraphType | None:
+    """The witness type of reduced ``check_tvc``: the first type (in
+    enumeration order, lowest order first) with additional valency
+    >= k+1 whose anchored counts are non-constant on edges or
+    non-edges.  Its order is below t when a lower level already fails.
+    None if the t-vertex condition holds; for t <= 3, where the
+    condition is (strong) regularity and has no witness type, always
+    None."""
+    witness = check_tvc(g, t, mode="reduced", k=k).witness
+    return None if witness is None else witness.graph_type
 
 
 # -- the K4,4 edge invariant ----------------------------------------------

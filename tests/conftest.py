@@ -2,23 +2,9 @@ from functools import lru_cache
 
 import pytest
 
-from gqtvc.geometry import (build_elliptic_gq, build_flock_gq,
-                            build_symplectic_gq, build_t2star_gq, dualize,
-                            payne_qclan, point_graph)
+from gqtvc.geometry import get_construction, point_graph
 
-
-@lru_cache(maxsize=None)
-def geometry(name: str, dual: bool = False):
-    builders = {
-        "w2": lambda: build_symplectic_gq(2),
-        "w3": lambda: build_symplectic_gq(3),
-        "q5_2": lambda: build_elliptic_gq(2),
-        "q5_3": lambda: build_elliptic_gq(3),
-        "t2star": build_t2star_gq,
-        "payne": lambda: build_flock_gq(payne_qclan()),
-    }
-    pls = builders[name]()
-    return dualize(pls) if dual else pls
+geometry = get_construction
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gqtvc.cli import main
 
 
@@ -34,6 +36,8 @@ def test_check_isoregular_exit_codes():
 def test_check_tvc(capsys):
     assert main(["check-tvc", "--construct", "w2", "--t", "5"]) == 0
     assert "satisfied" in capsys.readouterr().out
+    assert main(["check-tvc", "--construct", "w2", "--t", "4",
+                 "--threads", "2", "--budget-seconds", "30"]) == 0
 
 
 def test_check_tvc_budget_inconclusive():
@@ -79,3 +83,25 @@ def test_usage_errors():
     assert main(["verify-formula", "--construct", "w2",
                  "--family", "completeS", "--dx", "1", "--dy", "1",
                  "--size", "3"]) == 3  # missing z flag context is fine; t != s^2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["count-type", "--construct", "w2", "--type", "3a", "--x", "99",
+      "--y", "1"], "distinct vertices in 0..14"),
+    (["count-type", "--construct", "w2", "--type", "3a", "--x", "1",
+      "--y", "1"], "distinct vertices in 0..14"),
+    (["check-tvc", "--construct", "w2", "--t", "0"], "2 <= t <= 7"),
+    (["check-tvc", "--construct", "w2", "--t", "9", "--budget-seconds", "1"],
+     "2 <= t <= 7"),
+    (["check-tvc", "--construct", "w2", "--t", "9", "--mode", "reduced",
+      "--budget-seconds", "1"], "2 <= t <= 8"),
+    (["k44-census", "--construct", "w2", "--threads", "2"],
+     "unrecognized arguments"),
+    (["count-type", "--construct", "w2", "--type", "3a", "--x", "0",
+      "--y", "1", "--budget-seconds", "1"], "unrecognized arguments"),
+], ids=["vertex-out-of-range", "vertex-repeated", "t-zero",
+        "t-nine-exhaustive", "t-nine-reduced", "k44-threads",
+        "count-type-budget"])
+def test_bad_input_exits_3_with_message(argv, message, capsys):
+    assert main(argv) == 3
+    assert message in capsys.readouterr().err

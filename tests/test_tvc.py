@@ -1,9 +1,11 @@
 import random
+import time
 from math import comb
 
 import pytest
 
-from gqtvc.graph import graph_from_edges, rows_from_bits
+from gqtvc.cli import main
+from gqtvc.graph import graph_from_edges, rows_from_bits, write_graph6_file
 from gqtvc.gtypes import GraphType, enumerate_types, order5_type
 from gqtvc.tvc import (PreconditionError, TvcVerdict, check_tvc,
                        count_k44_per_edge, count_type_anchored,
@@ -97,9 +99,57 @@ def test_threads_match_single(w2_graph):
     assert v1.status == v2.status == "satisfied"
 
 
+def test_threads_honour_budget():
+    # one chunk of this scan takes the workers tens of seconds, so only a
+    # deadline checked inside the workers ends it near the budget
+    start = time.monotonic()
+    verdict = check_tvc(graph_of("w3"), 6, threads=2, budget_seconds=2)
+    assert verdict.status == "inconclusive"
+    assert time.monotonic() - start < 10
+
+
 def test_budget_inconclusive(q5_2_graph):
     verdict = check_tvc(q5_2_graph, 7, budget_seconds=0.01)
     assert verdict.status == "inconclusive"
+
+
+def test_reduced_budget_checked_per_pair(q5_2_graph):
+    # each anchored count on GQ(2,4) visits fewer search nodes than the
+    # interval at which count_type_anchored looks at the clock
+    start = time.monotonic()
+    verdict = check_tvc(q5_2_graph, 7, mode="reduced", k=3,
+                        budget_seconds=0.05)
+    assert verdict.status == "inconclusive"
+    assert time.monotonic() - start < 5
+
+
+def shrikhande():
+    """Cayley graph of Z4 x Z4 on {+-(1,0), +-(0,1), +-(1,1)}: an
+    SRG(16,6,2,2) that is 2-isoregular but fails the 4-vertex
+    condition."""
+    conn = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+    v = [(a, b) for a in range(4) for b in range(4)]
+    return graph_from_edges(16, [
+        (i, j) for i in range(16) for j in range(i + 1, 16)
+        if ((v[j][0] - v[i][0]) % 4, (v[j][1] - v[i][1]) % 4) in conn])
+
+
+def test_lower_level_failure_is_violated(tmp_path):
+    g = shrikhande()
+    assert check_tvc(g, 5).status == "violated"
+    verdict = check_tvc(g, 5, mode="reduced", k=2)
+    assert verdict.status == "violated" and verdict.t == 5
+    w = verdict.witness
+    assert w.graph_type.order == 4
+    assert count_type_anchored(g, w.graph_type, w.pair_a) == w.count_a
+    assert count_type_anchored(g, w.graph_type, w.pair_b) == w.count_b
+    assert w.count_a != w.count_b
+    assert find_distinguisher(g, 5, 2) == w.graph_type
+    g6 = tmp_path / "shrikhande.g6"
+    write_graph6_file(g6, [g])
+    for mode in ("exhaustive", "reduced"):
+        assert main(["check-tvc", "--input", str(g6), "--t", "5",
+                     "--mode", mode, "--k", "2"]) == 1
 
 
 def test_reduced_mode_matches_exhaustive(q5_2_graph):
