@@ -22,7 +22,8 @@ from .formulas import (COMPLETE_S_CASES, FormulaError, FormulaId,
 from .geometry import (CONSTRUCTIONS, GeometryError, check_gq_axiom,
                        export_incidence, get_construction, point_graph,
                        validate_pls)
-from .graph import Graph, GraphError, read_graph6_file, write_graph6_file
+from .graph import (Graph, GraphError, ParameterError, read_graph6_file,
+                    write_graph6_file)
 from .gtypes import ORDER5_COMPLEMENTS, order5_type
 from .regularity import DEGENERATE, check_isoregular, srg_parameters
 from .tvc import (PreconditionError, TvcVerdict, check_tvc,
@@ -62,9 +63,13 @@ def _provenance(args) -> dict:
 
 def _load_graph(args) -> Graph:
     if args.input:
-        graphs = read_graph6_file(args.input)
-        if not graphs:
-            raise UsageError(f"no graphs in {args.input}")
+        try:
+            graphs = read_graph6_file(args.input)
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{args.input} is not graph6 text") from exc
+        if len(graphs) != 1:
+            raise UsageError(f"{args.input} holds {len(graphs)} graphs; "
+                             f"give a file with exactly one")
         return graphs[0]
     if args.construct:
         return point_graph(get_construction(args.construct, args.dual))
@@ -178,6 +183,8 @@ def run_count_type(args) -> Result:
 
 
 def run_k44_census(args) -> Result:
+    if args.max_edges is not None and args.max_edges < 0:
+        raise UsageError("--max-edges must be at least 0")
     counts = count_k44_per_edge(_load_graph(args),
                                 stop_after_values=args.stop_after_values,
                                 max_edges=args.max_edges)
@@ -207,7 +214,7 @@ def _parse_formula(args) -> FormulaId:
         raise UsageError("completeS needs --dx, --dy and --size")
 
     def side(v):
-        return "T-2" if v == "T-2" else int(v)
+        return int(v) if v.isdecimal() else v
     case = (side(args.dx), side(args.dy))
     if case not in COMPLETE_S_CASES:
         raise UsageError(f"unknown completeS case {case}")
@@ -314,7 +321,7 @@ def main(argv=None) -> int:
                 json.dump(report, fh, indent=2, sort_keys=True)
                 fh.write("\n")
     except (UsageError, FormulaError, GeometryError, GraphError,
-            PreconditionError, OSError, ValueError) as exc:
+            ParameterError, PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return code

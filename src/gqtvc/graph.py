@@ -9,14 +9,30 @@ between workers.
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 MAX_CANON_ORDER = 10
 
 
 class GraphError(ValueError):
     pass
+
+
+class ParameterError(ValueError):
+    """An argument outside what a computation supports: a level, order,
+    mode or vertex."""
+
+
+class BudgetExceeded(Exception):
+    pass
+
+
+def _check_deadline(deadline: float | None) -> None:
+    """Raise BudgetExceeded once ``time.monotonic()`` passes ``deadline``."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise BudgetExceeded()
 
 
 @dataclass(frozen=True)
@@ -33,15 +49,16 @@ class Graph:
     def __post_init__(self):
         if self.n < 0 or len(self.rows) != self.n:
             raise GraphError("row count must equal vertex count")
+        rows = self.rows
         mask = (1 << self.n) - 1
-        for i, r in enumerate(self.rows):
+        for i, r in enumerate(rows):
             if r & ~mask:
                 raise GraphError(f"row {i} has bits outside 0..{self.n - 1}")
             if (r >> i) & 1:
                 raise GraphError(f"loop at vertex {i}")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if ((self.rows[i] >> j) & 1) != ((self.rows[j] >> i) & 1):
+            # an edge missing its reverse is found from the row that has it
+            for j in bits_of(r):
+                if not (rows[j] >> i) & 1:
                     raise GraphError(f"adjacency not symmetric at ({i},{j})")
 
     # -- basic accessors -------------------------------------------------
@@ -49,6 +66,20 @@ class Graph:
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
+
+    @cached_property
+    def non_rows(self) -> tuple[int, ...]:
+        """``non_rows[i]`` has bit j set iff j != i and i, j are not
+        adjacent."""
+        full = self.full_mask
+        return tuple(full & ~(r | (1 << i)) for i, r in enumerate(self.rows))
+
+    @cached_property
+    def upper_rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``non_rows`` and ``rows`` with each row i cut to the vertices
+        above i."""
+        return tuple(tuple(r & -(2 << i) for i, r in enumerate(rs))
+                     for rs in (self.non_rows, self.rows))
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool((self.rows[i] >> j) & 1) and i != j
@@ -97,8 +128,7 @@ def graph_from_edges(n: int, edges) -> Graph:
 
 
 def complement(g: Graph) -> Graph:
-    mask = g.full_mask
-    return Graph(g.n, tuple((mask & ~r) & ~(1 << i) for i, r in enumerate(g.rows)))
+    return Graph(g.n, g.non_rows)
 
 
 def induced_subgraph(g: Graph, vs) -> Graph:

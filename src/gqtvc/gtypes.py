@@ -249,6 +249,11 @@ def order5_type(name: str, pair_adjacent: bool | None = None) -> GraphType:
     return type_from_graph(g, (0, 1), pair_adjacent)
 
 
+# K4,4 with the pair on opposite sides: slots 0, 2, 3, 4 | 1, 5, 6, 7
+K44_TYPE = type_from_graph(graph_from_edges(
+    8, [(a, b) for a in (0, 2, 3, 4) for b in (1, 5, 6, 7)]), (0, 1))
+
+
 # -- candidate cores for high-order type searches -------------------------
 
 def _all_graphs_of_order(n: int):

@@ -8,8 +8,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graph import (CanonicalCode, Graph, bits_of, canonical_code,
-                    common_neighbors_mask, graph_from_edges, induced_subgraph)
+from .graph import (CanonicalCode, Graph, ParameterError, _check_deadline,
+                    bits_of, canonical_code, common_neighbors_mask,
+                    graph_from_edges, induced_subgraph)
 
 
 class Degenerate:
@@ -71,7 +72,7 @@ def srg_parameters(g: Graph):
 def subconstituent(g: Graph, x: int, i: int) -> Graph:
     """Induced subgraph on the vertices at distance exactly i from x."""
     if not 0 <= x < g.n:
-        raise ValueError("vertex out of range")
+        raise ParameterError("vertex out of range")
     dist = [-1] * g.n
     dist[x] = 0
     frontier = [x]
@@ -86,12 +87,6 @@ def subconstituent(g: Graph, x: int, i: int) -> Graph:
                     nxt.append(v)
         frontier = nxt
     return induced_subgraph(g, [v for v in range(g.n) if dist[v] == i])
-
-
-# canonical codes of the order-<=3 classes; for these sizes the edge
-# count determines the isomorphism class
-def _small_code(size: int, edge_count: int) -> CanonicalCode:
-    return _SMALL_CODES[(size, edge_count)]
 
 
 def _build_small_codes():
@@ -110,9 +105,9 @@ def _build_small_codes():
     return table
 
 
+# canonical codes of the order-<=3 classes; for these sizes the edge
+# count determines the isomorphism class
 _SMALL_CODES = _build_small_codes()
-
-TRIANGLE_FREE_CODE = _SMALL_CODES[(3, 0)]  # three vertices, no edges
 
 
 @dataclass
@@ -123,22 +118,28 @@ class IsoregularityReport:
     witness: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
 
-def check_isoregular(g: Graph, k: int) -> IsoregularityReport:
+def check_isoregular(g: Graph, k: int,
+                     deadline: float | None = None) -> IsoregularityReport:
     """Exhaustively check that val(S) depends only on the isomorphism
-    class of the induced subgraph, over all vertex sets of size <= k."""
+    class of the induced subgraph, over all vertex sets of size <= k.
+    Raises BudgetExceeded once ``deadline`` (``time.monotonic()``) has
+    passed."""
     if not 1 <= k <= 3:
-        raise ValueError("isoregularity level must be 1..3")
+        raise ParameterError("isoregularity level must be 1..3")
     table: dict[CanonicalCode, int] = {}
     rep: dict[CanonicalCode, tuple[int, ...]] = {}
     for size in range(1, k + 1):
-        for subset in itertools.combinations(range(g.n), size):
+        for index, subset in enumerate(
+                itertools.combinations(range(g.n), size)):
+            if index & 0xFFF == 0:
+                _check_deadline(deadline)
             val = common_neighbors_mask(g, subset).bit_count()
             ec = 0
             for a in range(size):
                 for b in range(a + 1, size):
                     if g.has_edge(subset[a], subset[b]):
                         ec += 1
-            code = _small_code(size, ec)
+            code = _SMALL_CODES[(size, ec)]
             if code in table:
                 if table[code] != val:
                     return IsoregularityReport(k, table, False,
@@ -171,13 +172,12 @@ def triad_center_profile(g: Graph) -> dict[int, int]:
     """Histogram mapping center count -> number of triads (pairwise
     non-adjacent triples)."""
     hist: dict[int, int] = {}
-    full = g.full_mask
     for x in range(g.n):
-        nx = full & ~(g.rows[x] | (1 << x))
+        nx = g.non_rows[x]
         for y in bits_of(nx):
             if y <= x:
                 continue
-            rest = nx & ~(g.rows[y] | (1 << y))
+            rest = nx & g.non_rows[y]
             common_xy = g.rows[x] & g.rows[y]
             for z in bits_of(rest):
                 if z <= y:

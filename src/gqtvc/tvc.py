@@ -8,10 +8,13 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from functools import lru_cache
+from math import factorial, prod
 
-from .graph import (CanonicalCode, Graph, bits_of, min_bits_pair_fixed,
+from .graph import (BudgetExceeded, CanonicalCode, Graph, ParameterError,
+                    _check_deadline, bits_of, min_bits_pair_fixed,
                     rows_from_bits)
-from .gtypes import (MAX_TYPE_ORDER, GraphType, enumerate_types,
+from .gtypes import (K44_TYPE, MAX_TYPE_ORDER, GraphType, enumerate_types,
                      pair_fixing_aut_order)
 from .regularity import check_isoregular, srg_parameters
 
@@ -20,17 +23,8 @@ from .regularity import check_isoregular, srg_parameters
 MAX_EXHAUSTIVE_ORDER = 7
 
 
-class BudgetExceeded(Exception):
-    pass
-
-
 class PreconditionError(ValueError):
     pass
-
-
-def _check_deadline(deadline):
-    if deadline is not None and time.monotonic() > deadline:
-        raise BudgetExceeded()
 
 
 @dataclass(frozen=True)
@@ -60,10 +54,6 @@ class TvcVerdict:
     status: str  # "satisfied" | "violated" | "inconclusive"
     witness: TvcWitness | None = None
     mode: str = "exhaustive"
-
-    @property
-    def satisfied(self) -> bool:
-        return self.status == "satisfied"
 
 
 # -- exhaustive fingerprinting --------------------------------------------
@@ -153,10 +143,10 @@ def pair_fingerprint(g: Graph, t: int, pair: tuple[int, int],
     ordered pair, classified by type."""
     x, y = pair
     if x == y:
-        raise ValueError("pair must consist of distinct vertices")
+        raise ParameterError("pair must consist of distinct vertices")
     if not 3 <= t <= MAX_EXHAUSTIVE_ORDER:
-        raise ValueError("exhaustive fingerprints support "
-                         f"3 <= t <= {MAX_EXHAUSTIVE_ORDER}")
+        raise ParameterError("exhaustive fingerprints support "
+                             f"3 <= t <= {MAX_EXHAUSTIVE_ORDER}")
     memo = memo or _CodeMemo(t)
     adj = g.has_edge(x, y)
     tallies = _labelled_tallies(g, t, x, y, deadline)
@@ -220,9 +210,9 @@ def check_tvc(g: Graph, t: int, mode: str = "exhaustive", k: int | None = None,
     """
     top = {"exhaustive": MAX_EXHAUSTIVE_ORDER, "reduced": MAX_TYPE_ORDER}
     if mode not in top:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise ParameterError(f"unknown mode {mode!r}")
     if not 2 <= t <= top[mode]:
-        raise ValueError(f"{mode} mode needs 2 <= t <= {top[mode]}, got {t}")
+        raise ParameterError(f"{mode} mode needs 2 <= t <= {top[mode]}, got {t}")
     if deadline is None and budget_seconds is not None:
         deadline = time.monotonic() + budget_seconds
     if t == 2:
@@ -317,6 +307,46 @@ def _parallel_scan(g, t, pairs, refs, deadline, threads):
 
 # -- anchored counting and reduced mode -----------------------------------
 
+@lru_cache(maxsize=None)
+def _placement(order: int, rows: tuple[int, ...]):
+    """Twin classes of a type's additional slots (same adjacency to every
+    other slot), placed in greedy order: each class's adjacency to slots
+    0 and 1; per slot but the last, where the next slot's candidates come
+    from (see ``count_type_anchored``); the automorphism order left when
+    twins take increasing images."""
+    classes: list[list[int]] = []
+    for v in range(2, order):
+        for cls in classes:
+            others = ~((1 << cls[0]) | (1 << v))
+            if rows[cls[0]] & others == rows[v] & others:
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    # greedy: next the class most adjacent to the slots already placed
+    placed, ordered = 0b11, []
+    while classes:
+        cls = min(classes, key=lambda c: (-(rows[c[0]] & placed).bit_count(),
+                                          -rows[c[0]].bit_count(), c[0]))
+        classes.remove(cls)
+        ordered.append(cls)
+        placed |= sum(1 << v for v in cls)
+    steps = []
+    for i, cls in enumerate(ordered):
+        r, later = rows[cls[0]], ordered[i + 1:]
+        adjs = tuple(r >> c[0] & 1 for c in later)
+        sizes = tuple(len(c) for c in later)
+        # a twin comes next (its images rise: selector 2 or 3), then the
+        # first slot of the next class
+        steps += [(0, 2 + (r >> cls[-1] & 1), left, adjs, sizes)
+                  for left in range(len(cls) - 1, 0, -1)]
+        if later:
+            steps.append((1, adjs[0], sizes[0], adjs[1:], sizes[1:]))
+    starts = tuple((rows[c[0]] & 1, rows[c[0]] >> 1 & 1) for c in ordered)
+    twins = prod(factorial(len(c)) for c in ordered)
+    return starts, tuple(steps), pair_fixing_aut_order(order, rows) // twins
+
+
 def count_type_anchored(g: Graph, ty: GraphType, pair: tuple[int, int],
                         deadline=None) -> int:
     """Number of vertex subsets containing the ordered pair whose
@@ -326,57 +356,52 @@ def count_type_anchored(g: Graph, ty: GraphType, pair: tuple[int, int],
     adj = g.has_edge(x, y)
     if ty.pair_adjacent is not None and ty.pair_adjacent != adj:
         raise PreconditionError("pair adjacency does not match the type")
-    trows = ty.effective_rows(adj)
-    t = ty.order
-    rows = g.rows
-    full = g.full_mask
-    not_rows = tuple((full & ~(rows[v] | (1 << v))) for v in range(g.n))
-
-    # place highly-connected additional slots first
-    order: list[int] = []
-    placed = [0, 1]
-    remaining = list(range(2, t))
-    while remaining:
-        remaining.sort(key=lambda v: (-sum((trows[v] >> w) & 1 for w in placed),
-                                      -trows[v].bit_count(), v))
-        nxt = remaining.pop(0)
-        order.append(nxt)
-        placed.append(nxt)
-    # per placement step: (slot, [(earlier slot position, adjacent?)])
-    steps = []
-    for d, slot in enumerate(order):
-        cons = [(0, bool((trows[slot] >> 0) & 1)), (1, bool((trows[slot] >> 1) & 1))]
-        for e in range(d):
-            cons.append((2 + e, bool((trows[slot] >> order[e]) & 1)))
-        steps.append(cons)
-
-    images = [x, y] + [0] * (t - 2)
-    used = (1 << x) | (1 << y)
+    _check_deadline(deadline)
+    starts, plan, residual = _placement(ty.order, ty.rows)
+    # sel[a][v]: the vertices not adjacent (a = 0) or adjacent (a = 1) to
+    # v, and those of them above v (a = 2, 3)
+    sel = (g.non_rows, g.rows) + g.upper_rows
+    # per step: where the next slot's candidate mask sits among the
+    # current masks, how it narrows and how many slots it must still
+    # fill; then the same for each class after it
+    steps = [(skip, sel[a1], k1, [sel[a] for a in adjs], sizes)
+             for skip, a1, k1, adjs, sizes in plan]
+    masks = [sel[a0][x] & sel[a1][y] for a0, a1 in starts]
+    final = len(steps) - 1
     total = 0
-    node_budget = [0]
 
-    def rec(d, used):
+    def rec(d, masks):
+        # masks: candidates of the current class, then of each later class
         nonlocal total
-        if d == t - 2:
-            total += 1
+        skip, s1, k1, later, needs = steps[d]
+        m0, m1 = masks[0], masks[skip]
+        if d == final:
+            # the last slot is counted here, by popcount
+            for v in bits_of(m0):
+                total += (m1 & s1[v]).bit_count()
             return
-        m = full & ~used
-        for spos, is_adj in steps[d]:
-            img = images[spos]
-            m &= rows[img] if is_adj else not_rows[img]
-            if not m:
-                return
-        node_budget[0] += 1
-        if node_budget[0] & 0x3FF == 0:
-            _check_deadline(deadline)
-        for v in bits_of(m):
-            images[2 + d] = v
-            rec(d + 1, used | (1 << v))
+        _check_deadline(deadline)
+        more = tuple(zip(masks[skip + 1:], later, needs))
+        for v in bits_of(m0):
+            n1 = m1 & s1[v]
+            if n1.bit_count() < k1:
+                continue
+            child = [n1]
+            for m, s, k in more:
+                m &= s[v]
+                if m.bit_count() < k:
+                    break
+                child.append(m)
+            else:
+                rec(d + 1, child)
 
-    rec(0, used)
-    aut = pair_fixing_aut_order(t, ty.rows)
-    assert total % aut == 0
-    return total // aut
+    if steps:
+        rec(0, masks)
+    else:
+        total = masks[0].bit_count() if masks else 1
+    if total % residual:
+        raise AssertionError(f"{total} embeddings, {residual} per subset")
+    return total // residual
 
 
 def _scan_types_for_mismatch(g: Graph, types, deadline) -> TvcWitness | None:
@@ -388,9 +413,6 @@ def _scan_types_for_mismatch(g: Graph, types, deadline) -> TvcWitness | None:
             ref_pair = None
             for x, y in pairs:
                 for pair in ((x, y), (y, x)):
-                    # count_type_anchored looks at the clock only every
-                    # 1024 search nodes, more than one count may visit
-                    _check_deadline(deadline)
                     c = count_type_anchored(g, cty, pair, deadline)
                     if ref is None:
                         ref = c
@@ -401,7 +423,7 @@ def _scan_types_for_mismatch(g: Graph, types, deadline) -> TvcWitness | None:
 
 
 def _check_tvc_reduced(g: Graph, t: int, k: int, deadline) -> TvcVerdict:
-    if not check_isoregular(g, k).ok:
+    if not check_isoregular(g, k, deadline).ok:
         raise PreconditionError(f"graph is not {k}-isoregular")
     # each level assumes the one below it holds; below level 4 the
     # condition is strong regularity, which k-isoregularity covers
@@ -438,38 +460,9 @@ def count_k44_per_edge(g: Graph, stop_after_values: int | None = None,
     """
     out: dict[tuple[int, int], int] = {}
     values: set[int] = set()
-    rows = g.rows
-    full = g.full_mask
-    not_rows = tuple((full & ~(rows[v] | (1 << v))) for v in range(g.n))
-    for x, y in g.edges():
-        _check_deadline(deadline)
-        count = 0
-        # side B = {y, b2, b3, b4}: independent, inside N(x)
-        bcand = rows[x] & not_rows[y]
-        for b2 in bits_of(bcand):
-            acand2 = rows[y] & rows[b2] & not_rows[x]
-            if acand2.bit_count() < 3:
-                continue
-            c2 = bcand & not_rows[b2] & ~((1 << (b2 + 1)) - 1)
-            for b3 in bits_of(c2):
-                acand3 = acand2 & rows[b3]
-                if acand3.bit_count() < 3:
-                    continue
-                c3 = c2 & not_rows[b3] & ~((1 << (b3 + 1)) - 1)
-                for b4 in bits_of(c3):
-                    acand = acand3 & rows[b4]
-                    if acand.bit_count() < 3:
-                        continue
-                    # count independent triples {a2, a3, a4} in acand
-                    for a2 in bits_of(acand):
-                        d2 = acand & not_rows[a2] & ~((1 << (a2 + 1)) - 1)
-                        for a3 in bits_of(d2):
-                            d3 = d2 & not_rows[a3] & ~((1 << (a3 + 1)) - 1)
-                            count += d3.bit_count()
-        out[(x, y)] = count
+    for edge in itertools.islice(g.edges(), max_edges):
+        out[edge] = count = count_type_anchored(g, K44_TYPE, edge, deadline)
         values.add(count)
         if stop_after_values is not None and len(values) >= stop_after_values:
-            break
-        if max_edges is not None and len(out) >= max_edges:
             break
     return out

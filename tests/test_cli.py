@@ -99,9 +99,38 @@ def test_usage_errors():
      "unrecognized arguments"),
     (["count-type", "--construct", "w2", "--type", "3a", "--x", "0",
       "--y", "1", "--budget-seconds", "1"], "unrecognized arguments"),
+    (["check-isoregular", "--construct", "w2", "--k", "5"],
+     "isoregularity level must be 1..3"),
+    (["verify-formula", "--construct", "q5_2", "--family", "completeS",
+      "--dx", "one", "--dy", "0", "--size", "3"], "unknown completeS case"),
+    (["k44-census", "--construct", "w2", "--max-edges", "-1"],
+     "--max-edges must be at least 0"),
 ], ids=["vertex-out-of-range", "vertex-repeated", "t-zero",
         "t-nine-exhaustive", "t-nine-reduced", "k44-threads",
-        "count-type-budget"])
+        "count-type-budget", "isoregular-k-five", "dx-not-a-number",
+        "k44-negative-max-edges"])
 def test_bad_input_exits_3_with_message(argv, message, capsys):
     assert main(argv) == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"Bw\nBw\n", "holds 2 graphs"),
+    (b"", "holds 0 graphs"),
+    (b"\xd0\xd0\n", "is not graph6 text"),
+], ids=["two-graphs", "no-graph", "not-text"])
+def test_input_must_hold_one_graph(content, message, tmp_path, capsys):
+    g6 = tmp_path / "in.g6"
+    g6.write_bytes(content)
+    assert main(["check-srg", "--input", str(g6)]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    # a ValueError from inside gqtvc is a bug, not a caller's mistake
+    def broken(g):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr("gqtvc.cli.srg_parameters", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        main(["check-srg", "--construct", "w2"])

@@ -27,6 +27,8 @@ def test_graph_validation():
     with pytest.raises(GraphError):
         Graph(2, (2, 0))  # asymmetric
     with pytest.raises(GraphError):
+        Graph(2, (0, 1))  # asymmetric, the other way round
+    with pytest.raises(GraphError):
         Graph(1, (0, 0))  # row count mismatch
 
 

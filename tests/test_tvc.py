@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from math import comb
@@ -35,21 +36,19 @@ def test_fingerprint_pair_class(w2_graph):
 
 def test_exhaustive_vs_anchored_agreement():
     # every class count in a fingerprint equals the anchored backtrack
-    # count of the corresponding type
+    # count of the corresponding type; t = 7 has twin classes of up to
+    # five slots
     rng = random.Random(20240823)
-    checked = 0
-    while checked < 100:
-        n = rng.randrange(6, 21)
-        g = random_graph(n, rng.uniform(0.2, 0.8), rng)
+    for t in (4, 5, 6, 7) * 25:
+        n = rng.randrange(t + 2, 15)
+        g = random_graph(n, rng.uniform(0.1, 0.9), rng)
         x, y = rng.sample(range(n), 2)
-        t = rng.choice((4, 5))
         fp = pair_fingerprint(g, t, (x, y))
         adj = g.has_edge(x, y)
         for code, cnt in fp.counts:
             rows = rows_from_bits(code.bits, t, skip01=True)
             ty = GraphType(t, rows, adj)
             assert count_type_anchored(g, ty, (x, y)) == cnt
-            checked += 1
 
 
 def test_check_tvc_small_levels():
@@ -111,6 +110,15 @@ def test_threads_honour_budget():
 def test_budget_inconclusive(q5_2_graph):
     verdict = check_tvc(q5_2_graph, 7, budget_seconds=0.01)
     assert verdict.status == "inconclusive"
+
+
+def test_reduced_budget_covers_isoregularity():
+    # 3-isoregularity of GQ(3,9) alone takes about a second
+    g = graph_of("q5_3")
+    start = time.monotonic()
+    verdict = check_tvc(g, 6, mode="reduced", k=3, budget_seconds=0.05)
+    assert verdict.status == "inconclusive"
+    assert time.monotonic() - start < 0.5
 
 
 def test_reduced_budget_checked_per_pair(q5_2_graph):
@@ -193,6 +201,35 @@ def test_count_k44_per_edge_known_graphs():
     assert len(counts) == 16
     k5 = graph_from_edges(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
     assert set(count_k44_per_edge(k5).values()) == {0}
+
+
+def test_count_k44_matches_brute_force():
+    # near-complete-bipartite graphs with a few flipped pairs have many
+    # induced K4,4 through some edges and none through others
+    rng = random.Random(44)
+    seen = set()
+    for _ in range(6):
+        n = rng.randrange(8, 13)
+        side = set(rng.sample(range(n), n // 2))
+        g = graph_from_edges(n, [
+            (i, j) for i in range(n) for j in range(i + 1, n)
+            if ((i in side) != (j in side)) != (rng.random() < 0.05)])
+        counts = count_k44_per_edge(g)
+        seen.update(counts.values())
+        assert len(counts) == g.edge_count()
+        for (x, y), count in counts.items():
+            brute = 0
+            for rest in itertools.combinations(
+                    [v for v in range(n) if v not in (x, y)], 6):
+                a = [x] + [v for v in rest if not g.has_edge(x, v)]
+                b = [y] + [v for v in rest if g.has_edge(x, v)]
+                brute += (len(a) == 4
+                          and all(g.has_edge(u, v) for u in a for v in b)
+                          and not any(g.has_edge(u, v) for part in (a, b)
+                                      for u, v in itertools.combinations(
+                                          part, 2)))
+            assert count == brute, (x, y)
+    assert len(seen) >= 4, seen
 
 
 def test_count_k44_early_stop():
