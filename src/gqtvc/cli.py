@@ -55,7 +55,7 @@ def _provenance(args) -> dict:
         out["construction"] = args.construct
         out["dual"] = args.dual
         out["field_size"] = CONSTRUCTIONS[args.construct].field_size
-    for key in ("input", "t", "k", "mode", "budget_seconds", "threads"):
+    for key in ("input", "t", "k", "mode", "budget_seconds"):
         if getattr(args, key, None) is not None:
             out[key] = getattr(args, key)
     return out
@@ -151,7 +151,7 @@ def run_check_isoregular(args) -> Result:
 def run_check_tvc(args) -> Result:
     return _verdict_result(check_tvc(
         _load_graph(args), args.t, mode=args.mode, k=args.k,
-        budget_seconds=args.budget_seconds, threads=args.threads))
+        budget_seconds=args.budget_seconds))
 
 
 def run_find_distinguisher(args) -> Result:
@@ -273,7 +273,7 @@ COMMANDS = (
     Command("check-tvc", run_check_tvc, GRAPH + (
         T, _opt("--mode", choices=["exhaustive", "reduced"],
                 default="exhaustive"),
-        K2, BUDGET, _opt("--threads", type=int, default=1))),
+        K2, BUDGET)),
     Command("find-distinguisher", run_find_distinguisher,
             GRAPH + (T, K2, BUDGET)),
     Command("count-type", run_count_type, GRAPH + (

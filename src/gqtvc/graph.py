@@ -2,8 +2,7 @@
 
 Every counting kernel in this package works on neighbourhood
 intersections, so adjacency is stored as one Python int bitmask per
-vertex.  Graphs are immutable after construction and safe to share
-between workers.
+vertex.  Graphs are immutable after construction.
 """
 
 from __future__ import annotations
@@ -234,21 +233,17 @@ def _grouped(vertices, key):
     return [groups[k] for k in sorted(groups)]
 
 
-def min_bits_pair_fixed(rows, t: int, swap_ok: bool = False) -> int:
-    """Least non-pair upper-triangle bits over isomorphisms keeping the
-    distinguished pair in slots 0,1 (pointwise, or setwise if ``swap_ok``)."""
-    def inv(v):
-        return ((rows[v] >> 0) & 1, (rows[v] >> 1) & 1, rows[v].bit_count())
+def pair_codes(rows, t: int) -> tuple[int, int]:
+    """Least non-pair upper-triangle bits over the relabelings that keep
+    the distinguished pair in slots 0, 1: in order (``fwd``) and with
+    the two slots swapped (``bwd``, the ``fwd`` code of the mirror)."""
+    def least(a, b):
+        blocks = _grouped(range(2, t), lambda v: (
+            (rows[v] >> a) & 1, (rows[v] >> b) & 1, rows[v].bit_count()))
+        orderings = ((a, b) + tail for tail in _block_perms(blocks))
+        return _min_bits_over(rows, t, orderings, skip01=True)
 
-    blocks = _grouped(range(2, t), inv)
-    orderings = [(0, 1) + tail for tail in _block_perms(blocks)]
-    if swap_ok:
-        def inv_sw(v):
-            return ((rows[v] >> 1) & 1, (rows[v] >> 0) & 1, rows[v].bit_count())
-
-        blocks_sw = _grouped(range(2, t), inv_sw)
-        orderings += [(1, 0) + tail for tail in _block_perms(blocks_sw)]
-    return _min_bits_over(rows, t, orderings, skip01=True)
+    return least(0, 1), least(1, 0)
 
 
 def min_bits_free(rows, t: int) -> int:
@@ -267,8 +262,7 @@ def canonical_code(g: Graph, pair: tuple[int, int] | None = None) -> CanonicalCo
     u, v = pair
     order = [u, v] + [w for w in range(g.n) if w not in (u, v)]
     h = induced_subgraph(g, order)
-    bits = min_bits_pair_fixed(h.rows, g.n)
-    return CanonicalCode(g.n, bits, g.has_edge(u, v))
+    return CanonicalCode(g.n, pair_codes(h.rows, g.n)[0], g.has_edge(u, v))
 
 
 # -- graph6 serialization -------------------------------------------------

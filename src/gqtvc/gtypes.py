@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .graph import (CanonicalCode, Graph, GraphError, graph_from_edges,
-                    min_bits_free, min_bits_pair_fixed, upper_bits)
+                    min_bits_free, pair_codes, upper_bits)
 
 MIN_TYPE_ORDER = 2
 MAX_TYPE_ORDER = 8
@@ -41,9 +41,8 @@ class GraphType:
 
     @property
     def code(self) -> CanonicalCode:
-        return CanonicalCode(self.order,
-                             min_bits_pair_fixed(self.rows, self.order, swap_ok=True),
-                             self.pair_adjacent)
+        bits = min(pair_codes(self.rows, self.order))
+        return CanonicalCode(self.order, bits, self.pair_adjacent)
 
     def concrete(self, adjacent: bool) -> "GraphType":
         return GraphType(self.order, self.rows, adjacent)
@@ -147,7 +146,7 @@ def enumerate_types(t: int, min_add_valency: int) -> tuple[GraphType, ...]:
                         break
                 if not ok:
                     continue
-                key = min_bits_pair_fixed(tuple(new_rows), size, swap_ok=True)
+                key = min(pair_codes(new_rows, size))
                 if key not in seen:
                     seen[key] = tuple(new_rows)
         current = list(seen.values())

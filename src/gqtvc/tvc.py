@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import factorial, prod
 
 from .graph import (BudgetExceeded, CanonicalCode, Graph, ParameterError,
-                    _check_deadline, bits_of, min_bits_pair_fixed,
+                    _bit_positions, _check_deadline, bits_of, pair_codes,
                     rows_from_bits)
 from .gtypes import (K44_TYPE, MAX_TYPE_ORDER, GraphType, enumerate_types,
                      pair_fixing_aut_order)
@@ -58,87 +58,88 @@ class TvcVerdict:
 
 # -- exhaustive fingerprinting --------------------------------------------
 
-class _CodeMemo:
-    """Maps labelled non-pair adjacency bits of an order-t subgraph with
-    its pair in slots 0,1 to the canonical code bits, both for the given
-    orientation and for the swapped one."""
-
-    def __init__(self, t: int):
-        self.t = t
-        self.table: dict[int, tuple[int, int]] = {}
-        # positions of the non-pair upper-triangle bits under slot swap
-        from .graph import _bit_positions
-        pos = _bit_positions(t, True)
-        swap_map = {}
-        for (i, j), p in pos.items():
-            si = 1 if i == 0 else 0 if i == 1 else i
-            sj = 1 if j == 0 else 0 if j == 1 else j
-            a, b = min(si, sj), max(si, sj)
-            swap_map[p] = pos[(a, b)]
-        self.swap_map = swap_map
-
-    def swap_bits(self, bits: int) -> int:
-        out = 0
-        for p, sp in self.swap_map.items():
-            if (bits >> p) & 1:
-                out |= 1 << sp
-        return out
-
-    def canon(self, bits: int) -> tuple[int, int]:
-        got = self.table.get(bits)
-        if got is None:
-            rows = rows_from_bits(bits, self.t, skip01=True)
-            fwd = min_bits_pair_fixed(rows, self.t)
-            swapped = self.swap_bits(bits)
-            rows_sw = rows_from_bits(swapped, self.t, skip01=True)
-            bwd = min_bits_pair_fixed(rows_sw, self.t)
-            got = (fwd, bwd)
-            self.table[bits] = got
-            if swapped != bits:
-                self.table[swapped] = (bwd, fwd)
-        return got
+@lru_cache(maxsize=None)
+def _slot_bits(t: int) -> tuple[tuple[int, ...], ...]:
+    """``_slot_bits(t)[a][adj]``: the labelled non-pair bits a vertex sets
+    when placed in slot a + 2, where bit s of ``adj`` is its adjacency to
+    slot s (x, y, then the vertices placed before it)."""
+    pos = _bit_positions(t, True)
+    return tuple(
+        tuple(sum(1 << pos[(s, a + 2)] for s in range(a + 2) if adj >> s & 1)
+              for adj in range(1 << (a + 2)))
+        for a in range(t - 2))
 
 
 def _labelled_tallies(g: Graph, t: int, x: int, y: int,
-                      deadline=None) -> dict[int, int]:
+                      deadline) -> dict[int, int]:
     """Tallies of labelled non-pair adjacency patterns over all
-    (t-2)-subsets of V minus {x, y}, with x, y in slots 0, 1."""
-    rest = [v for v in range(g.n) if v not in (x, y)]
+    (t-2)-subsets of V minus {x, y}, with x, y in slots 0, 1 and the
+    subset in increasing order in slots 2..t-1.
+
+    The candidates for the next slot are kept in cells of equal
+    adjacency to x, y and the vertices placed so far, so a whole cell
+    sets the same bits.  Placing a vertex splits every cell, cut to the
+    vertices above it, by adjacency to it; the last slot tallies each
+    cell by popcount.
+    """
     rows = g.rows
+    table = _slot_bits(t)
+    last = t - 3
+    rest = g.full_mask & ~(1 << x | 1 << y)
+    rx, ry = rows[x], rows[y]
+    cells = [(adj, m) for adj, m in enumerate((
+        rest & ~rx & ~ry, rest & rx & ~ry, rest & ~rx & ry, rest & rx & ry)) if m]
     tallies: dict[int, int] = {}
-    k = t - 2
-    # bit position layout for skip01: first the (0, j) bits j >= 2, then
-    # (1, j), then pairs among the added vertices
-    from .graph import _bit_positions
-    pos = _bit_positions(t, True)
-    xpos = [pos[(0, j)] for j in range(2, t)]
-    ypos = [pos[(1, j)] for j in range(2, t)]
-    ppos = [[pos[(i + 2, j + 2)] for j in range(i + 1, k)] for i in range(k)]
-    rx = rows[x]
-    ry = rows[y]
-    counter = 0
-    for subset in itertools.combinations(rest, k):
-        bits = 0
-        for a in range(k):
-            va = subset[a]
-            if (rx >> va) & 1:
-                bits |= 1 << xpos[a]
-            if (ry >> va) & 1:
-                bits |= 1 << ypos[a]
-            ra = rows[va]
-            pa = ppos[a]
-            for b in range(a + 1, k):
-                if (ra >> subset[b]) & 1:
-                    bits |= 1 << pa[b - a - 1]
-        tallies[bits] = tallies.get(bits, 0) + 1
-        counter += 1
-        if counter & 0x3FFF == 0:
-            _check_deadline(deadline)
+
+    def rec(a, cells, bits):
+        sets = table[a]
+        if a == last:
+            for adj, m in cells:
+                key = bits | sets[adj]
+                tallies[key] = tallies.get(key, 0) + m.bit_count()
+            return
+        _check_deadline(deadline)
+        flag = 1 << (a + 2)
+        for adj, m in cells:
+            placed = bits | sets[adj]
+            for v in bits_of(m):
+                above, r = -(2 << v), rows[v]
+                child = []
+                for adj2, m2 in cells:
+                    m2 &= above
+                    if m2:
+                        inside = m2 & r
+                        if inside:
+                            child.append((adj2 | flag, inside))
+                        if inside != m2:
+                            child.append((adj2, m2 ^ inside))
+                if child:
+                    rec(a + 1, child, placed)
+
+    rec(0, cells, 0)
     return tallies
 
 
+def _pair_census(g: Graph, t: int, x: int, y: int, codes: dict,
+                 deadline) -> tuple[dict[int, int], dict[int, int]]:
+    """Counts of the order-t subgraphs through (x, y) and through (y, x)
+    by canonical code bits.  ``codes`` memoises ``pair_codes`` by
+    labelled bits for the length of one scan."""
+    fwd: dict[int, int] = {}
+    bwd: dict[int, int] = {}
+    for bits, cnt in _labelled_tallies(g, t, x, y, deadline).items():
+        got = codes.get(bits)
+        if got is None:
+            got = codes[bits] = pair_codes(
+                rows_from_bits(bits, t, skip01=True), t)
+        f, b = got
+        fwd[f] = fwd.get(f, 0) + cnt
+        bwd[b] = bwd.get(b, 0) + cnt
+    return fwd, bwd
+
+
 def pair_fingerprint(g: Graph, t: int, pair: tuple[int, int],
-                     deadline=None, memo: _CodeMemo | None = None) -> Fingerprint:
+                     deadline=None) -> Fingerprint:
     """Exhaustive census of induced order-t subgraphs containing the
     ordered pair, classified by type."""
     x, y = pair
@@ -147,74 +148,40 @@ def pair_fingerprint(g: Graph, t: int, pair: tuple[int, int],
     if not 3 <= t <= MAX_EXHAUSTIVE_ORDER:
         raise ParameterError("exhaustive fingerprints support "
                              f"3 <= t <= {MAX_EXHAUSTIVE_ORDER}")
-    memo = memo or _CodeMemo(t)
     adj = g.has_edge(x, y)
-    tallies = _labelled_tallies(g, t, x, y, deadline)
-    counts: dict[CanonicalCode, int] = {}
-    for bits, cnt in tallies.items():
-        fwd, _ = memo.canon(bits)
-        code = CanonicalCode(t, fwd, adj)
-        counts[code] = counts.get(code, 0) + cnt
+    fwd, _ = _pair_census(g, t, x, y, {}, deadline)
     return Fingerprint("edge" if adj else "non-edge",
-                       tuple(sorted(counts.items())))
+                       tuple(sorted((CanonicalCode(t, bits, adj), cnt)
+                                    for bits, cnt in fwd.items())))
 
 
-def _canonical_counts(tallies: dict[int, int], memo: _CodeMemo):
-    fwd: dict[int, int] = {}
-    bwd: dict[int, int] = {}
-    for bits, cnt in tallies.items():
-        f, b = memo.canon(bits)
-        fwd[f] = fwd.get(f, 0) + cnt
-        bwd[b] = bwd.get(b, 0) + cnt
-    return fwd, bwd
-
-
-def _exhaustive_scan_chunk(g: Graph, t: int, pairs, refs, memo, deadline):
-    """Compare the fingerprints of the given unordered pairs against the
-    per-class references.  Returns None or a mismatch description."""
-    for x, y in pairs:
-        _check_deadline(deadline)
-        adj = g.has_edge(x, y)
-        tallies = _labelled_tallies(g, t, x, y, deadline)
-        fwd, bwd = _canonical_counts(tallies, memo)
-        ref = refs[adj]
-        for counts, pair in ((fwd, (x, y)), (bwd, (y, x))):
-            if counts != ref[0]:
-                return (pair, ref[1], counts)
-    return None
-
-
-def _mismatch_witness(t, ref_counts, counts):
-    """Pick one differing code and build a concrete witness."""
-    keys = set(ref_counts) | set(counts)
-    for key in sorted(keys):
-        a = ref_counts.get(key, 0)
-        b = counts.get(key, 0)
-        if a != b:
-            rows = rows_from_bits(key, t, skip01=True)
-            return key, a, b, rows
-    raise AssertionError("mismatching fingerprints without differing code")
+def _mismatch_witness(t, adj, ref_counts, ref_pair, counts, pair):
+    """Witness for the least code counted differently through two pairs."""
+    key = min(c for c in ref_counts.keys() | counts.keys()
+              if ref_counts.get(c, 0) != counts.get(c, 0))
+    return TvcWitness(GraphType(t, rows_from_bits(key, t, skip01=True), adj),
+                      ref_pair, ref_counts.get(key, 0), pair, counts.get(key, 0))
 
 
 def check_tvc(g: Graph, t: int, mode: str = "exhaustive", k: int | None = None,
-              budget_seconds: float | None = None, threads: int = 1,
-              deadline: float | None = None) -> TvcVerdict:
+              budget_seconds: float | None = None) -> TvcVerdict:
     """Decide the t-vertex condition.
 
     ``mode='exhaustive'`` scans every (t-2)-subset through every pair,
-    for 2 <= t <= 7.  ``mode='reduced'`` requires the graph to be
-    k-isoregular and uses only types whose additional vertices have
-    valency >= k+1, for 2 <= t <= 8; the levels below t are checked
-    first, and a failure there is reported as the violation, since the
-    t-vertex condition implies the (t-1)-vertex condition.
+    for 2 <= t <= 7, in one process.  ``mode='reduced'`` requires the
+    graph to be k-isoregular and uses only types whose additional
+    vertices have valency >= k+1, for 2 <= t <= 8; the levels below t
+    are checked first, and a failure there is reported as the
+    violation, since the t-vertex condition implies the (t-1)-vertex
+    condition.
     """
     top = {"exhaustive": MAX_EXHAUSTIVE_ORDER, "reduced": MAX_TYPE_ORDER}
     if mode not in top:
         raise ParameterError(f"unknown mode {mode!r}")
     if not 2 <= t <= top[mode]:
         raise ParameterError(f"{mode} mode needs 2 <= t <= {top[mode]}, got {t}")
-    if deadline is None and budget_seconds is not None:
-        deadline = time.monotonic() + budget_seconds
+    deadline = None if budget_seconds is None \
+        else time.monotonic() + budget_seconds
     if t == 2:
         from .regularity import check_regular
         ok = check_regular(g) is not None
@@ -225,7 +192,7 @@ def check_tvc(g: Graph, t: int, mode: str = "exhaustive", k: int | None = None,
         return TvcVerdict(3, "satisfied" if ok else "violated", mode=mode)
     try:
         if mode == "exhaustive":
-            return _check_tvc_exhaustive(g, t, deadline, threads)
+            return _check_tvc_exhaustive(g, t, deadline)
         if k is None:
             raise PreconditionError("reduced mode needs an isoregularity level")
         return _check_tvc_reduced(g, t, k, deadline)
@@ -233,76 +200,20 @@ def check_tvc(g: Graph, t: int, mode: str = "exhaustive", k: int | None = None,
         return TvcVerdict(t, "inconclusive", mode=mode)
 
 
-def _check_tvc_exhaustive(g: Graph, t: int, deadline, threads=1) -> TvcVerdict:
-    edges, non_edges = list(g.edges()), list(g.non_edges())
-    memo = _CodeMemo(t)
-    refs = {}
-    for adj, pairs in ((True, edges), (False, non_edges)):
-        if not pairs:
-            refs[adj] = ({}, None)
-            continue
-        x, y = pairs[0]
-        tallies = _labelled_tallies(g, t, x, y, deadline)
-        fwd, bwd = _canonical_counts(tallies, memo)
-        if fwd != bwd:
-            # the reference pair itself is orientation-asymmetric
-            key, a, b, rows = _mismatch_witness(t, fwd, bwd)
-            ty = GraphType(t, rows, g.has_edge(x, y))
-            return TvcVerdict(t, "violated",
-                              TvcWitness(ty, (x, y), a, (y, x), b))
-        refs[adj] = (fwd, (x, y))
-
-    all_pairs = edges + non_edges
-    if threads > 1:
-        result = _parallel_scan(g, t, all_pairs, refs, deadline, threads)
-    else:
-        result = _exhaustive_scan_chunk(g, t, all_pairs, refs, memo, deadline)
-    if result is None:
-        return TvcVerdict(t, "satisfied")
-    pair, ref_pair, counts = result
-    ref_counts = refs[g.has_edge(*pair)][0]
-    key, a, b, rows = _mismatch_witness(t, ref_counts, counts)
-    ty = GraphType(t, rows, g.has_edge(*pair))
-    return TvcVerdict(t, "violated", TvcWitness(ty, ref_pair, a, pair, b))
-
-
-# -- process-pool support for the exhaustive scan -------------------------
-
-_WORKER_STATE: dict = {}
-
-
-def _worker_init(g, t, refs, deadline):
-    _WORKER_STATE["g"] = g
-    _WORKER_STATE["t"] = t
-    _WORKER_STATE["refs"] = refs
-    _WORKER_STATE["memo"] = _CodeMemo(t)
-    # time.monotonic() is system-wide, so the parent's deadline holds here
-    _WORKER_STATE["deadline"] = deadline
-
-
-def _worker_scan(pairs):
-    return _exhaustive_scan_chunk(_WORKER_STATE["g"], _WORKER_STATE["t"],
-                                  pairs, _WORKER_STATE["refs"],
-                                  _WORKER_STATE["memo"],
-                                  _WORKER_STATE["deadline"])
-
-
-def _parallel_scan(g, t, pairs, refs, deadline, threads):
-    from concurrent.futures import ProcessPoolExecutor
-    chunk = max(1, len(pairs) // (threads * 8))
-    chunks = [pairs[i:i + chunk] for i in range(0, len(pairs), chunk)]
-    pool = ProcessPoolExecutor(max_workers=threads, initializer=_worker_init,
-                               initargs=(g, t, refs, deadline))
-    try:
-        # results consumed in submission order keeps the verdict
-        # independent of scheduling; a BudgetExceeded raised in a worker
-        # is raised again here
-        for result in pool.map(_worker_scan, chunks):
-            if result is not None:
-                return result
-    finally:
-        pool.shutdown(cancel_futures=True)
-    return None
+def _check_tvc_exhaustive(g: Graph, t: int, deadline) -> TvcVerdict:
+    """Compare both orientations of every pair with the forward census
+    of the first pair of its adjacency class."""
+    codes: dict = {}
+    refs: dict = {}
+    for x, y in itertools.chain(g.edges(), g.non_edges()):
+        adj = g.has_edge(x, y)
+        fwd, bwd = _pair_census(g, t, x, y, codes, deadline)
+        ref_counts, ref_pair = refs.setdefault(adj, (fwd, (x, y)))
+        for counts, pair in ((fwd, (x, y)), (bwd, (y, x))):
+            if counts != ref_counts:
+                return TvcVerdict(t, "violated", _mismatch_witness(
+                    t, adj, ref_counts, ref_pair, counts, pair))
+    return TvcVerdict(t, "satisfied")
 
 
 # -- anchored counting and reduced mode -----------------------------------
@@ -353,6 +264,8 @@ def count_type_anchored(g: Graph, ty: GraphType, pair: tuple[int, int],
     induced subgraph is of the given type (fixed vertices mapped to the
     pair in order)."""
     x, y = pair
+    if x == y:
+        raise ParameterError("pair must consist of distinct vertices")
     adj = g.has_edge(x, y)
     if ty.pair_adjacent is not None and ty.pair_adjacent != adj:
         raise PreconditionError("pair adjacency does not match the type")

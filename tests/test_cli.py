@@ -37,7 +37,7 @@ def test_check_tvc(capsys):
     assert main(["check-tvc", "--construct", "w2", "--t", "5"]) == 0
     assert "satisfied" in capsys.readouterr().out
     assert main(["check-tvc", "--construct", "w2", "--t", "4",
-                 "--threads", "2", "--budget-seconds", "30"]) == 0
+                 "--budget-seconds", "30"]) == 0
 
 
 def test_check_tvc_budget_inconclusive():
@@ -97,6 +97,8 @@ def test_usage_errors():
       "--budget-seconds", "1"], "2 <= t <= 8"),
     (["k44-census", "--construct", "w2", "--threads", "2"],
      "unrecognized arguments"),
+    (["check-tvc", "--construct", "w2", "--t", "4", "--threads", "2"],
+     "unrecognized arguments"),
     (["count-type", "--construct", "w2", "--type", "3a", "--x", "0",
       "--y", "1", "--budget-seconds", "1"], "unrecognized arguments"),
     (["check-isoregular", "--construct", "w2", "--k", "5"],
@@ -106,7 +108,7 @@ def test_usage_errors():
     (["k44-census", "--construct", "w2", "--max-edges", "-1"],
      "--max-edges must be at least 0"),
 ], ids=["vertex-out-of-range", "vertex-repeated", "t-zero",
-        "t-nine-exhaustive", "t-nine-reduced", "k44-threads",
+        "t-nine-exhaustive", "t-nine-reduced", "k44-threads", "tvc-threads",
         "count-type-budget", "isoregular-k-five", "dx-not-a-number",
         "k44-negative-max-edges"])
 def test_bad_input_exits_3_with_message(argv, message, capsys):

@@ -1,0 +1,113 @@
+"""Property tests against networkx, an independent implementation of
+graph isomorphism, strong regularity and graph6.  networkx is needed by
+these tests only; gqtvc itself uses the standard library alone."""
+
+import itertools
+import random
+from math import comb
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gqtvc.graph import canonical_code, graph_from_edges, to_graph6
+from gqtvc.regularity import srg_parameters
+
+from conftest import graph_of
+
+nx = pytest.importorskip("networkx")
+
+
+def random_graph(n, p, rng):
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < p]
+    return graph_from_edges(n, edges)
+
+
+def to_nx(g, pair=()):
+    """The networkx graph of g; the vertices of ``pair`` carry their slot
+    (0 or 1) as a node attribute, every other vertex carries 2."""
+    h = nx.Graph()
+    h.add_nodes_from((v, {"slot": pair.index(v) if v in pair else 2})
+                     for v in range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def from_nx(h):
+    index = {v: i for i, v in enumerate(h)}
+    return graph_from_edges(len(index),
+                            [(index[u], index[v]) for u, v in h.edges()])
+
+
+def same_slots(a, b):
+    return a["slot"] == b["slot"]
+
+
+@given(st.integers(0, 2 ** 20), st.integers(2, 7))
+@settings(max_examples=300, deadline=None)
+def test_canonical_code_equality_is_isomorphism(seed, n):
+    rng = random.Random(seed)
+    g = random_graph(n, rng.random(), rng)
+    # a relabelled copy, with one vertex pair flipped half the time, so
+    # that both answers occur
+    perm = rng.sample(range(n), n)
+    flip = {tuple(sorted(rng.sample(range(n), 2)))} if rng.random() < 0.5 \
+        else set()
+    h = graph_from_edges(n, [
+        (a, b) for a, b in itertools.combinations(range(n), 2)
+        if g.has_edge(perm[a], perm[b]) != ((a, b) in flip)])
+    assert (canonical_code(g) == canonical_code(h)) \
+        == nx.is_isomorphic(to_nx(g), to_nx(h))
+    # with a marked pair: the image of g's pair in h, or any pair of h
+    p = tuple(rng.sample(range(n), 2))
+    q = tuple(perm.index(v) for v in p) if rng.random() < 0.5 \
+        else tuple(rng.sample(range(n), 2))
+    assert (canonical_code(g, p) == canonical_code(h, q)) \
+        == nx.is_isomorphic(to_nx(g, p), to_nx(h, q), node_match=same_slots)
+
+
+def srg_candidates():
+    rng = random.Random(3)
+    yield from (nx.petersen_graph(), nx.cycle_graph(5), nx.cycle_graph(6),
+                nx.complete_bipartite_graph(3, 3), nx.complete_graph(5),
+                nx.empty_graph(4), nx.path_graph(4),
+                nx.line_graph(nx.complete_graph(6)),
+                nx.cartesian_product(nx.complete_graph(4),
+                                     nx.complete_graph(4)),
+                nx.Graph(nx.paley_graph(13)),
+                nx.disjoint_union(nx.complete_graph(3), nx.complete_graph(3)),
+                nx.hypercube_graph(3), nx.circulant_graph(10, [1, 2]))
+    for name in ("w2", "q5_2", "w3"):
+        yield to_nx(graph_of(name))
+    for seed in range(12):
+        h = nx.random_regular_graph(rng.randrange(3, 7), 2 * rng.randrange(5, 9),
+                                    seed=seed)
+        yield h
+        yield nx.complement(h)
+        yield to_nx(random_graph(rng.randrange(4, 12), rng.random(), rng))
+
+
+def test_strong_regularity_matches_networkx():
+    both = 0
+    for h in srg_candidates():
+        g = from_nx(h)
+        ours = srg_parameters(g) is not None
+        if nx.is_connected(h) and g.edge_count() < comb(g.n, 2):
+            assert ours == nx.is_strongly_regular(h), nx.to_graph6_bytes(h)
+            both += ours
+        else:
+            # networkx asks for a connected graph of diameter 2; gqtvc
+            # also calls complete and edgeless graphs (degenerate) and
+            # disjoint equal cliques (mu = 0) strongly regular
+            assert not nx.is_strongly_regular(h)
+    assert both >= 9
+
+
+@given(st.integers(0, 2 ** 20), st.integers(1, 80))
+@settings(max_examples=200, deadline=None)
+def test_graph6_matches_networkx(seed, n):
+    rng = random.Random(seed)
+    g = random_graph(n, rng.random(), rng)
+    expected = nx.to_graph6_bytes(to_nx(g), header=False).decode().rstrip("\n")
+    assert to_graph6(g) == expected

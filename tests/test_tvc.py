@@ -1,14 +1,16 @@
 import itertools
 import random
 import time
+from collections import Counter
 from math import comb
 
 import pytest
 
 from gqtvc.cli import main
-from gqtvc.graph import graph_from_edges, rows_from_bits, write_graph6_file
+from gqtvc.graph import (ParameterError, canonical_code, graph_from_edges,
+                         induced_subgraph, rows_from_bits, write_graph6_file)
 from gqtvc.gtypes import GraphType, enumerate_types, order5_type
-from gqtvc.tvc import (PreconditionError, TvcVerdict, check_tvc,
+from gqtvc.tvc import (PreconditionError, _pair_census, check_tvc,
                        count_k44_per_edge, count_type_anchored,
                        find_distinguisher, pair_fingerprint)
 
@@ -32,6 +34,26 @@ def test_fingerprint_pair_class(w2_graph):
     assert pair_fingerprint(w2_graph, 4, (x, y)).pair_class == "edge"
     x, y = next(iter(w2_graph.non_edges()))
     assert pair_fingerprint(w2_graph, 4, (x, y)).pair_class == "non-edge"
+
+
+def test_fingerprint_matches_brute_force():
+    # the census against canonical codes of every induced subgraph through
+    # the pair, in both orientations; the exhaustive scan reads both from
+    # one call of _pair_census
+    rng = random.Random(1971)
+    for t in (3, 4, 5, 6, 7) * 10:
+        n = rng.randrange(t, 13)
+        g = random_graph(n, rng.uniform(0.1, 0.9), rng)
+        x, y = rng.sample(range(n), 2)
+        brute = []
+        for pair in ((x, y), (y, x)):
+            counts = Counter(
+                canonical_code(induced_subgraph(g, [*pair, *rest]), (0, 1))
+                for rest in itertools.combinations(
+                    [v for v in range(n) if v not in pair], t - 2))
+            assert dict(pair_fingerprint(g, t, pair).counts) == counts
+            brute.append({code.bits: c for code, c in counts.items()})
+        assert list(_pair_census(g, t, x, y, {}, None)) == brute
 
 
 def test_exhaustive_vs_anchored_agreement():
@@ -75,36 +97,28 @@ def test_check_tvc_violation_witness():
     assert check_tvc(cube, 3).status == "violated"
 
 
-def test_tvc_witness_counts_differ(q5_2_graph):
-    # build a deliberately inhomogeneous graph: GQ(2,4) graph plus a
-    # pendant-modified copy is overkill; a random graph suffices
+def test_tvc_witness_counts_differ():
+    # a random graph is not even regular, and the exhaustive scan finds
+    # two pairs of one class whose counts differ
     rng = random.Random(5)
     g = random_graph(10, 0.5, rng)
     verdict = check_tvc(g, 4)
-    if verdict.status == "violated":
-        w = verdict.witness
-        assert w.count_a != w.count_b
-        adj = g.has_edge(*w.pair_a)
-        assert adj == g.has_edge(*w.pair_b)
-        ty = w.graph_type.concrete(adj) if w.graph_type.pair_adjacent is None \
-            else w.graph_type
-        assert count_type_anchored(g, ty, w.pair_a) == w.count_a
-        assert count_type_anchored(g, ty, w.pair_b) == w.count_b
+    assert verdict.status == "violated"
+    w = verdict.witness
+    assert w.count_a != w.count_b
+    adj = g.has_edge(*w.pair_a)
+    assert adj == g.has_edge(*w.pair_b) == w.graph_type.pair_adjacent
+    assert count_type_anchored(g, w.graph_type, w.pair_a) == w.count_a
+    assert count_type_anchored(g, w.graph_type, w.pair_b) == w.count_b
 
 
-def test_threads_match_single(w2_graph):
-    v1 = check_tvc(w2_graph, 5, threads=1)
-    v2 = check_tvc(w2_graph, 5, threads=2)
-    assert v1.status == v2.status == "satisfied"
-
-
-def test_threads_honour_budget():
-    # one chunk of this scan takes the workers tens of seconds, so only a
-    # deadline checked inside the workers ends it near the budget
+def test_exhaustive_honours_budget():
+    # the deadline is checked at every internal node of the census, so the
+    # scan ends near the budget
     start = time.monotonic()
-    verdict = check_tvc(graph_of("w3"), 6, threads=2, budget_seconds=2)
+    verdict = check_tvc(graph_of("w3"), 6, budget_seconds=2)
     assert verdict.status == "inconclusive"
-    assert time.monotonic() - start < 10
+    assert time.monotonic() - start < 4
 
 
 def test_budget_inconclusive(q5_2_graph):
@@ -144,7 +158,12 @@ def shrikhande():
 
 def test_lower_level_failure_is_violated(tmp_path):
     g = shrikhande()
-    assert check_tvc(g, 5).status == "violated"
+    verdict = check_tvc(g, 5)
+    assert verdict.status == "violated"
+    w = verdict.witness
+    assert count_type_anchored(g, w.graph_type, w.pair_a) == w.count_a
+    assert count_type_anchored(g, w.graph_type, w.pair_b) == w.count_b
+    assert w.count_a != w.count_b
     verdict = check_tvc(g, 5, mode="reduced", k=2)
     assert verdict.status == "violated" and verdict.t == 5
     w = verdict.witness
@@ -188,6 +207,8 @@ def test_count_type_anchored_adjacency_guard(w2_graph):
     x, y = next(iter(w2_graph.edges()))
     with pytest.raises(PreconditionError):
         count_type_anchored(w2_graph, order5_type("2a", False), (x, y))
+    with pytest.raises(ParameterError):
+        count_type_anchored(graph_of("w3"), order5_type("0", False), (3, 3))
 
 
 def test_find_distinguisher_none_for_rank3(w2_graph):
