@@ -186,16 +186,6 @@ def _bit_positions(t: int, skip01: bool) -> dict[tuple[int, int], int]:
     return pos
 
 
-def upper_bits(rows, t: int, skip01: bool = False) -> int:
-    """Pack the upper adjacency triangle of ``rows`` into an int."""
-    pos = _bit_positions(t, skip01)
-    bits = 0
-    for (i, j), p in pos.items():
-        if (rows[i] >> j) & 1:
-            bits |= 1 << p
-    return bits
-
-
 def rows_from_bits(bits: int, t: int, skip01: bool = False) -> tuple[int, ...]:
     rows = [0] * t
     for (i, j), p in _bit_positions(t, skip01).items():
@@ -211,18 +201,16 @@ def _block_perms(blocks):
         yield tuple(v for part in parts for v in part)
 
 
-def _min_bits_over(rows, t: int, orderings, skip01: bool) -> int:
-    pos = _bit_positions(t, skip01)
-    items = tuple(pos.items())
-    best = None
+def _relabelled_bits(rows, t: int, orderings, skip01: bool):
+    """Yield the upper-triangle bits of ``rows`` relabelled by each
+    ordering (slot i holds vertex ``perm[i]``)."""
+    items = tuple(_bit_positions(t, skip01).items())
     for perm in orderings:
         bits = 0
         for (i, j), p in items:
             if (rows[perm[i]] >> perm[j]) & 1:
                 bits |= 1 << p
-        if best is None or bits < best:
-            best = bits
-    return best
+        yield bits
 
 
 def _grouped(vertices, key):
@@ -233,22 +221,37 @@ def _grouped(vertices, key):
     return [groups[k] for k in sorted(groups)]
 
 
+def pair_relabellings(rows, t: int, a: int = 0, b: int = 1):
+    """Non-pair upper-triangle bits over the orderings that put a, b in
+    slots 0, 1 and permute each block of the other vertices, a block
+    being the vertices of equal adjacency to a and b and equal degree.
+    Every automorphism fixing a and b maps each block to itself, so its
+    composite with any ordering is again among these orderings."""
+    blocks = _grouped((v for v in range(t) if v != a and v != b),
+                      lambda v: ((rows[v] >> a) & 1, (rows[v] >> b) & 1,
+                                 rows[v].bit_count()))
+    return _relabelled_bits(rows, t, ((a, b) + tail for tail in
+                                      _block_perms(blocks)), skip01=True)
+
+
 def pair_codes(rows, t: int) -> tuple[int, int]:
     """Least non-pair upper-triangle bits over the relabelings that keep
     the distinguished pair in slots 0, 1: in order (``fwd``) and with
     the two slots swapped (``bwd``, the ``fwd`` code of the mirror)."""
-    def least(a, b):
-        blocks = _grouped(range(2, t), lambda v: (
-            (rows[v] >> a) & 1, (rows[v] >> b) & 1, rows[v].bit_count()))
-        orderings = ((a, b) + tail for tail in _block_perms(blocks))
-        return _min_bits_over(rows, t, orderings, skip01=True)
-
-    return least(0, 1), least(1, 0)
+    return (min(pair_relabellings(rows, t)),
+            min(pair_relabellings(rows, t, 1, 0)))
 
 
 def min_bits_free(rows, t: int) -> int:
     blocks = _grouped(range(t), lambda v: rows[v].bit_count())
-    return _min_bits_over(rows, t, _block_perms(blocks), skip01=False)
+    return min(_relabelled_bits(rows, t, _block_perms(blocks), skip01=False))
+
+
+def pair_first(g: Graph, pair: tuple[int, int]) -> Graph:
+    """``g`` relabelled so that the pair takes slots 0, 1 and the other
+    vertices follow in increasing order."""
+    u, v = pair
+    return induced_subgraph(g, [u, v] + [w for w in range(g.n) if w not in pair])
 
 
 def canonical_code(g: Graph, pair: tuple[int, int] | None = None) -> CanonicalCode:
@@ -259,10 +262,9 @@ def canonical_code(g: Graph, pair: tuple[int, int] | None = None) -> CanonicalCo
         raise GraphError(f"canonical form limited to order {MAX_CANON_ORDER}")
     if pair is None:
         return CanonicalCode(g.n, min_bits_free(g.rows, g.n), None)
-    u, v = pair
-    order = [u, v] + [w for w in range(g.n) if w not in (u, v)]
-    h = induced_subgraph(g, order)
-    return CanonicalCode(g.n, pair_codes(h.rows, g.n)[0], g.has_edge(u, v))
+    h = pair_first(g, pair)
+    return CanonicalCode(g.n, min(pair_relabellings(h.rows, g.n)),
+                         h.has_edge(0, 1))
 
 
 # -- graph6 serialization -------------------------------------------------
@@ -292,7 +294,9 @@ def to_graph6(g: Graph) -> str:
 
 
 def from_graph6(line: str) -> Graph:
-    data = [ord(c) - 63 for c in line.strip()]
+    """Decode one graph6 line; the optional ``>>graph6<<`` header is
+    skipped."""
+    data = [ord(c) - 63 for c in line.strip().removeprefix(">>graph6<<")]
     if not data:
         raise GraphError("empty graph6 string")
     if any(c < 0 or c > 63 for c in data):

@@ -13,8 +13,9 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graph import (CanonicalCode, Graph, GraphError, graph_from_edges,
-                    min_bits_free, pair_codes, upper_bits)
+from .graph import (CanonicalCode, Graph, GraphError, bits_of,
+                    graph_from_edges, min_bits_free, pair_codes, pair_first,
+                    pair_relabellings)
 
 MIN_TYPE_ORDER = 2
 MAX_TYPE_ORDER = 8
@@ -72,39 +73,25 @@ class GraphType:
 def type_from_graph(g: Graph, pair: tuple[int, int],
                     pair_adjacent: bool | None = "auto") -> GraphType:
     """Build a type from a small graph with a chosen fixed pair."""
-    u, v = pair
-    order = [u, v] + [w for w in range(g.n) if w not in (u, v)]
-    rows = [0] * g.n
-    for a, wa in enumerate(order):
-        for b, wb in enumerate(order):
-            if a != b and g.has_edge(wa, wb):
-                rows[a] |= 1 << b
+    h = pair_first(g, pair)
+    rows = list(h.rows)
     rows[0] &= ~2
     rows[1] &= ~1
     if pair_adjacent == "auto":
-        pair_adjacent = g.has_edge(u, v)
+        pair_adjacent = h.has_edge(0, 1)
     return GraphType(g.n, tuple(rows), pair_adjacent)
 
 
 @lru_cache(maxsize=None)
 def pair_fixing_aut_order(order: int, rows: tuple[int, ...]) -> int:
     """Number of automorphisms fixing slots 0 and 1 pointwise.  The
-    optional pair edge is irrelevant here."""
-    ref = upper_bits(rows, order, skip01=True)
-    count = 0
-    for tail in itertools.permutations(range(2, order)):
-        perm = (0, 1) + tail
-        permuted = [0] * order
-        for a in range(order):
-            src = rows[perm[a]]
-            r = 0
-            for b in range(order):
-                if (src >> perm[b]) & 1:
-                    r |= 1 << b
-            permuted[a] = r
-        if upper_bits(permuted, order, skip01=True) == ref:
-            count += 1
-    return count
+    optional pair edge is irrelevant here.
+
+    The orderings of ``pair_relabellings`` that give the same bits as
+    one of them are its images under exactly these automorphisms, so
+    the least code occurs once per automorphism."""
+    codes = list(pair_relabellings(rows, order))
+    return codes.count(min(codes))
 
 
 @lru_cache(maxsize=None)
@@ -165,10 +152,6 @@ def enumerate_types(t: int, min_add_valency: int) -> tuple[GraphType, ...]:
 # usable edge, leaving 9 slots
 _EDGE_SLOTS = [(i, j) for i in range(5) for j in range(i + 1, 5) if (i, j) != (0, 1)]
 
-_GROUP = [tuple(px[v] if v < 2 else pa[v - 2] + 2 for v in range(5))
-          for px in [(0, 1), (1, 0)]
-          for pa in itertools.permutations(range(3))]
-
 
 @dataclass(frozen=True)
 class ComplementClass:
@@ -192,32 +175,18 @@ def enumerate_order5_complements(max_size: int = 3) -> ComplementTable:
     """Orbits of small edge sets on {x, y, a, b, c} (pair edge excluded)
     under S({x,y}) x S({a,b,c}), with stabilizer orders and orbit
     lengths.  Orbit lengths per size must sum to C(9, size)."""
-    slot_index = {e: i for i, e in enumerate(_EDGE_SLOTS)}
-
-    def act(perm, edge_mask):
-        out = 0
-        for i, (u, v) in enumerate(_EDGE_SLOTS):
-            if (edge_mask >> i) & 1:
-                a, b = perm[u], perm[v]
-                out |= 1 << slot_index[(min(a, b), max(a, b))]
-        return out
-
     by_size = {}
     for size in range(0, max_size + 1):
-        seen = set()
-        classes = []
-        for combo in itertools.combinations(range(9), size):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            if mask in seen:
-                continue
-            orbit = {act(p, mask) for p in _GROUP}
-            stab = sum(1 for p in _GROUP if act(p, mask) == mask)
-            seen.update(orbit)
-            edges = tuple(_EDGE_SLOTS[i] for i in combo)
-            classes.append(ComplementClass(edges, stab, len(orbit)))
-        by_size[size] = tuple(classes)
+        classes = {}
+        for edges in itertools.combinations(_EDGE_SLOTS, size):
+            rows = graph_from_edges(5, edges).rows
+            fwd, bwd = pair_codes(rows, 5)
+            key = min(fwd, bwd)
+            if key not in classes:
+                # an automorphism swapping x and y exists iff fwd == bwd
+                stab = pair_fixing_aut_order(5, rows) * (2 if fwd == bwd else 1)
+                classes[key] = ComplementClass(edges, stab, 12 // stab)
+        by_size[size] = tuple(classes.values())
     return ComplementTable(by_size)
 
 
@@ -267,23 +236,6 @@ def _all_graphs_of_order(n: int):
         yield tuple(rows)
 
 
-def _max_clique_size(rows: tuple[int, ...], n: int) -> int:
-    best = 0
-
-    def grow(clique_size, cand):
-        nonlocal best
-        best = max(best, clique_size)
-        m = cand
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            grow(clique_size + 1, cand & rows[v] & ~((1 << (v + 1)) - 1))
-
-    grow(0, (1 << n) - 1)
-    return best
-
-
 def _maximal_cliques(rows: tuple[int, ...], n: int):
     full = (1 << n) - 1
     out = []
@@ -331,41 +283,19 @@ def enumerate_s_candidates(t0: int) -> tuple[Graph, ...]:
             continue
         if all(d == n - 1 for d in degs):
             continue
-        if _max_clique_size(rows, n) >= forbidden_clique:
+        cliques = _maximal_cliques(rows, n)
+        if max(c.bit_count() for c in cliques) >= forbidden_clique:
             continue
-        val2_mask = 0
-        for v, d in enumerate(degs):
-            if d == 2:
-                val2_mask |= 1 << v
         # maximal clique attachment
-        ok = True
-        for clique in _maximal_cliques(rows, n):
-            for z in range(n):
-                if (clique >> z) & 1:
-                    continue
-                if (rows[z] & clique).bit_count() > 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+        if any((rows[z] & c).bit_count() > 1
+               for c in cliques for z in range(n) if not (c >> z) & 1):
             continue
         # branch realizability
-        def induces_complete(mask):
-            vs = [v for v in range(n) if (mask >> v) & 1]
-            return all((rows[a] >> b) & 1 for i, a in enumerate(vs) for b in vs[i + 1:])
-
-        def induces_empty(mask):
-            vs = [v for v in range(n) if (mask >> v) & 1]
-            return not any((rows[a] >> b) & 1 for i, a in enumerate(vs) for b in vs[i + 1:])
-
-        edge_branch = induces_complete(val2_mask)
-        nonedge_branch = induces_empty(val2_mask)
-        if nonedge_branch:
-            for v, d in enumerate(degs):
-                if d == 3 and (rows[v] & val2_mask).bit_count() > 1:
-                    nonedge_branch = False
-                    break
+        val2 = sum(1 << v for v, d in enumerate(degs) if d == 2)
+        edge_branch = all(val2 & ~rows[v] == 1 << v for v in bits_of(val2))
+        nonedge_branch = not any(rows[v] & val2 for v in bits_of(val2)) \
+            and not any(d == 3 and (rows[v] & val2).bit_count() > 1
+                        for v, d in enumerate(degs))
         if not (edge_branch or nonedge_branch):
             continue
         key = min_bits_free(rows, n)

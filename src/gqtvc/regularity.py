@@ -89,25 +89,11 @@ def subconstituent(g: Graph, x: int, i: int) -> Graph:
     return induced_subgraph(g, [v for v in range(g.n) if dist[v] == i])
 
 
-def _build_small_codes():
-    table = {}
-    reps = {
-        (1, 0): graph_from_edges(1, []),
-        (2, 0): graph_from_edges(2, []),
-        (2, 1): graph_from_edges(2, [(0, 1)]),
-        (3, 0): graph_from_edges(3, []),
-        (3, 1): graph_from_edges(3, [(0, 1)]),
-        (3, 2): graph_from_edges(3, [(0, 1), (1, 2)]),
-        (3, 3): graph_from_edges(3, [(0, 1), (1, 2), (0, 2)]),
-    }
-    for key, g in reps.items():
-        table[key] = canonical_code(g)
-    return table
-
-
 # canonical codes of the order-<=3 classes; for these sizes the edge
 # count determines the isomorphism class
-_SMALL_CODES = _build_small_codes()
+_SMALL_CODES = {(n, e): canonical_code(graph_from_edges(
+    n, [(0, 1), (1, 2), (0, 2)][:e])) for n in range(1, 4)
+    for e in range(n * (n - 1) // 2 + 1)}
 
 
 @dataclass

@@ -138,18 +138,23 @@ def _pair_census(g: Graph, t: int, x: int, y: int, codes: dict,
     return fwd, bwd
 
 
-def pair_fingerprint(g: Graph, t: int, pair: tuple[int, int],
-                     deadline=None) -> Fingerprint:
+def _check_pair(g: Graph, pair: tuple[int, int]) -> tuple[int, int]:
+    x, y = pair
+    if x == y or not (0 <= x < g.n and 0 <= y < g.n):
+        raise ParameterError(
+            f"pair must be two distinct vertices in 0..{g.n - 1}")
+    return x, y
+
+
+def pair_fingerprint(g: Graph, t: int, pair: tuple[int, int]) -> Fingerprint:
     """Exhaustive census of induced order-t subgraphs containing the
     ordered pair, classified by type."""
-    x, y = pair
-    if x == y:
-        raise ParameterError("pair must consist of distinct vertices")
+    x, y = _check_pair(g, pair)
     if not 3 <= t <= MAX_EXHAUSTIVE_ORDER:
         raise ParameterError("exhaustive fingerprints support "
                              f"3 <= t <= {MAX_EXHAUSTIVE_ORDER}")
     adj = g.has_edge(x, y)
-    fwd, _ = _pair_census(g, t, x, y, {}, deadline)
+    fwd, _ = _pair_census(g, t, x, y, {}, None)
     return Fingerprint("edge" if adj else "non-edge",
                        tuple(sorted((CanonicalCode(t, bits, adj), cnt)
                                     for bits, cnt in fwd.items())))
@@ -263,9 +268,7 @@ def count_type_anchored(g: Graph, ty: GraphType, pair: tuple[int, int],
     """Number of vertex subsets containing the ordered pair whose
     induced subgraph is of the given type (fixed vertices mapped to the
     pair in order)."""
-    x, y = pair
-    if x == y:
-        raise ParameterError("pair must consist of distinct vertices")
+    x, y = _check_pair(g, pair)
     adj = g.has_edge(x, y)
     if ty.pair_adjacent is not None and ty.pair_adjacent != adj:
         raise PreconditionError("pair adjacency does not match the type")
@@ -363,8 +366,7 @@ def find_distinguisher(g: Graph, t: int, k: int) -> GraphType | None:
 # -- the K4,4 edge invariant ----------------------------------------------
 
 def count_k44_per_edge(g: Graph, stop_after_values: int | None = None,
-                       max_edges: int | None = None,
-                       deadline=None) -> dict[tuple[int, int], int]:
+                       max_edges: int | None = None) -> dict[tuple[int, int], int]:
     """For each edge (x, y), the number of induced K4,4 subgraphs with x
     and y on opposite sides.
 
@@ -374,7 +376,7 @@ def count_k44_per_edge(g: Graph, stop_after_values: int | None = None,
     out: dict[tuple[int, int], int] = {}
     values: set[int] = set()
     for edge in itertools.islice(g.edges(), max_edges):
-        out[edge] = count = count_type_anchored(g, K44_TYPE, edge, deadline)
+        out[edge] = count = count_type_anchored(g, K44_TYPE, edge)
         values.add(count)
         if stop_after_values is not None and len(values) >= stop_after_values:
             break

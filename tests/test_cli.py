@@ -67,6 +67,14 @@ def test_export_and_read_back(tmp_path):
     assert main(["check-srg", "--input", str(g6)]) == 0
 
 
+def test_input_with_graph6_header(tmp_path):
+    # networkx.write_graph6 starts its files with this header by default
+    g6 = tmp_path / "g.g6"
+    assert main(["export-graph6", "--construct", "w2", "--out", str(g6)]) == 0
+    g6.write_text(">>graph6<<" + g6.read_text())
+    assert main(["check-srg", "--input", str(g6)]) == 0
+
+
 def test_verify_formula_cli():
     assert main(["verify-formula", "--construct", "w3",
                  "--family", "type2a"]) == 0

@@ -10,7 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gqtvc.graph import canonical_code, graph_from_edges, to_graph6
+from gqtvc.graph import (canonical_code, from_graph6, graph_from_edges,
+                         to_graph6)
+from gqtvc.gtypes import (K44_TYPE, enumerate_order5_complements,
+                          enumerate_types, pair_fixing_aut_order)
 from gqtvc.regularity import srg_parameters
 
 from conftest import graph_of
@@ -42,6 +45,12 @@ def from_nx(h):
 
 def same_slots(a, b):
     return a["slot"] == b["slot"]
+
+
+def automorphism_count(h, node_match):
+    matcher = nx.algorithms.isomorphism.GraphMatcher(h, h,
+                                                     node_match=node_match)
+    return sum(1 for _ in matcher.isomorphisms_iter())
 
 
 @given(st.integers(0, 2 ** 20), st.integers(2, 7))
@@ -111,3 +120,25 @@ def test_graph6_matches_networkx(seed, n):
     g = random_graph(n, rng.random(), rng)
     expected = nx.to_graph6_bytes(to_nx(g), header=False).decode().rstrip("\n")
     assert to_graph6(g) == expected
+    # with the ">>graph6<<" header that networkx writes by default
+    assert from_graph6(nx.to_graph6_bytes(to_nx(g)).decode()) == g
+
+
+def test_pair_fixing_aut_order_matches_networkx():
+    types = [ty for t in range(2, 7) for ty in enumerate_types(t, 0)]
+    for ty in types + [K44_TYPE]:
+        h = to_nx(ty.graph(False), (0, 1))
+        assert pair_fixing_aut_order(ty.order, ty.rows) \
+            == automorphism_count(h, same_slots), ty
+    assert pair_fixing_aut_order(K44_TYPE.order, K44_TYPE.rows) == 36
+
+
+def test_complement_aut_orders_match_networkx():
+    # the automorphisms that preserve {x, y} = {0, 1} setwise
+    def same_side(a, b):
+        return (a["slot"] < 2) == (b["slot"] < 2)
+
+    for classes in enumerate_order5_complements(3).by_size.values():
+        for cl in classes:
+            h = to_nx(graph_from_edges(5, cl.edges), (0, 1))
+            assert cl.aut_order == automorphism_count(h, same_side), cl

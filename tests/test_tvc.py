@@ -36,6 +36,12 @@ def test_fingerprint_pair_class(w2_graph):
     assert pair_fingerprint(w2_graph, 4, (x, y)).pair_class == "non-edge"
 
 
+@pytest.mark.parametrize("pair", [(-1, 1), (40, 1), (3, 3)])
+def test_fingerprint_pair_guard(pair):
+    with pytest.raises(ParameterError, match=r"distinct vertices in 0\.\.39"):
+        pair_fingerprint(graph_of("w3"), 4, pair)
+
+
 def test_fingerprint_matches_brute_force():
     # the census against canonical codes of every induced subgraph through
     # the pair, in both orientations; the exhaustive scan reads both from
@@ -207,8 +213,11 @@ def test_count_type_anchored_adjacency_guard(w2_graph):
     x, y = next(iter(w2_graph.edges()))
     with pytest.raises(PreconditionError):
         count_type_anchored(w2_graph, order5_type("2a", False), (x, y))
-    with pytest.raises(ParameterError):
-        count_type_anchored(graph_of("w3"), order5_type("0", False), (3, 3))
+    w3 = graph_of("w3")
+    # a negative vertex would otherwise index from the end of the rows
+    for pair in ((3, 3), (-1, 1), (w3.n, 1)):
+        with pytest.raises(ParameterError, match=r"distinct vertices in 0\.\.39"):
+            count_type_anchored(w3, order5_type("0", False), pair)
 
 
 def test_find_distinguisher_none_for_rank3(w2_graph):
