@@ -18,8 +18,7 @@ from .gtypes import (GraphType, enumerate_order5_complements,
                      type_from_graph)
 from .regularity import (DEGENERATE, IsoregularityReport, SrgParams,
                          check_isoregular, check_k4e_free, check_regular,
-                         srg_parameters, subconstituent,
-                         triad_center_profile)
+                         srg_parameters, subconstituent)
 from .tvc import (Fingerprint, TvcVerdict, check_tvc, count_k44_per_edge,
                   count_type_anchored, find_distinguisher, pair_fingerprint)
 

@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .algebra import AlgebraError, Field, Matrix2, anisotropic_difference_check, field_make
-from .graph import Graph
+from .graph import Graph, bits_of, counter_spreader
 
 INF = "inf"  # q-clan index for the special member of the 4-gonal family
 
@@ -89,16 +89,6 @@ def validate_pls(pls: PartialLinearSpace) -> PlsResult:
     return PlsResult(True, order=(s, t))
 
 
-def _line_masks(pls: PartialLinearSpace) -> list[int]:
-    masks = []
-    for line in pls.lines:
-        m = 0
-        for p in line:
-            m |= 1 << p
-        masks.append(m)
-    return masks
-
-
 def point_graph(pls: PartialLinearSpace) -> Graph:
     """Collinearity graph on the points."""
     rows = [0] * pls.num_points
@@ -114,19 +104,27 @@ def point_graph(pls: PartialLinearSpace) -> Graph:
 def check_gq_axiom(pls: PartialLinearSpace) -> PlsResult:
     """Check the generalised quadrangle axiom: every point off a line is
     collinear with exactly one of its points.  Witness: (point, line
-    index, count)."""
+    index, count).  Row p of AN, with A the collinearity and N the
+    point-line incidence matrix, is a sum of counter rows; it must be
+    J + (s - 1)N, as p sees s points of its own lines."""
     res = validate_pls(pls)
     if not res:
         return res
-    g = point_graph(pls)
-    masks = _line_masks(pls)
-    for li, lmask in enumerate(masks):
-        for p in range(pls.num_points):
-            if (lmask >> p) & 1:
-                continue
-            c = (g.rows[p] & lmask).bit_count()
-            if c != 1:
-                return PlsResult(False, order=res.order, witness=(p, li, c))
+    s = res.order[0]
+    pencils = [0] * pls.num_points
+    for li, line in enumerate(pls.lines):
+        for p in line:
+            pencils[p] |= 1 << li
+    spread, width = counter_spreader(len(pls.lines), s + 1)
+    counters = [spread(pencil) for pencil in pencils]
+    ones = spread((1 << len(pls.lines)) - 1)
+    for p, row in enumerate(point_graph(pls).rows):
+        got = sum(map(counters.__getitem__, bits_of(row)))
+        diff = got ^ (ones + (s - 1) * counters[p])
+        if diff:
+            li = ((diff & -diff).bit_length() - 1) // width
+            count = (got >> width * li) & ((1 << width) - 1)
+            return PlsResult(False, order=res.order, witness=(p, li, count))
     return PlsResult(True, order=res.order)
 
 

@@ -144,16 +144,22 @@ def induced_subgraph(g: Graph, vs) -> Graph:
     return Graph(len(vs), tuple(rows))
 
 
-def common_neighbors_mask(g: Graph, vertices) -> int:
-    m = g.full_mask
-    for v in vertices:
-        m &= g.rows[v]
-    return m
+_SPREAD = bytes.maketrans(b"01", b"\0\1")
 
 
-def common_neighbors(g: Graph, vertices) -> frozenset[int]:
-    """Vertices adjacent to every member of ``vertices`` (all of V if empty)."""
-    return frozenset(bits_of(common_neighbors_mask(g, vertices)))
+def counter_spreader(n: int, top: int):
+    """``(spread, width)``: spread maps an n-bit row (n >= 1) to n
+    byte-aligned ``width``-bit fields for counts up to ``top``, bit j to
+    field j; field j of a sum of spread rows counts its rows with bit j."""
+    size = max(1, (top.bit_length() + 7) // 8)
+    buf = bytearray(n * size)
+    fmt = f"0{n}b"
+
+    def spread(row: int) -> int:
+        buf[size - 1::size] = format(row, fmt).encode().translate(_SPREAD)
+        return int.from_bytes(buf, "big")
+
+    return spread, 8 * size
 
 
 # -- canonical forms for small graphs ------------------------------------

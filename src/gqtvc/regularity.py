@@ -1,6 +1,5 @@
 """Regularity hierarchy checks: regular, strongly regular,
-subconstituents, k-isoregularity, and quadrangle-specific scans
-(K4-e freeness, triad center profiles).
+subconstituents, k-isoregularity, and K4-e freeness.
 """
 
 from __future__ import annotations
@@ -9,7 +8,7 @@ import itertools
 from dataclasses import dataclass
 
 from .graph import (CanonicalCode, Graph, ParameterError, _check_deadline,
-                    bits_of, canonical_code, common_neighbors_mask,
+                    bits_of, canonical_code, counter_spreader,
                     graph_from_edges, induced_subgraph)
 
 
@@ -44,29 +43,16 @@ def check_regular(g: Graph) -> int | None:
 
 
 def srg_parameters(g: Graph):
-    """SrgParams if the graph is strongly regular, None if not,
-    DEGENERATE for complete or empty graphs."""
-    k = check_regular(g)
-    if k is None:
+    """SrgParams if strongly regular, None if not, DEGENERATE for
+    complete or empty graphs: level 2 of ``check_isoregular``."""
+    rep = check_isoregular(g, 2)
+    if not rep.ok:
         return None
-    if k == 0 or k == g.n - 1:
+    k = rep.table.get(_SMALL_CODES[1, 0], 0)
+    if k in (0, g.n - 1):
         return DEGENERATE
-    lam = mu = None
-    for i in range(g.n):
-        ri = g.rows[i]
-        for j in range(i + 1, g.n):
-            c = (ri & g.rows[j]).bit_count()
-            if (ri >> j) & 1:
-                if lam is None:
-                    lam = c
-                elif lam != c:
-                    return None
-            else:
-                if mu is None:
-                    mu = c
-                elif mu != c:
-                    return None
-    return SrgParams(g.n, k, lam, mu)
+    return SrgParams(g.n, k, rep.table[_SMALL_CODES[2, 1]],
+                     rep.table[_SMALL_CODES[2, 0]])
 
 
 def subconstituent(g: Graph, x: int, i: int) -> Graph:
@@ -109,29 +95,59 @@ def check_isoregular(g: Graph, k: int,
     """Exhaustively check that val(S) depends only on the isomorphism
     class of the induced subgraph, over all vertex sets of size <= k.
     Raises BudgetExceeded once ``deadline`` (``time.monotonic()``) has
-    passed."""
+    passed.
+
+    Level ``size`` sums the counter rows of the common neighbours of
+    each (size - 1)-set A: field c is val(A + {c}), expected to be T(m)
+    off A, m the neighbours of c in A (differences over the rows 1, m,
+    C(m, 2)), and val(A) on A.  An unseen class expects the all-ones
+    field, which no count reaches, so its first member is read off."""
     if not 1 <= k <= 3:
         raise ParameterError("isoregularity level must be 1..3")
     table: dict[CanonicalCode, int] = {}
     rep: dict[CanonicalCode, tuple[int, ...]] = {}
+    # spare field n (set in the anchor row, taken back by ``marker``) keeps
+    # every temporary row-long, so the freed rows go back to the system
+    spread, width = counter_spreader(
+        g.n + 1, max(map(int.bit_count, g.rows), default=0) + 1)
+    unseen = (1 << width) - 1
+    counters = [spread(r) for r in g.rows]
+    ones = spread(g.full_mask)
+    marker = spread(1 << g.n)
+    total = sum(counters)
     for size in range(1, k + 1):
-        for index, subset in enumerate(
-                itertools.combinations(range(g.n), size)):
-            if index & 0xFFF == 0:
-                _check_deadline(deadline)
-            val = common_neighbors_mask(g, subset).bit_count()
-            ec = 0
-            for a in range(size):
-                for b in range(a + 1, size):
-                    if g.has_edge(subset[a], subset[b]):
-                        ec += 1
-            code = _SMALL_CODES[(size, ec)]
-            if code in table:
-                if table[code] != val:
+        vals = [unseen] * 4  # value of each class by its edge count
+        for anchor in itertools.combinations(range(g.n), size - 1):
+            _check_deadline(deadline)
+            common = g.full_mask
+            for u in anchor:
+                common &= g.rows[u]
+            # a dense set costs its complement: the sum over V less the rest
+            if 2 * common.bit_count() > g.n:
+                got = total - sum(map(counters.__getitem__,
+                                      bits_of(g.full_mask ^ common)))
+            else:
+                got = sum(map(counters.__getitem__, bits_of(common)))
+            inner = size == 3 and g.has_edge(*anchor)
+            near = sum(map(counters.__getitem__, anchor))
+            pairs = spread(common) if size == 3 else 0
+            at_anchor = spread(sum(1 << u for u in anchor) | 1 << g.n)
+            while True:
+                t0, t1, t2 = vals[inner:inner + 3]
+                corr = common.bit_count() - t0 - (t1 - t0) * inner
+                diff = got ^ (t0 * ones + (t1 - t0) * near
+                              + (t2 - 2 * t1 + t0) * pairs
+                              + corr * at_anchor - corr * marker)
+                if not diff:
+                    break
+                c = ((diff & -diff).bit_length() - 1) // width
+                subset = tuple(sorted(anchor + (c,)))
+                edges = inner + (near >> width * c & unseen)
+                code = _SMALL_CODES[size, edges]
+                if code in table:
                     return IsoregularityReport(k, table, False,
                                                (rep[code], subset))
-            else:
-                table[code] = val
+                table[code] = vals[edges] = (got >> width * c) & unseen
                 rep[code] = subset
     return IsoregularityReport(k, table, True)
 
@@ -152,22 +168,3 @@ def check_k4e_free(g: Graph) -> tuple[int, int, int, int] | None:
                     if not g.has_edge(comm[a], comm[b]):
                         return (i, j, comm[a], comm[b])
     return None
-
-
-def triad_center_profile(g: Graph) -> dict[int, int]:
-    """Histogram mapping center count -> number of triads (pairwise
-    non-adjacent triples)."""
-    hist: dict[int, int] = {}
-    for x in range(g.n):
-        nx = g.non_rows[x]
-        for y in bits_of(nx):
-            if y <= x:
-                continue
-            rest = nx & g.non_rows[y]
-            common_xy = g.rows[x] & g.rows[y]
-            for z in bits_of(rest):
-                if z <= y:
-                    continue
-                c = (common_xy & g.rows[z]).bit_count()
-                hist[c] = hist.get(c, 0) + 1
-    return hist

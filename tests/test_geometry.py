@@ -41,6 +41,26 @@ def test_gq_axiom_grid_and_failure():
     assert not res and len(res.witness) == 3
 
 
+def fano_plane():
+    return PartialLinearSpace.make(7, [(i, (i + 1) % 7, (i + 3) % 7)
+                                       for i in range(7)])
+
+
+@pytest.mark.parametrize("pls", [
+    fano_plane(), PartialLinearSpace.make(3, [(0, 1), (1, 2), (0, 2)])],
+    ids=["fano", "triangle"])
+def test_gq_axiom_witness_is_a_direct_count(pls):
+    # both are valid partial linear spaces that are not quadrangles
+    assert validate_pls(pls)
+    res = check_gq_axiom(pls)
+    assert not res and res.order == validate_pls(pls).order
+    p, li, c = res.witness
+    line = pls.lines[li]
+    assert p not in line
+    g = point_graph(pls)
+    assert sum(g.has_edge(p, q) for q in line) == c != 1
+
+
 def test_point_graph_grid():
     g = point_graph(grid_3x3())
     assert g.n == 9 and all(g.degree(v) == 4 for v in range(9))

@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gqtvc.graph import (Graph, GraphError, canonical_code, complement,
-                         common_neighbors, from_graph6, graph_from_edges,
-                         induced_subgraph, read_graph6_file, to_graph6,
-                         write_graph6_file)
+                         from_graph6, graph_from_edges, induced_subgraph,
+                         read_graph6_file, to_graph6, write_graph6_file)
 
 
 def random_graph(n, p, rng):
@@ -39,7 +38,6 @@ def test_basics():
     assert g.degree(1) == 2
     assert sorted(g.edges()) == [(0, 1), (1, 2), (2, 3)]
     assert sorted(g.non_edges()) == [(0, 2), (0, 3), (1, 3)]
-    assert common_neighbors(g, [0, 2]) == {1}
     h = complement(g)
     assert h.edge_count() == 3 and not h.has_edge(0, 1)
     sub = induced_subgraph(g, [1, 2, 3])
