@@ -7,8 +7,7 @@ from .geometry import (CONSTRUCTIONS, GeometryError, PartialLinearSpace,
                        QClan, build_elliptic_gq, build_flock_gq,
                        build_symplectic_gq, build_t2star_gq, check_gq_axiom,
                        dualize, export_incidence, get_construction,
-                       parse_incidence, payne_qclan, point_graph,
-                       validate_pls)
+                       payne_qclan, point_graph, validate_pls)
 from .graph import (CanonicalCode, Graph, GraphError, canonical_code,
                     complement, from_graph6, graph_from_edges,
                     induced_subgraph, read_graph6_file, to_graph6,
@@ -17,8 +16,8 @@ from .gtypes import (GraphType, enumerate_order5_complements,
                      enumerate_s_candidates, enumerate_types, order5_type,
                      type_from_graph)
 from .regularity import (DEGENERATE, IsoregularityReport, SrgParams,
-                         check_isoregular, check_k4e_free, check_regular,
-                         srg_parameters, subconstituent)
+                         check_isoregular, check_regular, srg_parameters)
+from .symmetry import pair_orbits, vertex_orbits
 from .tvc import (Fingerprint, TvcVerdict, check_tvc, count_k44_per_edge,
                   count_type_anchored, find_distinguisher, pair_fingerprint)
 

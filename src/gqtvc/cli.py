@@ -20,14 +20,12 @@ from typing import Callable, NamedTuple
 from .formulas import (COMPLETE_S_CASES, FormulaError, FormulaId,
                        ORDER5_FAMILIES, verify_formula)
 from .geometry import (CONSTRUCTIONS, GeometryError, check_gq_axiom,
-                       export_incidence, get_construction, point_graph,
-                       validate_pls)
-from .graph import (Graph, GraphError, ParameterError, read_graph6_file,
-                    write_graph6_file)
+                       export_incidence, get_construction, point_graph)
+from .graph import (BudgetExceeded, Graph, GraphError, ParameterError,
+                    read_graph6_file, write_graph6_file)
 from .gtypes import ORDER5_COMPLEMENTS, order5_type
 from .regularity import DEGENERATE, check_isoregular, srg_parameters
-from .tvc import (PreconditionError, TvcVerdict, check_tvc,
-                  count_k44_per_edge, count_type_anchored)
+from .tvc import TvcVerdict, check_tvc, count_k44_per_edge, count_type_anchored
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -77,7 +75,8 @@ def _load_graph(args) -> Graph:
 
 
 def _verdict_result(verdict: TvcVerdict) -> Result:
-    report = {"t": verdict.t, "status": verdict.status}
+    report = {"t": verdict.t, "status": verdict.status,
+              "representatives": verdict.representatives}
     lines = [f"{verdict.t}-vertex condition: {verdict.status} "
              f"({verdict.mode} mode)"]
     w = verdict.witness
@@ -97,12 +96,12 @@ def _verdict_result(verdict: TvcVerdict) -> Result:
 
 def run_construct(args) -> Result:
     pls = get_construction(args.construct, args.dual)
-    res = validate_pls(pls)
-    gq = check_gq_axiom(pls) if res else res
+    gq = check_gq_axiom(pls)
     report = {
         "points": pls.num_points,
         "lines": len(pls.lines),
-        "pls_valid": bool(res),
+        # the axiom check reports an order once the PLS axioms hold
+        "pls_valid": gq.order is not None,
         "gq_axiom": bool(gq),
         "order": list(gq.order) if gq.order else None,
     }
@@ -137,8 +136,18 @@ def run_check_srg(args) -> Result:
 
 
 def run_check_isoregular(args) -> Result:
-    rep = check_isoregular(_load_graph(args), args.k)
+    g = _load_graph(args)
+    deadline = None if args.budget_seconds is None \
+        else time.monotonic() + args.budget_seconds
+    try:
+        rep = check_isoregular(g, args.k, deadline)
+    except BudgetExceeded:
+        return (EXIT_INCONCLUSIVE, {"isoregular": None,
+                                    "status": "inconclusive"},
+                [f"{args.k}-isoregular: inconclusive (budget exhausted)"])
     report = {"isoregular": rep.ok,
+              "status": "satisfied" if rep.ok else "violated",
+              "representatives": rep.representatives,
               "table": {f"order{c.order}_edges{c.bits.bit_count()}": v
                         for c, v in sorted(rep.table.items())}}
     lines = [f"{args.k}-isoregular: {'yes' if rep.ok else 'no'}"]
@@ -227,6 +236,7 @@ def run_verify_formula(args) -> Result:
         "formula": fid.label(),
         "order": list(rep.order),
         "pairs_checked": rep.pairs_checked,
+        "representatives": rep.representatives,
         "mismatches": [[list(p), want, got] for p, want, got in
                        rep.mismatches[:10]],
     }
@@ -267,7 +277,7 @@ COMMANDS = (
         "build and validate a geometry"),
     Command("check-srg", run_check_srg, GRAPH),
     Command("check-isoregular", run_check_isoregular, GRAPH + (
-        _opt("--k", type=int, default=3),)),
+        _opt("--k", type=int, default=3), BUDGET)),
     Command("check-tvc", run_check_tvc, GRAPH + (
         T, _opt("--mode", choices=["exhaustive", "reduced"],
                 default="exhaustive"),
@@ -319,7 +329,7 @@ def main(argv=None) -> int:
                 json.dump(report, fh, indent=2, sort_keys=True)
                 fh.write("\n")
     except (UsageError, FormulaError, GeometryError, GraphError,
-            ParameterError, PreconditionError, OSError) as exc:
+            ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return code

@@ -18,6 +18,7 @@ from .geometry import PartialLinearSpace, check_gq_axiom, point_graph
 from .graph import graph_from_edges
 from .gtypes import (GraphType, ORDER5_COMPLEMENTS, ORDER5_DISCARDED,
                      order5_type, type_from_graph)
+from .symmetry import orbit_of, pair_orbits, scan_pairs
 from .tvc import count_type_anchored
 
 
@@ -149,8 +150,9 @@ def graph_type_for(fid: FormulaId, adjacent: bool | None = None) -> GraphType:
 class FormulaReport:
     formula: FormulaId
     order: tuple[int, int]
-    pairs_checked: int
-    mismatches: list  # ((x, y), expected, actual)
+    pairs_checked: int  # ordered pairs covered
+    mismatches: list  # ((x, y), expected, actual), in scan order
+    representatives: int = 0  # ordered pairs counted, one per orbit
 
     @property
     def ok(self) -> bool:
@@ -159,7 +161,9 @@ class FormulaReport:
 
 def verify_formula(gq: PartialLinearSpace, fid: FormulaId) -> FormulaReport:
     """Compare the closed form against anchored brute-force counts on
-    every ordered pair of the point graph."""
+    every ordered pair of the point graph: one count per orbit of the
+    checked generators, a mismatch listed for every pair of its
+    orbit."""
     res = check_gq_axiom(gq)
     if not res:
         raise FormulaError(f"not a generalised quadrangle: {res.witness!r}")
@@ -167,15 +171,18 @@ def verify_formula(gq: PartialLinearSpace, fid: FormulaId) -> FormulaReport:
     if fid.family == "completeS" and t != s * s:
         raise FormulaError("completeS formulas require a GQ(s, s^2)")
     g = point_graph(gq)
+    expect = {adj: (graph_type_for(fid, adj), expected_count(fid, s, t, adj))
+              for adj in (True, False)}
+    found = {}
+    checked = counted = 0
+    for pair, size in pair_orbits(g):
+        ty, want = expect[g.has_edge(*pair)]
+        got = count_type_anchored(g, ty, pair)
+        checked += size
+        counted += 1
+        if got != want:
+            found.update((p, (want, got)) for p in orbit_of(g, pair))
     mismatches = []
-    checked = 0
-    for adjacent, pairs in ((True, g.edges()), (False, g.non_edges())):
-        ty = graph_type_for(fid, adjacent)
-        want = expected_count(fid, s, t, adjacent)
-        for x, y in pairs:
-            for pair in ((x, y), (y, x)):
-                got = count_type_anchored(g, ty, pair)
-                checked += 1
-                if got != want:
-                    mismatches.append((pair, want, got))
-    return FormulaReport(fid, (s, t), checked, mismatches)
+    if found:  # every pair of a mismatching orbit, in scan order
+        mismatches = [(p, *found[p]) for p in scan_pairs(g) if p in found]
+    return FormulaReport(fid, (s, t), checked, mismatches, counted)

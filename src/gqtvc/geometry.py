@@ -8,12 +8,13 @@ T2*(O) over GF(4), and flock quadrangles built from q-clans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cache, cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 from .algebra import AlgebraError, Field, Matrix2, anisotropic_difference_check, field_make
 from .graph import Graph, bits_of, counter_spreader
+from .symmetry import line_action, vertex_orbits
 
 INF = "inf"  # q-clan index for the special member of the 4-gonal family
 
@@ -24,16 +25,33 @@ class GeometryError(ValueError):
 
 @dataclass(frozen=True)
 class PartialLinearSpace:
-    """Points 0..num_points-1 and lines as sorted point-index tuples."""
+    """Points 0..num_points-1 and lines as sorted point-index tuples.
+
+    ``generators`` are point permutations offered as collineations; no
+    scan uses them before ``collineations`` has checked them.  They are
+    not part of equality."""
 
     num_points: int
     lines: tuple[tuple[int, ...], ...]
     order: tuple[int, int] | None = None
+    generators: tuple[tuple[int, ...], ...] = field(
+        default=(), compare=False, repr=False)
 
     @staticmethod
-    def make(num_points, lines, order=None) -> "PartialLinearSpace":
+    def make(num_points, lines, order=None,
+             generators=()) -> "PartialLinearSpace":
         norm = sorted({tuple(sorted(line)) for line in lines})
-        return PartialLinearSpace(num_points, tuple(norm), order)
+        return PartialLinearSpace(num_points, tuple(norm), order,
+                                  tuple(generators))
+
+    @cached_property
+    def collineations(self) -> tuple[tuple[tuple[int, ...], ...],
+                                     tuple[tuple[int, ...], ...]]:
+        """The generators as point permutations and as line
+        permutations, once each has been checked to map every line onto
+        a line (GraphError otherwise)."""
+        return self.generators, line_action(self.num_points, self.lines,
+                                            self.generators)
 
 
 @dataclass(frozen=True)
@@ -90,7 +108,8 @@ def validate_pls(pls: PartialLinearSpace) -> PlsResult:
 
 
 def point_graph(pls: PartialLinearSpace) -> Graph:
-    """Collinearity graph on the points."""
+    """Collinearity graph on the points.  A collineation is an
+    automorphism of it, so it gets the checked generators."""
     rows = [0] * pls.num_points
     for line in pls.lines:
         m = 0
@@ -98,30 +117,37 @@ def point_graph(pls: PartialLinearSpace) -> Graph:
             m |= 1 << p
         for p in line:
             rows[p] |= m & ~(1 << p)
-    return Graph(pls.num_points, tuple(rows))
+    return Graph(pls.num_points, tuple(rows), pls.collineations[0],
+                 checked=True)
 
 
 def check_gq_axiom(pls: PartialLinearSpace) -> PlsResult:
     """Check the generalised quadrangle axiom: every point off a line is
     collinear with exactly one of its points.  Witness: (point, line
-    index, count).  Row p of AN, with A the collinearity and N the
-    point-line incidence matrix, is a sum of counter rows; it must be
-    J + (s - 1)N, as p sees s points of its own lines."""
+    index, count).
+
+    With A the collinearity and N the point-line incidence matrix, row
+    p of AN + (t + 1)N is the sum, over the lines through p, of the
+    counter rows of their points; it must be J + (s + t)N, as p sees s
+    points of its own lines.  Only one point per orbit of the checked
+    generators is summed."""
     res = validate_pls(pls)
     if not res:
         return res
-    s = res.order[0]
+    s, t = res.order
     pencils = [0] * pls.num_points
     for li, line in enumerate(pls.lines):
         for p in line:
             pencils[p] |= 1 << li
-    spread, width = counter_spreader(len(pls.lines), s + 1)
-    counters = [spread(pencil) for pencil in pencils]
+    spread, width = counter_spreader(len(pls.lines), s + t + 1)
+    counter = cache(lambda p: spread(pencils[p]))
+    line_sum = cache(lambda li: sum(map(counter, pls.lines[li])))
     ones = spread((1 << len(pls.lines)) - 1)
-    for p, row in enumerate(point_graph(pls).rows):
-        got = sum(map(counters.__getitem__, bits_of(row)))
-        diff = got ^ (ones + (s - 1) * counters[p])
+    for p, _ in vertex_orbits(pls.num_points, pls.collineations[0]):
+        got = sum(map(line_sum, bits_of(pencils[p])))
+        diff = got ^ (ones + (s + t) * counter(p))
         if diff:
+            # a line through p always matches, so li misses p
             li = ((diff & -diff).bit_length() - 1) // width
             count = (got >> width * li) & ((1 << width) - 1)
             return PlsResult(False, order=res.order, witness=(p, li, count))
@@ -131,7 +157,9 @@ def check_gq_axiom(pls: PartialLinearSpace) -> PlsResult:
 def dualize(pls: PartialLinearSpace) -> PartialLinearSpace:
     """Swap points and lines.  New point i is old line i; new lines are
     the old points' pencils, listed in old point order, so applying the
-    map twice reproduces the input exactly."""
+    map twice reproduces the input exactly.  The generators' action on
+    the old lines is the new generators, and their old action on the
+    points is their checked action on the new lines."""
     res = validate_pls(pls)
     if not res:
         raise GeometryError(f"dualize on invalid geometry: {res.witness}")
@@ -140,9 +168,12 @@ def dualize(pls: PartialLinearSpace) -> PartialLinearSpace:
     for li, line in enumerate(pls.lines):
         for p in line:
             pencils[p].append(li)
-    return PartialLinearSpace(len(pls.lines),
+    points, lines = pls.collineations
+    dual = PartialLinearSpace(len(pls.lines),
                               tuple(tuple(pen) for pen in pencils),
-                              (t, s))
+                              (t, s), lines)
+    dual.__dict__["collineations"] = lines, points
+    return dual
 
 
 def export_incidence(pls: PartialLinearSpace) -> str:
@@ -150,18 +181,6 @@ def export_incidence(pls: PartialLinearSpace) -> str:
     for line in pls.lines:
         out.append(" ".join(str(p) for p in line))
     return "\n".join(out) + "\n"
-
-
-def parse_incidence(text: str) -> PartialLinearSpace:
-    lines_iter = iter(text.strip().splitlines())
-    head = next(lines_iter).split()
-    if len(head) != 4 or head[0] != "p" or head[2] != "l":
-        raise GeometryError("bad incidence header")
-    np_, nl = int(head[1]), int(head[3])
-    lines = [tuple(int(x) for x in ln.split()) for ln in lines_iter]
-    if len(lines) != nl:
-        raise GeometryError("line count mismatch in incidence file")
-    return PartialLinearSpace.make(np_, lines)
 
 
 # -- classical constructions ----------------------------------------------
@@ -209,6 +228,13 @@ def _normalize(field: Field, v):
     raise GeometryError("zero vector has no projective class")
 
 
+def _projective_perms(field: Field, index: dict, maps) -> tuple:
+    """Each linear map's permutation of the projective points of
+    ``index`` (point -> index, in index order)."""
+    return tuple(tuple(index[_normalize(field, m(p))] for p in index)
+                 for m in maps)
+
+
 def _span_line(field: Field, p, r) -> frozenset:
     pts = {p, r}
     for lam in field.elements():
@@ -231,12 +257,19 @@ def build_symplectic_gq(q: int) -> PartialLinearSpace:
         b = f.sub(f.mul[u[2]][v[3]], f.mul[u[3]][v[2]])
         return f.add[a][b]
 
+    def transvection(w):
+        # x -> x + B(x, w) w preserves the form
+        return lambda x: _vadd(field, x, _scale(field, w, form(x, w)))
+
     lines = set()
     for i, p in enumerate(pts):
         for r in pts[i + 1:]:
             if form(p, r) == 0:
                 lines.add(frozenset(index[x] for x in _span_line(field, p, r)))
-    return PartialLinearSpace.make(len(pts), [tuple(sorted(l)) for l in lines], (q, q))
+    generators = _projective_perms(field, index, [transvection(w) for w in (
+        (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 1, 0))])
+    return PartialLinearSpace.make(len(pts), [tuple(sorted(l)) for l in lines],
+                                   (q, q), generators)
 
 
 @lru_cache(maxsize=None)
@@ -284,8 +317,29 @@ def build_elliptic_gq(q: int) -> PartialLinearSpace:
             span = _span_line(field, p, r)
             if span <= ptset:
                 lines.add(frozenset(index[x] for x in span))
+    add, mul, sub = field.add, field.mul, field.sub
+    two = add[1][1]
+
+    def dot(coeffs, x):
+        out = 0
+        for c, v in zip(coeffs, x):
+            out = add[out][mul[c][v]]
+        return out
+
+    # isometries of quad: two swaps, a map fixing x0 x1 + x2 x3, and two
+    # that add x1 to x4 or x5 and correct x0
+    isometries = [
+        lambda x: (x[1], x[0]) + x[2:],
+        lambda x: x[2:4] + x[0:2] + x[4:],
+        lambda x: (sub(x[0], x[3]), x[1], add[x[2]][x[1]]) + x[3:],
+        lambda x: (sub(x[0], dot((0, 1, 0, 0, two, alpha), x)),
+                   *x[1:4], add[x[4]][x[1]], x[5]),
+        lambda x: (sub(x[0], dot((0, beta, 0, 0, alpha, mul[two][beta]), x)),
+                   *x[1:5], add[x[5]][x[1]]),
+    ]
     return PartialLinearSpace.make(len(pts), [tuple(sorted(l)) for l in lines],
-                                   (q, q * q))
+                                   (q, q * q),
+                                   _projective_perms(field, index, isometries))
 
 
 def _least_irreducible_quadratic(field: Field) -> tuple[int, int]:
@@ -316,20 +370,14 @@ def build_t2star_gq() -> PartialLinearSpace:
             line = frozenset(index[_vadd(field, p, _scale(field, d, lam))]
                              for lam in field.elements())
             lines.add(line)
+    # translations along the axes and scaling by a primitive element fix
+    # every direction
+    maps = [lambda p, d=d: _vadd(field, p, d)
+            for d in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    maps.append(lambda p: _scale(field, p, 2))
+    generators = tuple(tuple(index[m(p)] for p in points) for m in maps)
     return PartialLinearSpace.make(len(points), [tuple(sorted(l)) for l in lines],
-                                   (3, 5))
-
-
-def hyperoval_is_arc() -> bool:
-    """No three directions of the fixed hyperoval are collinear in PG(2,4)."""
-    field = field_make(2, 2)
-    pts = [_normalize(field, (1, t, field.mul[t][t])) for t in field.elements()]
-    pts += [(0, 1, 0), (0, 0, 1)]
-    import itertools as it
-    for a, b, c in it.combinations(pts, 3):
-        if c in _span_line(field, a, b):
-            return False
-    return True
+                                   (3, 5), generators)
 
 
 # -- flock quadrangles from q-clans ---------------------------------------
@@ -454,7 +502,15 @@ def build_flock_gq(clan: QClan) -> PartialLinearSpace:
         sym.append(infinity)
         lines.append(tuple(sorted(sym)))
 
-    return PartialLinearSpace.make(npts, lines, (q * q, q))
+    # right multiplication by each unit element maps the cosets of A(t)
+    # and A*(t) to cosets of the same subgroup and fixes the symbol point
+    generators = [tuple(eindex[gmul(g, h)] for g in elements)
+                  + tuple(star_lookup[(t, gmul(coset[0], h))]
+                          for t in tags for coset in scosets[t])
+                  + (infinity,)
+                  for h in ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
+                            (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))]
+    return PartialLinearSpace.make(npts, lines, (q * q, q), generators)
 
 
 # -- the built-in constructions -------------------------------------------

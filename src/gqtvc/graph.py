@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache
 
 MAX_CANON_ORDER = 10
@@ -39,13 +39,20 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
     ``rows[i]`` has bit j set iff i and j are adjacent.  The adjacency
-    is symmetric with a zero diagonal.
+    is symmetric with a zero diagonal.  ``generators`` are vertex
+    permutations the scans may reduce by (see ``symmetry``); each is
+    checked to map every row onto a row, unless ``checked`` says the
+    caller has checked them already (``point_graph`` checks them on the
+    lines of its geometry).  They are not part of equality.
     """
 
     n: int
     rows: tuple[int, ...]
+    generators: tuple[tuple[int, ...], ...] = field(
+        default=(), compare=False, repr=False)
+    checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, checked):
         if self.n < 0 or len(self.rows) != self.n:
             raise GraphError("row count must equal vertex count")
         rows = self.rows
@@ -59,6 +66,9 @@ class Graph:
             for j in bits_of(r):
                 if not (rows[j] >> i) & 1:
                     raise GraphError(f"adjacency not symmetric at ({i},{j})")
+        if self.generators and not checked:
+            from .symmetry import check_automorphisms
+            check_automorphisms(rows, self.generators)
 
     # -- basic accessors -------------------------------------------------
 
@@ -90,20 +100,12 @@ class Graph:
         return sum(r.bit_count() for r in self.rows) // 2
 
     def edges(self):
-        for i in range(self.n):
-            r = self.rows[i] >> (i + 1)
-            j = i + 1
-            while r:
-                if r & 1:
-                    yield (i, j)
-                r >>= 1
-                j += 1
+        return ((i, j) for i, r in enumerate(self.upper_rows[1])
+                for j in bits_of(r))
 
     def non_edges(self):
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if not (self.rows[i] >> j) & 1:
-                    yield (i, j)
+        return ((i, j) for i, r in enumerate(self.upper_rows[0])
+                for j in bits_of(r))
 
 
 def bits_of(mask: int):
@@ -127,7 +129,8 @@ def graph_from_edges(n: int, edges) -> Graph:
 
 
 def complement(g: Graph) -> Graph:
-    return Graph(g.n, g.non_rows)
+    # an automorphism of g is one of its complement
+    return Graph(g.n, g.non_rows, g.generators, checked=True)
 
 
 def induced_subgraph(g: Graph, vs) -> Graph:
@@ -160,6 +163,13 @@ def counter_spreader(n: int, top: int):
         return int.from_bytes(buf, "big")
 
     return spread, 8 * size
+
+
+def counter_row(counts, width: int) -> int:
+    """The row whose field j, laid out as by ``counter_spreader`` with
+    ``width``-bit fields, holds ``counts[j]``."""
+    return int.from_bytes(b"".join(c.to_bytes(width // 8, "big")
+                                   for c in reversed(counts)), "big")
 
 
 # -- canonical forms for small graphs ------------------------------------

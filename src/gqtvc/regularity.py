@@ -1,15 +1,16 @@
-"""Regularity hierarchy checks: regular, strongly regular,
-subconstituents, k-isoregularity, and K4-e freeness.
+"""Regularity hierarchy checks: regular, strongly regular and
+k-isoregular.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import cache
 
 from .graph import (CanonicalCode, Graph, ParameterError, _check_deadline,
-                    bits_of, canonical_code, counter_spreader,
-                    graph_from_edges, induced_subgraph)
+                    bits_of, canonical_code, counter_row,
+                    counter_spreader, graph_from_edges)
+from .symmetry import pair_orbits, vertex_orbits
 
 
 class Degenerate:
@@ -55,26 +56,6 @@ def srg_parameters(g: Graph):
                      rep.table[_SMALL_CODES[2, 0]])
 
 
-def subconstituent(g: Graph, x: int, i: int) -> Graph:
-    """Induced subgraph on the vertices at distance exactly i from x."""
-    if not 0 <= x < g.n:
-        raise ParameterError("vertex out of range")
-    dist = [-1] * g.n
-    dist[x] = 0
-    frontier = [x]
-    d = 0
-    while frontier:
-        nxt = []
-        d += 1
-        for u in frontier:
-            for v in bits_of(g.rows[u]):
-                if dist[v] < 0:
-                    dist[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    return induced_subgraph(g, [v for v in range(g.n) if dist[v] == i])
-
-
 # canonical codes of the order-<=3 classes; for these sizes the edge
 # count determines the isomorphism class
 _SMALL_CODES = {(n, e): canonical_code(graph_from_edges(
@@ -88,6 +69,7 @@ class IsoregularityReport:
     table: dict[CanonicalCode, int]
     ok: bool
     witness: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    representatives: int = 0  # anchors summed
 
 
 def check_isoregular(g: Graph, k: int,
@@ -101,35 +83,41 @@ def check_isoregular(g: Graph, k: int,
     each (size - 1)-set A: field c is val(A + {c}), expected to be T(m)
     off A, m the neighbours of c in A (differences over the rows 1, m,
     C(m, 2)), and val(A) on A.  An unseen class expects the all-ones
-    field, which no count reaches, so its first member is read off."""
+    field, which no count reaches, so its first member is read off.
+    Each A is the representative of an orbit of the generators of ``g``
+    (``symmetry``): the sets A + {c} of one orbit have the same values.
+    Counter rows are spread when a sum first needs them."""
     if not 1 <= k <= 3:
         raise ParameterError("isoregularity level must be 1..3")
     table: dict[CanonicalCode, int] = {}
     rep: dict[CanonicalCode, tuple[int, ...]] = {}
     # spare field n (set in the anchor row, taken back by ``marker``) keeps
     # every temporary row-long, so the freed rows go back to the system
-    spread, width = counter_spreader(
-        g.n + 1, max(map(int.bit_count, g.rows), default=0) + 1)
+    degrees = list(map(int.bit_count, g.rows))
+    spread, width = counter_spreader(g.n + 1, max(degrees, default=0) + 1)
     unseen = (1 << width) - 1
-    counters = [spread(r) for r in g.rows]
+    counter = cache(lambda u: spread(g.rows[u]))
     ones = spread(g.full_mask)
     marker = spread(1 << g.n)
-    total = sum(counters)
+    total = counter_row(degrees, width)  # the sum of every counter row
+    anchors = ([()], ((v,) for v, _ in vertex_orbits(g.n, g.generators)),
+               (pair for pair, _ in pair_orbits(g, False, deadline)))
+    summed = 0
     for size in range(1, k + 1):
         vals = [unseen] * 4  # value of each class by its edge count
-        for anchor in itertools.combinations(range(g.n), size - 1):
+        for anchor in anchors[size - 1]:
             _check_deadline(deadline)
+            summed += 1
             common = g.full_mask
             for u in anchor:
                 common &= g.rows[u]
             # a dense set costs its complement: the sum over V less the rest
             if 2 * common.bit_count() > g.n:
-                got = total - sum(map(counters.__getitem__,
-                                      bits_of(g.full_mask ^ common)))
+                got = total - sum(map(counter, bits_of(g.full_mask ^ common)))
             else:
-                got = sum(map(counters.__getitem__, bits_of(common)))
+                got = sum(map(counter, bits_of(common)))
             inner = size == 3 and g.has_edge(*anchor)
-            near = sum(map(counters.__getitem__, anchor))
+            near = sum(map(counter, anchor))
             pairs = spread(common) if size == 3 else 0
             at_anchor = spread(sum(1 << u for u in anchor) | 1 << g.n)
             while True:
@@ -146,25 +134,7 @@ def check_isoregular(g: Graph, k: int,
                 code = _SMALL_CODES[size, edges]
                 if code in table:
                     return IsoregularityReport(k, table, False,
-                                               (rep[code], subset))
+                                               (rep[code], subset), summed)
                 table[code] = vals[edges] = (got >> width * c) & unseen
                 rep[code] = subset
-    return IsoregularityReport(k, table, True)
-
-
-def check_k4e_free(g: Graph) -> tuple[int, int, int, int] | None:
-    """None if no induced K4-e; otherwise a witness quadruple
-    (a, b, c, d) where a~b are the degree-3 vertices of the pattern."""
-    for i in range(g.n):
-        ri = g.rows[i]
-        for j in bits_of(ri):
-            if j <= i:
-                continue
-            # common neighbours of the edge (i, j): any non-adjacent pair
-            # among them completes an induced or non-induced K4-e
-            comm = list(bits_of(ri & g.rows[j]))
-            for a in range(len(comm)):
-                for b in range(a + 1, len(comm)):
-                    if not g.has_edge(comm[a], comm[b]):
-                        return (i, j, comm[a], comm[b])
-    return None
+    return IsoregularityReport(k, table, True, representatives=summed)

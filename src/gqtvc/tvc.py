@@ -17,14 +17,11 @@ from .graph import (BudgetExceeded, CanonicalCode, Graph, ParameterError,
 from .gtypes import (K44_TYPE, MAX_TYPE_ORDER, GraphType, enumerate_types,
                      pair_fixing_aut_order)
 from .regularity import check_isoregular, srg_parameters
+from .symmetry import pair_orbits
 
 
 # largest t of the exhaustive scan and of pair_fingerprint
 MAX_EXHAUSTIVE_ORDER = 7
-
-
-class PreconditionError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -54,6 +51,10 @@ class TvcVerdict:
     status: str  # "satisfied" | "violated" | "inconclusive"
     witness: TvcWitness | None = None
     mode: str = "exhaustive"
+    # pairs counted at, one per orbit: unordered in exhaustive mode (one
+    # census covers both orientations), ordered in reduced mode; None
+    # when no pair scan ran
+    representatives: int | None = None
 
 
 # -- exhaustive fingerprinting --------------------------------------------
@@ -178,7 +179,8 @@ def check_tvc(g: Graph, t: int, mode: str = "exhaustive", k: int | None = None,
     vertices have valency >= k+1, for 2 <= t <= 8; the levels below t
     are checked first, and a failure there is reported as the
     violation, since the t-vertex condition implies the (t-1)-vertex
-    condition.
+    condition.  Both modes count at one pair per orbit of the
+    generators of ``g`` (see ``symmetry``).
     """
     top = {"exhaustive": MAX_EXHAUSTIVE_ORDER, "reduced": MAX_TYPE_ORDER}
     if mode not in top:
@@ -199,26 +201,29 @@ def check_tvc(g: Graph, t: int, mode: str = "exhaustive", k: int | None = None,
         if mode == "exhaustive":
             return _check_tvc_exhaustive(g, t, deadline)
         if k is None:
-            raise PreconditionError("reduced mode needs an isoregularity level")
+            raise ParameterError("reduced mode needs an isoregularity level")
         return _check_tvc_reduced(g, t, k, deadline)
     except BudgetExceeded:
         return TvcVerdict(t, "inconclusive", mode=mode)
 
 
 def _check_tvc_exhaustive(g: Graph, t: int, deadline) -> TvcVerdict:
-    """Compare both orientations of every pair with the forward census
-    of the first pair of its adjacency class."""
+    """Compare both orientations of every pair orbit's representative
+    with the forward census of the first pair of its adjacency class."""
     codes: dict = {}
     refs: dict = {}
-    for x, y in itertools.chain(g.edges(), g.non_edges()):
+    scanned = 0
+    for (x, y), _ in pair_orbits(g, False, deadline):
+        scanned += 1
         adj = g.has_edge(x, y)
         fwd, bwd = _pair_census(g, t, x, y, codes, deadline)
         ref_counts, ref_pair = refs.setdefault(adj, (fwd, (x, y)))
         for counts, pair in ((fwd, (x, y)), (bwd, (y, x))):
             if counts != ref_counts:
                 return TvcVerdict(t, "violated", _mismatch_witness(
-                    t, adj, ref_counts, ref_pair, counts, pair))
-    return TvcVerdict(t, "satisfied")
+                    t, adj, ref_counts, ref_pair, counts, pair),
+                    representatives=scanned)
+    return TvcVerdict(t, "satisfied", representatives=scanned)
 
 
 # -- anchored counting and reduced mode -----------------------------------
@@ -271,7 +276,7 @@ def count_type_anchored(g: Graph, ty: GraphType, pair: tuple[int, int],
     x, y = _check_pair(g, pair)
     adj = g.has_edge(x, y)
     if ty.pair_adjacent is not None and ty.pair_adjacent != adj:
-        raise PreconditionError("pair adjacency does not match the type")
+        raise ParameterError("pair adjacency does not match the type")
     _check_deadline(deadline)
     starts, plan, residual = _placement(ty.order, ty.rows)
     # sel[a][v]: the vertices not adjacent (a = 0) or adjacent (a = 1) to
@@ -320,35 +325,41 @@ def count_type_anchored(g: Graph, ty: GraphType, pair: tuple[int, int],
     return total // residual
 
 
-def _scan_types_for_mismatch(g: Graph, types, deadline) -> TvcWitness | None:
-    edges, non_edges = list(g.edges()), list(g.non_edges())
+def _scan_types_for_mismatch(g: Graph, types, reps,
+                             deadline) -> TvcWitness | None:
     for ty in types:
-        for adj, pairs in ((True, edges), (False, non_edges)):
+        for adj in (True, False):
             cty = ty.concrete(adj)
             ref = None
             ref_pair = None
-            for x, y in pairs:
-                for pair in ((x, y), (y, x)):
-                    c = count_type_anchored(g, cty, pair, deadline)
-                    if ref is None:
-                        ref = c
-                        ref_pair = pair
-                    elif c != ref:
-                        return TvcWitness(cty, ref_pair, ref, pair, c)
+            for pair in reps[adj]:
+                c = count_type_anchored(g, cty, pair, deadline)
+                if ref is None:
+                    ref = c
+                    ref_pair = pair
+                elif c != ref:
+                    return TvcWitness(cty, ref_pair, ref, pair, c)
     return None
 
 
 def _check_tvc_reduced(g: Graph, t: int, k: int, deadline) -> TvcVerdict:
     if not check_isoregular(g, k, deadline).ok:
-        raise PreconditionError(f"graph is not {k}-isoregular")
+        raise ParameterError(f"graph is not {k}-isoregular")
+    # ordered pair orbit representatives by adjacency, for every type
+    reps: dict[bool, list] = {True: [], False: []}
+    for pair, _ in pair_orbits(g, deadline=deadline):
+        reps[g.has_edge(*pair)].append(pair)
     # each level assumes the one below it holds; below level 4 the
     # condition is strong regularity, which k-isoregularity covers
+    witness = None
     for level in range(4, t + 1):
         witness = _scan_types_for_mismatch(g, enumerate_types(level, k + 1),
-                                           deadline)
+                                           reps, deadline)
         if witness is not None:
-            return TvcVerdict(t, "violated", witness, mode="reduced")
-    return TvcVerdict(t, "satisfied", mode="reduced")
+            break
+    return TvcVerdict(t, "satisfied" if witness is None else "violated",
+                      witness, mode="reduced",
+                      representatives=len(reps[True]) + len(reps[False]))
 
 
 def find_distinguisher(g: Graph, t: int, k: int) -> GraphType | None:

@@ -33,6 +33,33 @@ def test_check_isoregular_exit_codes():
     assert main(["check-isoregular", "--construct", "w2", "--k", "3"]) == 1
 
 
+def test_check_isoregular_budget_inconclusive(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    code = main(["check-isoregular", "--construct", "payne", "--dual",
+                 "--k", "3", "--budget-seconds", "0", "--json-out",
+                 str(report)])
+    assert code == 2
+    assert "inconclusive" in capsys.readouterr().out
+    doc = json.loads(report.read_text())
+    assert doc["status"] == "inconclusive" and doc["budget_seconds"] == 0
+
+
+def test_reports_count_representatives(tmp_path):
+    # one anchor, one vertex orbit and two pair orbits: GQ(2,4) is rank 3
+    report = tmp_path / "r.json"
+    assert main(["check-isoregular", "--construct", "q5_2", "--k", "3",
+                 "--json-out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert (doc["status"], doc["representatives"]) == ("satisfied", 4)
+    assert main(["check-tvc", "--construct", "q5_2", "--t", "6", "--mode",
+                 "reduced", "--k", "3", "--json-out", str(report)]) == 0
+    assert json.loads(report.read_text())["representatives"] == 2
+    assert main(["verify-formula", "--construct", "q5_3", "--family",
+                 "type3a", "--json-out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert (doc["pairs_checked"], doc["representatives"]) == (112 * 111, 2)
+
+
 def test_check_tvc(capsys):
     assert main(["check-tvc", "--construct", "w2", "--t", "5"]) == 0
     assert "satisfied" in capsys.readouterr().out

@@ -1,10 +1,11 @@
+import itertools
+
 import pytest
 
 from gqtvc.algebra import field_make
 from gqtvc.geometry import (GeometryError, PartialLinearSpace, QClan,
-                            build_flock_gq, check_gq_axiom, dualize,
-                            export_incidence, hyperoval_is_arc,
-                            parse_incidence, payne_qclan, point_graph,
+                            _normalize, _span_line, check_gq_axiom, dualize,
+                            export_incidence, payne_qclan, point_graph,
                             validate_pls)
 
 from conftest import geometry, graph_of
@@ -46,11 +47,20 @@ def fano_plane():
                                        for i in range(7)])
 
 
+def w3_with_two_points_swapped():
+    # two disjoint lines of W(3) trade a point: point 0 still sees one
+    # point of each line off it, point 1 does not
+    lines = [list(line) for line in geometry("w3").lines]
+    lines[4][2], lines[9][2] = lines[9][2], lines[4][2]
+    return PartialLinearSpace.make(40, lines)
+
+
 @pytest.mark.parametrize("pls", [
-    fano_plane(), PartialLinearSpace.make(3, [(0, 1), (1, 2), (0, 2)])],
-    ids=["fano", "triangle"])
+    fano_plane(), PartialLinearSpace.make(3, [(0, 1), (1, 2), (0, 2)]),
+    w3_with_two_points_swapped()],
+    ids=["fano", "triangle", "w3-swapped"])
 def test_gq_axiom_witness_is_a_direct_count(pls):
-    # both are valid partial linear spaces that are not quadrangles
+    # valid partial linear spaces that are not quadrangles
     assert validate_pls(pls)
     res = check_gq_axiom(pls)
     assert not res and res.order == validate_pls(pls).order
@@ -70,6 +80,8 @@ def test_dualize_double_dual_identity():
     for name in ("w2", "w3", "q5_2", "t2star"):
         pls = geometry(name)
         assert dualize(dualize(pls)) == pls
+        # the generators come back as the same point permutations
+        assert dualize(dualize(pls)).generators == pls.generators
 
 
 def test_dual_swaps_order():
@@ -81,11 +93,10 @@ def test_dual_swaps_order():
 
 def test_incidence_roundtrip():
     pls = geometry("w2")
-    back = parse_incidence(export_incidence(pls))
+    head, *body = export_incidence(pls).splitlines()
     # the order annotation is not part of the text format
-    assert (back.num_points, back.lines) == (pls.num_points, pls.lines)
-    with pytest.raises(GeometryError):
-        parse_incidence("not a header\n")
+    assert head == f"p {pls.num_points} l {len(pls.lines)}"
+    assert tuple(tuple(map(int, line.split())) for line in body) == pls.lines
 
 
 @pytest.mark.parametrize("name,dual,order,points,lines", [
@@ -114,7 +125,14 @@ def test_flock_construction_validates():
 
 
 def test_hyperoval_is_arc():
-    assert hyperoval_is_arc()
+    # no three directions of the hyperoval T2*(O) is built on are
+    # collinear in PG(2,4)
+    field = field_make(2, 2)
+    pts = [_normalize(field, (1, t, field.mul[t][t]))
+           for t in field.elements()]
+    pts += [(0, 1, 0), (0, 0, 1)]
+    for a, b, c in itertools.combinations(pts, 3):
+        assert c not in _span_line(field, a, b)
 
 
 def test_payne_qclan_anisotropic():

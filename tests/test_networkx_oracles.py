@@ -142,3 +142,15 @@ def test_complement_aut_orders_match_networkx():
         for cl in classes:
             h = to_nx(graph_from_edges(5, cl.edges), (0, 1))
             assert cl.aut_order == automorphism_count(h, same_side), cl
+
+
+@pytest.mark.parametrize("name, dual", [
+    ("w2", False), ("w3", False), ("q5_2", False), ("q5_3", False),
+    ("t2star", False), ("t2star", True), ("payne", False), ("payne", True)])
+def test_generators_map_edges_to_edges(name, dual):
+    g = graph_of(name, dual)
+    h = to_nx(g)
+    assert len(g.generators) >= 4
+    for perm in g.generators:
+        assert sorted(perm) == list(range(g.n))
+        assert all(h.has_edge(perm[u], perm[v]) for u, v in h.edges)

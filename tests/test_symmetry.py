@@ -1,0 +1,185 @@
+"""Orbit reduction: the checks on candidate generators, the orbits, and
+scans that must give what the same scans give without generators."""
+
+import time
+
+import pytest
+
+from gqtvc.formulas import FormulaId, verify_formula
+from gqtvc.geometry import PartialLinearSpace, check_gq_axiom, point_graph
+from gqtvc.graph import BudgetExceeded, Graph, GraphError
+from gqtvc.regularity import check_isoregular, srg_parameters
+from gqtvc.symmetry import orbit_of, pair_orbits, vertex_orbits
+from gqtvc.tvc import check_tvc
+
+from conftest import geometry, graph_of, shrikhande, unreduced
+
+CONSTRUCTIONS = [("w2", False), ("w3", False), ("q5_2", False),
+                 ("q5_3", False), ("t2star", False), ("t2star", True),
+                 ("payne", False), ("payne", True)]
+
+
+def unreduced_geometry(pls):
+    return PartialLinearSpace(pls.num_points, pls.lines, pls.order)
+
+
+@pytest.mark.parametrize("name, dual", CONSTRUCTIONS)
+def test_orbit_sizes_cover_every_vertex_and_pair(name, dual):
+    g = graph_of(name, dual)
+    assert g.generators
+    assert sum(size for _, size in vertex_orbits(g.n, g.generators)) == g.n
+    if g.n > 1000:
+        return  # 10.7 million ordered pairs on the Payne graph
+    ordered = list(pair_orbits(g))
+    assert sum(size for _, size in ordered) == g.n * (g.n - 1)
+    assert sum(size for _, size in pair_orbits(g, False)) \
+        == g.n * (g.n - 1) // 2
+    # each representative is the least member of its orbit in scan order
+    x, y = ordered[-1][0]
+    assert len(orbit_of(g, (x, y))) == ordered[-1][1]
+    assert all(g.has_edge(*p) == g.has_edge(x, y) for p in orbit_of(g, (x, y)))
+
+
+@pytest.mark.parametrize("name", ["w2", "w3", "q5_2", "q5_3"])
+def test_rank_three_constructions_have_two_pair_orbits(name):
+    orbits = list(pair_orbits(graph_of(name)))
+    assert [graph_of(name).has_edge(*pair) for pair, _ in orbits] \
+        == [True, False]
+
+
+def test_orbit_counts():
+    assert len(vertex_orbits(3276, graph_of("payne").generators)) == 8
+    assert len(vertex_orbits(756, graph_of("payne", True).generators)) == 12
+    assert len(list(pair_orbits(graph_of("t2star")))) == 21
+    assert len(list(pair_orbits(graph_of("t2star", True)))) == 90
+
+
+def test_generator_that_is_not_a_collineation_raises():
+    pls = geometry("w2")
+    swap = list(range(pls.num_points))
+    swap[0], swap[1] = 1, 0
+    bad = PartialLinearSpace(pls.num_points, pls.lines, pls.order,
+                             pls.generators + (tuple(swap),))
+    with pytest.raises(GraphError, match="generator 5 maps line"):
+        point_graph(bad)
+    with pytest.raises(GraphError):
+        check_gq_axiom(bad)
+    with pytest.raises(GraphError, match="not a permutation"):
+        point_graph(PartialLinearSpace(pls.num_points, pls.lines, pls.order,
+                                       ((0,) * pls.num_points,)))
+
+
+def test_generator_that_is_not_an_automorphism_raises():
+    g = graph_of("w2")
+    swap = list(range(g.n))
+    swap[0], swap[1] = 1, 0
+    with pytest.raises(GraphError, match="generator 0 maps the neighbours"):
+        Graph(g.n, g.rows, (tuple(swap),))
+    # the generators a construction emits pass the row check too
+    for name, dual in CONSTRUCTIONS[:6]:
+        h = graph_of(name, dual)
+        Graph(h.n, h.rows, h.generators)
+
+
+@pytest.mark.parametrize("name, dual", CONSTRUCTIONS)
+def test_regularity_scans_match_unreduced(name, dual):
+    g = graph_of(name, dual)
+    h = unreduced(g)
+    assert srg_parameters(g) == srg_parameters(h)
+    # the Payne graph has 5.4 million unordered pairs
+    for k in (1, 2) if g.n > 1000 else (1, 2, 3):
+        a, b = check_isoregular(g, k), check_isoregular(h, k)
+        assert (a.ok, a.table, a.witness) == (b.ok, b.table, b.witness), k
+        assert a.representatives <= b.representatives
+    pls = geometry(name, dual)
+    assert check_gq_axiom(pls) == check_gq_axiom(unreduced_geometry(pls))
+
+
+def test_gq_axiom_witness_matches_unreduced():
+    # the Fano plane with the rotation i -> i + 1: not a quadrangle
+    fano = PartialLinearSpace.make(
+        7, [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)],
+        generators=[tuple((i + 1) % 7 for i in range(7))])
+    res = check_gq_axiom(fano)
+    assert not res and res == check_gq_axiom(unreduced_geometry(fano))
+
+
+def test_isoregularity_representatives():
+    g = graph_of("q5_2")
+    # one empty anchor, one vertex orbit, two unordered pair orbits
+    assert check_isoregular(g, 3).representatives == 1 + 1 + 2
+    assert check_isoregular(unreduced(g), 3).representatives \
+        == 1 + 27 + 27 * 26 // 2
+
+
+@pytest.mark.parametrize("g, t, mode, k", [
+    (graph_of("w2"), 6, "exhaustive", None),
+    (graph_of("w3"), 5, "exhaustive", None),
+    (graph_of("q5_2"), 5, "exhaustive", None),
+    (shrikhande(generators=True), 5, "exhaustive", None),
+    (shrikhande(generators=True), 5, "reduced", 2),
+    (graph_of("t2star", True), 6, "reduced", 2),
+    (graph_of("q5_2"), 7, "reduced", 3),
+    (graph_of("q5_3"), 5, "reduced", 3),
+], ids=["w2-6", "w3-5", "q5_2-5", "shrikhande-5", "shrikhande-5-reduced",
+        "t2star-dual-6-reduced", "q5_2-7-reduced", "q5_3-5-reduced"])
+def test_tvc_matches_unreduced(g, t, mode, k):
+    a = check_tvc(g, t, mode=mode, k=k)
+    b = check_tvc(unreduced(g), t, mode=mode, k=k)
+    assert (a.status, a.witness) == (b.status, b.witness)
+    assert a.representatives < b.representatives
+
+
+def test_tvc_representatives():
+    w2 = graph_of("w2")
+    assert check_tvc(w2, 5).representatives == 2
+    assert check_tvc(unreduced(w2), 5).representatives == 15 * 14 // 2
+    q = graph_of("q5_2")
+    assert check_tvc(q, 6, mode="reduced", k=3).representatives == 2
+    assert check_tvc(unreduced(q), 6, mode="reduced",
+                     k=3).representatives == 27 * 26
+    assert check_tvc(q, 3).representatives is None
+
+
+@pytest.mark.parametrize("name, dual", CONSTRUCTIONS[:6])
+def test_formula_reports_match_unreduced(name, dual):
+    pls = geometry(name, dual)
+    fids = [FormulaId("type0"), FormulaId("type3a")]
+    if name == "q5_3":
+        fids.append(FormulaId("completeS", (1, 1), True, 3))
+    for fid in fids:
+        a = verify_formula(pls, fid)
+        b = verify_formula(unreduced_geometry(pls), fid)
+        assert (a.order, a.pairs_checked, a.mismatches) \
+            == (b.order, b.pairs_checked, b.mismatches)
+        assert a.pairs_checked == pls.num_points * (pls.num_points - 1)
+        assert b.representatives == a.pairs_checked
+
+
+def test_formula_mismatch_is_listed_for_its_whole_orbit(monkeypatch):
+    # a closed form one too high on edges: every ordered edge mismatches
+    import gqtvc.formulas as formulas
+    right = formulas.expected_count
+    monkeypatch.setattr(formulas, "expected_count",
+                        lambda fid, s, t, adj: right(fid, s, t, adj) + adj)
+    pls = geometry("t2star", True)
+    a = verify_formula(pls, FormulaId("type3a"))
+    b = verify_formula(unreduced_geometry(pls), FormulaId("type3a"))
+    g = graph_of("t2star", True)
+    assert a.mismatches == b.mismatches
+    assert [p for p, _, _ in a.mismatches] \
+        == [p for e in g.edges() for p in (e, e[::-1])]
+    assert a.representatives < b.representatives
+
+
+def test_reduced_path_stops_at_deadline_in_orbit_search():
+    # dual Payne at k = 3: levels 1 and 2 take milliseconds, then the
+    # unordered pair orbits take 285,390 pairs; without a budget the
+    # isoregularity check and the ordered orbits take over a second
+    g = graph_of("payne", dual=True)
+    start = time.monotonic()
+    verdict = check_tvc(g, 4, mode="reduced", k=3, budget_seconds=0.1)
+    assert verdict.status == "inconclusive"
+    assert time.monotonic() - start < 0.6
+    with pytest.raises(BudgetExceeded):
+        next(pair_orbits(g, deadline=time.monotonic() - 1))

@@ -10,11 +10,11 @@ from gqtvc.cli import main
 from gqtvc.graph import (ParameterError, canonical_code, graph_from_edges,
                          induced_subgraph, rows_from_bits, write_graph6_file)
 from gqtvc.gtypes import GraphType, enumerate_types, order5_type
-from gqtvc.tvc import (PreconditionError, _pair_census, check_tvc,
-                       count_k44_per_edge, count_type_anchored,
-                       find_distinguisher, pair_fingerprint)
+from gqtvc.tvc import (_pair_census, check_tvc, count_k44_per_edge,
+                       count_type_anchored, find_distinguisher,
+                       pair_fingerprint)
 
-from conftest import graph_of
+from conftest import graph_of, shrikhande, unreduced
 
 
 def random_graph(n, p, rng):
@@ -122,19 +122,19 @@ def test_exhaustive_honours_budget():
     # the deadline is checked at every internal node of the census, so the
     # scan ends near the budget
     start = time.monotonic()
-    verdict = check_tvc(graph_of("w3"), 6, budget_seconds=2)
+    verdict = check_tvc(unreduced(graph_of("w3")), 6, budget_seconds=2)
     assert verdict.status == "inconclusive"
     assert time.monotonic() - start < 4
 
 
 def test_budget_inconclusive(q5_2_graph):
-    verdict = check_tvc(q5_2_graph, 7, budget_seconds=0.01)
+    verdict = check_tvc(unreduced(q5_2_graph), 7, budget_seconds=0.01)
     assert verdict.status == "inconclusive"
 
 
 def test_reduced_budget_covers_isoregularity():
     # 3-isoregularity of GQ(3,9) alone takes about a second
-    g = graph_of("q5_3")
+    g = unreduced(graph_of("q5_3"))
     start = time.monotonic()
     verdict = check_tvc(g, 6, mode="reduced", k=3, budget_seconds=0.05)
     assert verdict.status == "inconclusive"
@@ -145,21 +145,10 @@ def test_reduced_budget_checked_per_pair(q5_2_graph):
     # each anchored count on GQ(2,4) visits fewer search nodes than the
     # interval at which count_type_anchored looks at the clock
     start = time.monotonic()
-    verdict = check_tvc(q5_2_graph, 7, mode="reduced", k=3,
+    verdict = check_tvc(unreduced(q5_2_graph), 7, mode="reduced", k=3,
                         budget_seconds=0.05)
     assert verdict.status == "inconclusive"
     assert time.monotonic() - start < 5
-
-
-def shrikhande():
-    """Cayley graph of Z4 x Z4 on {+-(1,0), +-(0,1), +-(1,1)}: an
-    SRG(16,6,2,2) that is 2-isoregular but fails the 4-vertex
-    condition."""
-    conn = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
-    v = [(a, b) for a in range(4) for b in range(4)]
-    return graph_from_edges(16, [
-        (i, j) for i in range(16) for j in range(i + 1, 16)
-        if ((v[j][0] - v[i][0]) % 4, (v[j][1] - v[i][1]) % 4) in conn])
 
 
 def test_lower_level_failure_is_violated(tmp_path):
@@ -196,7 +185,7 @@ def test_reduced_mode_matches_exhaustive(q5_2_graph):
 def test_reduced_mode_preconditions():
     rng = random.Random(1)
     g = random_graph(12, 0.5, rng)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ParameterError):
         check_tvc(g, 5, mode="reduced", k=2)
 
 
@@ -211,7 +200,7 @@ def test_count_type_anchored_formula_values(w2_graph):
 
 def test_count_type_anchored_adjacency_guard(w2_graph):
     x, y = next(iter(w2_graph.edges()))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ParameterError):
         count_type_anchored(w2_graph, order5_type("2a", False), (x, y))
     w3 = graph_of("w3")
     # a negative vertex would otherwise index from the end of the rows
