@@ -76,9 +76,10 @@ def _load_graph(args) -> Graph:
 
 def _verdict_result(verdict: TvcVerdict) -> Result:
     report = {"t": verdict.t, "status": verdict.status,
-              "representatives": verdict.representatives}
+              "representatives": verdict.representatives,
+              "rank3": verdict.rank3}
     lines = [f"{verdict.t}-vertex condition: {verdict.status} "
-             f"({verdict.mode} mode)"]
+             f"({verdict.mode} mode{', rank 3' if verdict.rank3 else ''})"]
     w = verdict.witness
     if w is not None:
         report["witness"] = {

@@ -64,34 +64,60 @@ class PlsResult:
         return self.ok
 
 
+def _collinearity(num_points: int, lines) -> tuple[list[int], tuple | None]:
+    """Row p of the collinearity relation of ``lines`` (the points other
+    than p on a line through p, as a bitmask), and the first line that
+    meets an earlier line in two points as (line index, a, b), (a, b)
+    its first such pair in line order, or None.  The lines hold
+    distinct points in 0..num_points-1."""
+    rows = [0] * num_points
+    clash = None
+    for li, line in enumerate(lines):
+        m = sum(1 << p for p in line)
+        for p in line:
+            if clash is None and rows[p] & m:
+                # a point before p seeing p would have been found first
+                clash = li, p, next(q for q in line[line.index(p) + 1:]
+                                    if rows[p] >> q & 1)
+            rows[p] |= m ^ 1 << p
+    return rows, clash
+
+
 def validate_pls(pls: PartialLinearSpace) -> PlsResult:
     """Check the partial linear space axioms.
 
     Returns the order (s, t) on success, otherwise a witness: two lines
-    sharing two points, or a line/point with a deviant count.
+    sharing two points, or a line/point with a deviant count.  Lines are
+    checked in order, each for length, repeated points, range, then a
+    pair it shares with an earlier line (one collinearity mask per
+    point, see ``_collinearity``).
     """
-    if pls.num_points < 1:
+    n, lines = pls.num_points, pls.lines
+    if n < 1:
         return PlsResult(False, witness=("no points",))
-    line_sizes = set()
-    pair_seen: dict[tuple[int, int], int] = {}
-    point_deg = [0] * pls.num_points
-    for li, line in enumerate(pls.lines):
+    bad = None
+    point_deg = [0] * n
+    for li, line in enumerate(lines):
         if len(line) < 2:
-            return PlsResult(False, witness=("short line", li, line))
-        if len(set(line)) != len(line):
-            return PlsResult(False, witness=("repeated point", li, line))
+            bad = ("short line", li, line)
+        elif len(set(line)) != len(line):
+            bad = ("repeated point", li, line)
+        else:
+            bad = next((("point out of range", li, p) for p in line
+                        if not 0 <= p < n), None)
+        if bad:
+            break
         for p in line:
-            if not 0 <= p < pls.num_points:
-                return PlsResult(False, witness=("point out of range", li, p))
             point_deg[p] += 1
-        line_sizes.add(len(line))
-        for a in range(len(line)):
-            for b in range(a + 1, len(line)):
-                key = (line[a], line[b])
-                if key in pair_seen:
-                    return PlsResult(False, witness=("lines share two points",
-                                                     pair_seen[key], li, key))
-                pair_seen[key] = li
+    _, clash = _collinearity(n, lines[:bad[1]] if bad else lines)
+    if clash is not None:
+        li, a, b = clash
+        first = next(lj for lj, line in enumerate(lines) if a in line and b in line)
+        return PlsResult(False, witness=("lines share two points", first, li,
+                                         (a, b)))
+    if bad:
+        return PlsResult(False, witness=bad)
+    line_sizes = set(map(len, lines))
     if len(line_sizes) != 1:
         return PlsResult(False, witness=("line sizes differ", sorted(line_sizes)))
     if len(set(point_deg)) != 1:
@@ -110,13 +136,7 @@ def validate_pls(pls: PartialLinearSpace) -> PlsResult:
 def point_graph(pls: PartialLinearSpace) -> Graph:
     """Collinearity graph on the points.  A collineation is an
     automorphism of it, so it gets the checked generators."""
-    rows = [0] * pls.num_points
-    for line in pls.lines:
-        m = 0
-        for p in line:
-            m |= 1 << p
-        for p in line:
-            rows[p] |= m & ~(1 << p)
+    rows, _ = _collinearity(pls.num_points, pls.lines)
     return Graph(pls.num_points, tuple(rows), pls.collineations[0],
                  checked=True)
 

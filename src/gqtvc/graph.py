@@ -39,11 +39,14 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
     ``rows[i]`` has bit j set iff i and j are adjacent.  The adjacency
-    is symmetric with a zero diagonal.  ``generators`` are vertex
-    permutations the scans may reduce by (see ``symmetry``); each is
-    checked to map every row onto a row, unless ``checked`` says the
-    caller has checked them already (``point_graph`` checks them on the
-    lines of its geometry).  They are not part of equality.
+    is symmetric with a zero diagonal: each row is checked for bits out
+    of range and for a loop, and the matrix is compared with its
+    transpose in one bit-matrix transpose of O(n²/word) work (see
+    ``_asymmetry``).  ``generators`` are vertex permutations the scans
+    may reduce by (see ``symmetry``); each is checked to map every row
+    onto a row, unless ``checked`` says the caller has checked them
+    already (``point_graph`` checks them on the lines of its geometry).
+    They are not part of equality.
     """
 
     n: int
@@ -53,19 +56,19 @@ class Graph:
     checked: InitVar[bool] = False
 
     def __post_init__(self, checked):
-        if self.n < 0 or len(self.rows) != self.n:
+        n, rows = self.n, self.rows
+        if n < 0 or len(rows) != n:
             raise GraphError("row count must equal vertex count")
-        rows = self.rows
-        mask = (1 << self.n) - 1
-        for i, r in enumerate(rows):
-            if r & ~mask:
-                raise GraphError(f"row {i} has bits outside 0..{self.n - 1}")
-            if (r >> i) & 1:
-                raise GraphError(f"loop at vertex {i}")
-            # an edge missing its reverse is found from the row that has it
-            for j in bits_of(r):
-                if not (rows[j] >> i) & 1:
-                    raise GraphError(f"adjacency not symmetric at ({i},{j})")
+        mask = (1 << n) - 1
+        bad = next((i for i, r in enumerate(rows) if r & ~mask or r >> i & 1), n)
+        # rows are checked in order, each for range, loop, then an edge
+        # missing its reverse, so the first faulty row is the one named
+        at = _asymmetry(rows if bad == n else [r & mask for r in rows], n)
+        if at is not None and at[0] < bad:
+            raise GraphError(f"adjacency not symmetric at ({at[0]},{at[1]})")
+        if bad < n:
+            raise GraphError(f"row {bad} has bits outside 0..{n - 1}"
+                             if rows[bad] & ~mask else f"loop at vertex {bad}")
         if self.generators and not checked:
             from .symmetry import check_automorphisms
             check_automorphisms(rows, self.generators)
@@ -106,6 +109,37 @@ class Graph:
     def non_edges(self):
         return ((i, j) for i, r in enumerate(self.upper_rows[0])
                 for j in bits_of(r))
+
+
+def _asymmetry(rows, n: int) -> tuple[int, int] | None:
+    """The first (i, j) in row order with j in ``rows[i]`` and i not in
+    ``rows[j]`` (rows of bits 0..n-1), or None.
+
+    The rows are laid end to end, row i at byte i * w on, padded to
+    ``size`` rows of w = size/8 bytes, size the least power of two
+    >= max(n, 8).  The transpose takes byte J of row 8I + r to byte I of
+    row 8J + r, one strided slice per row, then transposes each 8 x 8
+    block by swapping the off-diagonal b x b corners of its 2b x 2b
+    blocks, b = 4, 2, 1: three rounds of shifts and masks over the
+    whole matrix (Warren, *Hacker's Delight*, 7-3)."""
+    size = max(8, 1 << (n - 1).bit_length())
+    w = size // 8
+    data = b"".join(r.to_bytes(w, "little") for r in rows) + bytes(w * (size - n))
+    x = int.from_bytes(b"".join(data[c % 8 * w + c // 8::8 * w]
+                                for c in range(size)), "little")
+    for b, cols in ((4, b"\xf0"), (2, b"\xcc"), (1, b"\xaa")):
+        # bit (i, j + b) for i, j with bit b clear swaps with (i + b, j);
+        # ``cols`` has bit j set where j has bit b set
+        m = int.from_bytes((cols * (w * b) + bytes(w * b)) * (size // (2 * b)),
+                           "little")
+        d = b * (size - 1)
+        t = (x ^ x >> d) & m
+        x ^= t ^ t << d
+    matrix = int.from_bytes(data, "little")
+    if x == matrix:
+        return None
+    lost = matrix & ~x  # bit (i, j) of the matrix without bit (j, i)
+    return divmod((lost & -lost).bit_length() - 1, size)
 
 
 def bits_of(mask: int):

@@ -72,8 +72,8 @@ class IsoregularityReport:
     representatives: int = 0  # anchors summed
 
 
-def check_isoregular(g: Graph, k: int,
-                     deadline: float | None = None) -> IsoregularityReport:
+def check_isoregular(g: Graph, k: int, deadline: float | None = None,
+                     pairs=None) -> IsoregularityReport:
     """Exhaustively check that val(S) depends only on the isomorphism
     class of the induced subgraph, over all vertex sets of size <= k.
     Raises BudgetExceeded once ``deadline`` (``time.monotonic()``) has
@@ -86,7 +86,10 @@ def check_isoregular(g: Graph, k: int,
     field, which no count reaches, so its first member is read off.
     Each A is the representative of an orbit of the generators of ``g``
     (``symmetry``): the sets A + {c} of one orbit have the same values.
-    Counter rows are spread when a sum first needs them."""
+    The unordered pair orbits' least members come from ``pairs``, in
+    scan order, when a caller has searched them already, or from a
+    search of their own.  Counter rows are spread when a sum first needs
+    them."""
     if not 1 <= k <= 3:
         raise ParameterError("isoregularity level must be 1..3")
     table: dict[CanonicalCode, int] = {}
@@ -101,7 +104,8 @@ def check_isoregular(g: Graph, k: int,
     marker = spread(1 << g.n)
     total = counter_row(degrees, width)  # the sum of every counter row
     anchors = ([()], ((v,) for v, _ in vertex_orbits(g.n, g.generators)),
-               (pair for pair, _ in pair_orbits(g, False, deadline)))
+               (pair for pair, _ in pair_orbits(g, False, deadline))
+               if pairs is None else pairs)
     summed = 0
     for size in range(1, k + 1):
         vals = [unseen] * 4  # value of each class by its edge count

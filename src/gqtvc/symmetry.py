@@ -10,7 +10,8 @@ scan uses them: a geometry's must map every line onto a line
 
 An orbit is given by its least member in scan order and its size.
 Pairs are scanned edges first, then non-edges, each (a, b) with a < b
-in increasing order, for ordered pairs followed by (b, a).  Without
+in increasing order, for ordered pairs followed by (b, a).  The search
+runs on ordered pairs; the unordered orbits are read off it.  Without
 generators every pair is its own orbit, produced as it is scanned.
 """
 
@@ -75,18 +76,16 @@ def vertex_orbits(n: int, gens) -> list[tuple[int, int]]:
     return out
 
 
-def scan_pairs(g: Graph, ordered: bool = True):
-    """The pairs of ``g`` in scan order."""
+def scan_pairs(g: Graph):
+    """The ordered pairs of ``g`` in scan order."""
     for a, b in itertools.chain(g.edges(), g.non_edges()):
         yield a, b
-        if ordered:
-            yield b, a
+        yield b, a
 
 
-def _pair_orbit(g: Graph, pair, ordered: bool, seen: bytearray,
-                deadline=None) -> list[int]:
-    """The orbit of ``pair`` as codes x * n + y, marked in ``seen``; an
-    unordered orbit holds both orientations of its pairs."""
+def _pair_orbit(g: Graph, pair, seen: bytearray, deadline=None) -> list[int]:
+    """The orbit of the ordered ``pair`` as codes x * n + y, marked in
+    ``seen``."""
     n, gens = g.n, g.generators
     x, y = pair
     seen[x * n + y] = 1
@@ -100,10 +99,26 @@ def _pair_orbit(g: Graph, pair, ordered: bool, seen: bytearray,
             if not seen[image]:
                 seen[image] = 1
                 members.append(image)
-        if not ordered and not seen[v * n + u]:
-            seen[v * n + u] = 1
-            members.append(v * n + u)
     return members
+
+
+def unordered_orbits(ordered):
+    """``(pair, size)`` for the orbits on unordered pairs (a, b), a < b,
+    from the orbits on ordered pairs in scan order.  The reverses of an
+    orbit O are an orbit with the same unordered pairs; it is O itself,
+    or the orbit whose least member (b, a) is scanned right after O's
+    (a, b).  Either way the unordered orbit holds half the ordered pairs
+    of the orbits it merges."""
+    pair = size = None
+    for (x, y), count in ordered:
+        if x > y:  # the reverses of the orbit before
+            size += count
+            continue
+        if pair is not None:
+            yield pair, size // 2
+        pair, size = (x, y), count
+    if pair is not None:
+        yield pair, size // 2
 
 
 def pair_orbits(g: Graph, ordered: bool = True, deadline=None):
@@ -111,20 +126,22 @@ def pair_orbits(g: Graph, ordered: bool = True, deadline=None):
     on its ordered pairs, or on its unordered pairs (a, b) with a < b,
     at the orbit's least member in scan order.  Raises BudgetExceeded
     once ``deadline`` (``time.monotonic()``) has passed."""
+    if not ordered:
+        yield from unordered_orbits(pair_orbits(g, True, deadline))
+        return
     if not g.generators:
-        for pair in scan_pairs(g, ordered):
+        for pair in scan_pairs(g):
             yield pair, 1
         return
     seen = bytearray(g.n * g.n)
-    for x, y in scan_pairs(g, ordered):
+    for x, y in scan_pairs(g):
         if not seen[x * g.n + y]:
-            size = len(_pair_orbit(g, (x, y), ordered, seen, deadline))
-            yield (x, y), size if ordered else size // 2
+            yield (x, y), len(_pair_orbit(g, (x, y), seen, deadline))
 
 
 def orbit_of(g: Graph, pair) -> list[tuple[int, int]]:
     """The ordered pairs in the orbit of ``pair``."""
     if not g.generators:
         return [tuple(pair)]
-    members = _pair_orbit(g, pair, True, bytearray(g.n * g.n))
+    members = _pair_orbit(g, pair, bytearray(g.n * g.n))
     return [divmod(code, g.n) for code in members]

@@ -55,6 +55,9 @@ class TvcVerdict:
     # census covers both orientations), ordered in reduced mode; None
     # when no pair scan ran
     representatives: int | None = None
+    # reduced mode found one orbit of ordered edges and one of ordered
+    # non-edges (or none), so it compared no counts
+    rank3: bool = False
 
 
 # -- exhaustive fingerprinting --------------------------------------------
@@ -180,7 +183,9 @@ def check_tvc(g: Graph, t: int, mode: str = "exhaustive", k: int | None = None,
     are checked first, and a failure there is reported as the
     violation, since the t-vertex condition implies the (t-1)-vertex
     condition.  Both modes count at one pair per orbit of the
-    generators of ``g`` (see ``symmetry``).
+    generators of ``g`` (see ``symmetry``).  In reduced mode one orbit
+    of ordered edges and one of ordered non-edges make ``g`` rank 3:
+    the condition holds for every t, and the verdict sets ``rank3``.
     """
     top = {"exhaustive": MAX_EXHAUSTIVE_ORDER, "reduced": MAX_TYPE_ORDER}
     if mode not in top:
@@ -343,23 +348,32 @@ def _scan_types_for_mismatch(g: Graph, types, reps,
 
 
 def _check_tvc_reduced(g: Graph, t: int, k: int, deadline) -> TvcVerdict:
-    if not check_isoregular(g, k, deadline).ok:
-        raise ParameterError(f"graph is not {k}-isoregular")
     # ordered pair orbit representatives by adjacency, for every type
     reps: dict[bool, list] = {True: [], False: []}
     for pair, _ in pair_orbits(g, deadline=deadline):
         reps[g.has_edge(*pair)].append(pair)
-    # each level assumes the one below it holds; below level 4 the
-    # condition is strong regularity, which k-isoregularity covers
+    # the same search serves isoregularity: an unordered orbit's least
+    # member (a, b), a < b, is the least member of an ordered orbit
+    unordered = (pair for pairs in reps.values() for pair in pairs
+                 if pair[0] < pair[1])
+    if not check_isoregular(g, k, deadline, unordered).ok:
+        raise ParameterError(f"graph is not {k}-isoregular")
+    # rank 3: the pairs of a class form one orbit, so every type has one
+    # count per class and the condition holds for all t (Hestenes &
+    # Higman, 1971), and no count is made.  Otherwise each level assumes
+    # the one below it holds; below level 4 the condition is strong
+    # regularity, which k-isoregularity covers
+    rank3 = len(reps[True]) <= 1 and len(reps[False]) <= 1
     witness = None
-    for level in range(4, t + 1):
+    for level in range(4, 4 if rank3 else t + 1):
         witness = _scan_types_for_mismatch(g, enumerate_types(level, k + 1),
                                            reps, deadline)
         if witness is not None:
             break
     return TvcVerdict(t, "satisfied" if witness is None else "violated",
                       witness, mode="reduced",
-                      representatives=len(reps[True]) + len(reps[False]))
+                      representatives=len(reps[True]) + len(reps[False]),
+                      rank3=rank3)
 
 
 def find_distinguisher(g: Graph, t: int, k: int) -> GraphType | None:

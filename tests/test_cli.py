@@ -53,7 +53,11 @@ def test_reports_count_representatives(tmp_path):
     assert (doc["status"], doc["representatives"]) == ("satisfied", 4)
     assert main(["check-tvc", "--construct", "q5_2", "--t", "6", "--mode",
                  "reduced", "--k", "3", "--json-out", str(report)]) == 0
-    assert json.loads(report.read_text())["representatives"] == 2
+    doc = json.loads(report.read_text())
+    assert (doc["representatives"], doc["rank3"]) == (2, True)
+    assert main(["check-tvc", "--construct", "q5_2", "--t", "4",
+                 "--json-out", str(report)]) == 0
+    assert json.loads(report.read_text())["rank3"] is False
     assert main(["verify-formula", "--construct", "q5_3", "--family",
                  "type3a", "--json-out", str(report)]) == 0
     doc = json.loads(report.read_text())

@@ -1,12 +1,15 @@
 """Orbit reduction: the checks on candidate generators, the orbits, and
 scans that must give what the same scans give without generators."""
 
+import itertools
 import time
 
 import pytest
 
+import gqtvc.tvc
 from gqtvc.formulas import FormulaId, verify_formula
-from gqtvc.geometry import PartialLinearSpace, check_gq_axiom, point_graph
+from gqtvc.geometry import (CONSTRUCTIONS as REGISTERED, PartialLinearSpace,
+                            check_gq_axiom, point_graph)
 from gqtvc.graph import BudgetExceeded, Graph, GraphError
 from gqtvc.regularity import check_isoregular, srg_parameters
 from gqtvc.symmetry import orbit_of, pair_orbits, vertex_orbits
@@ -38,6 +41,38 @@ def test_orbit_sizes_cover_every_vertex_and_pair(name, dual):
     x, y = ordered[-1][0]
     assert len(orbit_of(g, (x, y))) == ordered[-1][1]
     assert all(g.has_edge(*p) == g.has_edge(x, y) for p in orbit_of(g, (x, y)))
+
+
+def unordered_search(g):
+    """The search on unordered pairs that the orbits derived from the
+    ordered search replaced: each orbit closed under the generators and
+    under reversal, with both orientations marked."""
+    n, seen = g.n, bytearray(g.n * g.n)
+    for x, y in itertools.chain(g.edges(), g.non_edges()):
+        if seen[x * n + y]:
+            continue
+        seen[x * n + y] = 1
+        members = [x * n + y]
+        for code in members:
+            u, v = divmod(code, n)
+            for image in [s[u] * n + s[v] for s in g.generators] + [v * n + u]:
+                if not seen[image]:
+                    seen[image] = 1
+                    members.append(image)
+        yield (x, y), len(members) // 2
+
+
+@pytest.mark.parametrize("name, dual", [(name, dual) for name in REGISTERED
+                                        for dual in (False, True)])
+def test_unordered_orbits_come_from_the_ordered_search(name, dual):
+    g = graph_of(name, dual)
+    # the Payne graph's 10.7 million ordered pairs: its first 50 orbits
+    limit = 50 if g.n > 1000 else None
+    assert list(itertools.islice(pair_orbits(g, False), limit)) \
+        == list(itertools.islice(unordered_search(g), limit))
+    if g.n < 100:
+        assert list(pair_orbits(unreduced(g), False)) \
+            == [(p, 1) for p in itertools.chain(g.edges(), g.non_edges())]
 
 
 @pytest.mark.parametrize("name", ["w2", "w3", "q5_2", "q5_3"])
@@ -121,13 +156,43 @@ def test_isoregularity_representatives():
     (graph_of("t2star", True), 6, "reduced", 2),
     (graph_of("q5_2"), 7, "reduced", 3),
     (graph_of("q5_3"), 5, "reduced", 3),
+    (graph_of("w3"), 5, "reduced", 2),
 ], ids=["w2-6", "w3-5", "q5_2-5", "shrikhande-5", "shrikhande-5-reduced",
-        "t2star-dual-6-reduced", "q5_2-7-reduced", "q5_3-5-reduced"])
+        "t2star-dual-6-reduced", "q5_2-7-reduced", "q5_3-5-reduced",
+        "w3-5-reduced"])
 def test_tvc_matches_unreduced(g, t, mode, k):
     a = check_tvc(g, t, mode=mode, k=k)
     b = check_tvc(unreduced(g), t, mode=mode, k=k)
     assert (a.status, a.witness) == (b.status, b.witness)
     assert a.representatives < b.representatives
+    # reduced mode takes the rank-3 short-cut exactly on the rank-3
+    # graphs with generators; without them it counts every type
+    assert a.rank3 == (mode == "reduced" and len(list(pair_orbits(g))) == 2)
+    assert not b.rank3
+
+
+def test_reduced_check_searches_the_pair_orbits_once(monkeypatch):
+    import gqtvc.symmetry as symmetry
+    searched = []
+    search = symmetry._pair_orbit
+    monkeypatch.setattr(symmetry, "_pair_orbit",
+                        lambda g, pair, *rest: searched.append(pair)
+                        or search(g, pair, *rest))
+    # Q-(5,2) at k = 3: isoregularity sums over its unordered pair orbits
+    assert check_tvc(graph_of("q5_2"), 6, mode="reduced", k=3).rank3
+    assert len(searched) == 2
+
+
+def test_rank_three_short_cut_makes_no_count(monkeypatch):
+    def no_count(*args):
+        raise AssertionError("counted a type")
+
+    monkeypatch.setattr(gqtvc.tvc, "count_type_anchored", no_count)
+    verdict = check_tvc(graph_of("q5_2"), 8, mode="reduced", k=3)
+    assert (verdict.status, verdict.rank3, verdict.representatives) \
+        == ("satisfied", True, 2)
+    with pytest.raises(AssertionError, match="counted a type"):
+        check_tvc(graph_of("t2star", True), 4, mode="reduced", k=2)
 
 
 def test_tvc_representatives():
@@ -173,9 +238,8 @@ def test_formula_mismatch_is_listed_for_its_whole_orbit(monkeypatch):
 
 
 def test_reduced_path_stops_at_deadline_in_orbit_search():
-    # dual Payne at k = 3: levels 1 and 2 take milliseconds, then the
-    # unordered pair orbits take 285,390 pairs; without a budget the
-    # isoregularity check and the ordered orbits take over a second
+    # dual Payne at k = 3: the one search of its 570,780 ordered pairs
+    # comes first; without a budget it takes about a second
     g = graph_of("payne", dual=True)
     start = time.monotonic()
     verdict = check_tvc(g, 4, mode="reduced", k=3, budget_seconds=0.1)
