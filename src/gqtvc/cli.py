@@ -193,6 +193,8 @@ def run_count_type(args) -> Result:
 def run_k44_census(args) -> Result:
     if args.max_edges is not None and args.max_edges < 0:
         raise UsageError("--max-edges must be at least 0")
+    if args.stop_after_values is not None and args.stop_after_values < 1:
+        raise UsageError("--stop-after-values must be at least 1")
     counts = count_k44_per_edge(_load_graph(args),
                                 stop_after_values=args.stop_after_values,
                                 max_edges=args.max_edges)

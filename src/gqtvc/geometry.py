@@ -456,7 +456,6 @@ def build_flock_gq(clan: QClan) -> PartialLinearSpace:
     eindex = {g: i for i, g in enumerate(elements)}
 
     members = {}          # t -> list of elements of A(t)
-    star_members = {}     # t -> list of elements of A*(t)
     for ti, mat in enumerate(clan.matrices):
         mt_b = f.add[mat.b][mat.c]  # A_t + A_t^T off-diagonal entries
         mem = []
@@ -472,16 +471,11 @@ def build_flock_gq(clan: QClan) -> PartialLinearSpace:
                 b1 = f.add[f.mul[a0][mt_b]][f.mul[a1][two_d]]
                 mem.append((a0, a1, qa, b0, b1))
         members[ti] = mem
-        # A*(t) frees the centre coordinate
-        star_members[ti] = [(m[0], m[1], c, m[3], m[4])
-                            for m in mem for c in f.elements()]
     members[INF] = [(0, 0, 0, b0, b1) for b0 in f.elements() for b1 in f.elements()]
-    star_members[INF] = [(0, 0, c, b0, b1) for c in f.elements()
-                         for b0 in f.elements() for b1 in f.elements()]
 
     tags = list(range(q)) + [INF]
 
-    # right cosets of A(t) and A*(t); canonical representative = least element
+    # right cosets of A(t); canonical representative = least element
     def cosets(subgroup):
         seen = set()
         out = []
@@ -494,20 +488,26 @@ def build_flock_gq(clan: QClan) -> PartialLinearSpace:
         return out
 
     acosets = {t: cosets(members[t]) for t in tags}
-    scosets = {t: cosets(star_members[t]) for t in tags}
 
-    # points: group elements, then A*(t)-cosets, then the symbol point
+    # points: group elements, then A*(t)-cosets, then the symbol point.
+    # A*(t) = A(t) Z frees the central coordinate c, so an A*(t)-coset
+    # is the union of the q A(t)-cosets with the same (alpha, beta)
+    # projections; grouped in the order of their least elements, they
+    # come in the order of the A*(t)-cosets' least elements
     npts = len(elements)
-    star_index = {}
-    for t in tags:
-        for coset in scosets[t]:
-            star_index[(t, coset[0])] = npts
-            npts += 1
+    star_first = {}       # t -> least element of each A*(t)-coset
     star_lookup = {}
     for t in tags:
-        for coset in scosets[t]:
-            for g in coset:
-                star_lookup[(t, g)] = star_index[(t, coset[0])]
+        groups = {}
+        for coset in acosets[t]:
+            key = min((g[0], g[1], g[3], g[4]) for g in coset)
+            groups.setdefault(key, []).append(coset)
+        star_first[t] = [group[0][0] for group in groups.values()]
+        for group in groups.values():
+            for coset in group:
+                for g in coset:
+                    star_lookup[(t, g)] = npts
+            npts += 1
     infinity = npts
     npts += 1
 
@@ -518,15 +518,15 @@ def build_flock_gq(clan: QClan) -> PartialLinearSpace:
             pts.append(star_lookup[(t, coset[0])])
             lines.append(tuple(sorted(pts)))
         # the symbol line [A(t)]: all A*(t)-cosets plus the symbol point
-        sym = [star_index[(t, coset[0])] for coset in scosets[t]]
+        sym = [star_lookup[(t, g)] for g in star_first[t]]
         sym.append(infinity)
         lines.append(tuple(sorted(sym)))
 
     # right multiplication by each unit element maps the cosets of A(t)
     # and A*(t) to cosets of the same subgroup and fixes the symbol point
     generators = [tuple(eindex[gmul(g, h)] for g in elements)
-                  + tuple(star_lookup[(t, gmul(coset[0], h))]
-                          for t in tags for coset in scosets[t])
+                  + tuple(star_lookup[(t, gmul(g, h))]
+                          for t in tags for g in star_first[t])
                   + (infinity,)
                   for h in ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
                             (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))]

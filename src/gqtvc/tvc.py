@@ -273,6 +273,29 @@ def _placement(order: int, rows: tuple[int, ...]):
     return starts, tuple(steps), pair_fixing_aut_order(order, rows) // twins
 
 
+def _enough_neighbours(m0: int, constraints) -> int:
+    """The members of ``m0`` that have, for each constraint (m, s, k) whose
+    ``m`` is small beside ``m0``, at least k members of ``m`` in their
+    row of ``s``.  ``s`` must be symmetric (u in s[v] iff v in s[u]), so
+    the rows of ``m``'s members are counted instead, by a k-level
+    saturating bit-sliced counter: ``levels[j]`` holds the members of
+    ``m0`` seen in at least j of them."""
+    for m, s, k in constraints:
+        if m.bit_count() * k >= m0.bit_count():
+            continue
+        levels = [m0] + [0] * k
+        while m:
+            low = m & -m
+            r = s[low.bit_length() - 1]
+            m ^= low
+            for j in range(k, 0, -1):
+                levels[j] |= levels[j - 1] & r
+        m0 = levels[k]
+        if not m0:
+            break
+    return m0
+
+
 def count_type_anchored(g: Graph, ty: GraphType, pair: tuple[int, int],
                         deadline=None) -> int:
     """Number of vertex subsets containing the ordered pair whose
@@ -303,12 +326,23 @@ def count_type_anchored(g: Graph, ty: GraphType, pair: tuple[int, int],
         m0, m1 = masks[0], masks[skip]
         if d == final:
             # the last slot is counted here, by popcount
-            for v in bits_of(m0):
-                total += (m1 & s1[v]).bit_count()
+            while m0:
+                low = m0 & -m0
+                total += (m1 & s1[low.bit_length() - 1]).bit_count()
+                m0 ^= low
             return
         _check_deadline(deadline)
         more = tuple(zip(masks[skip + 1:], later, needs))
-        for v in bits_of(m0):
+        if skip:
+            # the next slot starts a new class: the selectors towards
+            # later classes are symmetric, so a candidate short of
+            # neighbours in one of them is dropped by whole-row counts
+            # before the test below
+            m0 = _enough_neighbours(m0, ((m1, s1, k1),) + more)
+        while m0:
+            low = m0 & -m0
+            v = low.bit_length() - 1
+            m0 ^= low
             n1 = m1 & s1[v]
             if n1.bit_count() < k1:
                 continue

@@ -146,10 +146,15 @@ def test_usage_errors():
       "--dx", "one", "--dy", "0", "--size", "3"], "unknown completeS case"),
     (["k44-census", "--construct", "w2", "--max-edges", "-1"],
      "--max-edges must be at least 0"),
+    (["k44-census", "--construct", "w2", "--stop-after-values", "0"],
+     "--stop-after-values must be at least 1"),
+    (["k44-census", "--construct", "w2", "--stop-after-values", "-3"],
+     "--stop-after-values must be at least 1"),
 ], ids=["vertex-out-of-range", "vertex-repeated", "t-zero",
         "t-nine-exhaustive", "t-nine-reduced", "k44-threads", "tvc-threads",
         "count-type-budget", "isoregular-k-five", "dx-not-a-number",
-        "k44-negative-max-edges"])
+        "k44-negative-max-edges", "k44-zero-stop-after-values",
+        "k44-negative-stop-after-values"])
 def test_bad_input_exits_3_with_message(argv, message, capsys):
     assert main(argv) == 3
     assert message in capsys.readouterr().err

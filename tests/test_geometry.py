@@ -3,10 +3,10 @@ import itertools
 import pytest
 
 from gqtvc.algebra import field_make
-from gqtvc.geometry import (GeometryError, PartialLinearSpace, QClan,
-                            _normalize, _span_line, check_gq_axiom, dualize,
-                            export_incidence, payne_qclan, point_graph,
-                            validate_pls)
+from gqtvc.geometry import (INF, GeometryError, PartialLinearSpace, QClan,
+                            _normalize, _span_line, build_flock_gq,
+                            check_gq_axiom, dualize, export_incidence,
+                            payne_qclan, point_graph, validate_pls)
 
 from conftest import geometry, graph_of
 
@@ -122,6 +122,69 @@ def test_flock_construction_validates():
     d = geometry("payne", dual=True)
     assert d.num_points == 756
     assert validate_pls(d).order == (5, 25)
+
+
+def multiplied_out_flock_gq(clan):
+    """``build_flock_gq`` with the right cosets of A(t) and of
+    A*(t) = {(a, c, b) : (a, c', b) in A(t)} each multiplied out element
+    by element, in the order of their least elements."""
+    f = clan.field
+    add, mul, field = f.add, f.mul, f.elements()
+
+    def gmul(g, h):
+        dot = add[mul[g[3]][h[0]]][mul[g[4]][h[1]]]
+        return (add[g[0]][h[0]], add[g[1]][h[1]], add[add[g[2]][h[2]]][dot],
+                add[g[3]][h[3]], add[g[4]][h[4]])
+
+    elements = list(itertools.product(field, repeat=5))
+    eindex = {g: i for i, g in enumerate(elements)}
+    members = {INF: [(0, 0, 0, b0, b1) for b0 in field for b1 in field]}
+    for t, m in enumerate(clan.matrices):
+        off = add[m.b][m.c]
+        members[t] = [
+            (a0, a1, add[add[mul[mul[a0][a0]][m.a]][mul[mul[a0][a1]][off]]]
+                        [mul[mul[a1][a1]][m.d]],
+             add[mul[a0][add[m.a][m.a]]][mul[a1][off]],
+             add[mul[a0][off]][mul[a1][add[m.d][m.d]]])
+            for a0 in field for a1 in field]
+
+    def cosets(subgroup):
+        out, seen = [], set()
+        for g in elements:
+            if g not in seen:
+                out.append(sorted(gmul(h, g) for h in subgroup))
+                seen.update(out[-1])
+        return out
+
+    tags = [*range(f.q), INF]
+    star, star_cosets, npts = {}, {}, len(elements)
+    for t in tags:
+        star_cosets[t] = cosets([(a0, a1, c, b0, b1)
+                                 for a0, a1, _, b0, b1 in members[t]
+                                 for c in field])
+        for coset in star_cosets[t]:
+            star.update(((t, g), npts) for g in coset)
+            npts += 1
+    infinity = npts
+    lines = []
+    for t in tags:
+        lines += [[eindex[g] for g in coset] + [star[t, coset[0]]]
+                  for coset in cosets(members[t])]
+        lines.append([star[t, c[0]] for c in star_cosets[t]] + [infinity])
+    units = [tuple(int(i == j) for j in range(5)) for i in range(5)]
+    generators = [tuple(eindex[gmul(g, h)] for g in elements)
+                  + tuple(star[t, gmul(c[0], h)]
+                          for t in tags for c in star_cosets[t])
+                  + (infinity,) for h in units]
+    return PartialLinearSpace.make(infinity + 1, lines, (f.q ** 2, f.q),
+                                   generators)
+
+
+def test_flock_star_cosets_match_the_multiplied_out_ones():
+    # the A*(t)-cosets are read off the A(t)-cosets; points, lines and
+    # generators are the same as when they are multiplied out
+    clan = payne_qclan()
+    assert build_flock_gq(clan) == multiplied_out_flock_gq(clan)
 
 
 def test_hyperoval_is_arc():

@@ -9,7 +9,8 @@ import pytest
 from gqtvc.cli import main
 from gqtvc.graph import (ParameterError, canonical_code, graph_from_edges,
                          induced_subgraph, rows_from_bits, write_graph6_file)
-from gqtvc.gtypes import GraphType, enumerate_types, order5_type
+from gqtvc import tvc
+from gqtvc.gtypes import K44_TYPE, GraphType, enumerate_types, order5_type
 from gqtvc.tvc import (_pair_census, check_tvc, count_k44_per_edge,
                        count_type_anchored, find_distinguisher,
                        pair_fingerprint)
@@ -77,6 +78,63 @@ def test_exhaustive_vs_anchored_agreement():
             rows = rows_from_bits(code.bits, t, skip01=True)
             ty = GraphType(t, rows, adj)
             assert count_type_anchored(g, ty, (x, y)) == cnt
+
+
+def random_twin_type(t, p, rng):
+    """A type of order t whose additional slots fall into at most three
+    classes of twins: one adjacency per pair of classes, the fixed slots
+    being classes of their own, each present with probability p."""
+    labels = ["x", "y"] + [rng.randrange(3) for _ in range(t - 2)]
+    adjacent = {}
+    rows = [0] * t
+    for i, j in itertools.combinations(range(t), 2):
+        key = tuple(sorted(map(str, (labels[i], labels[j]))))
+        if key != ("x", "y") and adjacent.setdefault(key, rng.random() < p):
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return GraphType(t, tuple(rows))
+
+
+def test_neighbour_filter_on_off(monkeypatch):
+    # the kernel drops a new class's candidates that are short of
+    # neighbours in a later class before testing them one by one; with
+    # that filter off (every candidate kept) every count is the same
+    rng = random.Random(2014)
+    cases = []
+    for n in range(12, 41, 2):
+        for p in (0.3, 0.5, 0.7):
+            g = random_graph(n, p, rng)
+            pairs = list(itertools.permutations(range(n), 2))
+            for _ in range(16):
+                x, y = rng.choice(pairs)
+                ty = random_twin_type(rng.randint(5, 8), p, rng)
+                cases.append((g, ty.concrete(g.has_edge(x, y)), (x, y)))
+            # K4,4 through edges of a near-complete-bipartite graph: a
+            # pair across its parts is an edge with probability (1 + p) / 2,
+            # a pair inside a part with probability 0.05
+            side = set(rng.sample(range(n), n // 2))
+            h = graph_from_edges(n, [
+                (i, j) for i, j in itertools.combinations(range(n), 2)
+                if rng.random() < ((p + 1) / 2 if (i in side) != (j in side)
+                                   else 0.05)])
+            cases += [(h, K44_TYPE, e) for e in rng.sample(list(h.edges()), 8)]
+    real = tvc._enough_neighbours
+    seen = Counter()
+
+    def spy(m0, constraints):
+        out = real(m0, constraints)
+        seen["ran"] += 1
+        seen["pruned"] += out != m0
+        seen["emptied"] += not out
+        return out
+
+    monkeypatch.setattr(tvc, "_enough_neighbours", spy)
+    on = [count_type_anchored(g, ty, pair) for g, ty, pair in cases]
+    monkeypatch.setattr(tvc, "_enough_neighbours", lambda m0, constraints: m0)
+    off = [count_type_anchored(g, ty, pair) for g, ty, pair in cases]
+    assert on == off
+    assert seen["pruned"] > 0 and seen["emptied"] > 0, seen
+    assert sum(map(bool, on)) > len(on) // 2
 
 
 def test_check_tvc_small_levels():
