@@ -17,8 +17,8 @@ import sys
 import time
 from typing import Callable, NamedTuple
 
-from .formulas import (COMPLETE_S_CASES, FormulaError, FormulaId,
-                       ORDER5_FAMILIES, verify_formula)
+from .formulas import (FormulaError, FormulaId, ORDER5_FAMILIES,
+                       verify_formula)
 from .geometry import (CONSTRUCTIONS, GeometryError, check_gq_axiom,
                        export_incidence, get_construction, point_graph)
 from .graph import (BudgetExceeded, Graph, GraphError, ParameterError,
@@ -60,6 +60,8 @@ def _provenance(args) -> dict:
 
 
 def _load_graph(args) -> Graph:
+    if args.input and args.construct:
+        raise UsageError("give --construct or --input, not both")
     if args.input:
         try:
             graphs = read_graph6_file(args.input)
@@ -218,18 +220,15 @@ def run_export_graph6(args) -> Result:
 
 
 def _parse_formula(args) -> FormulaId:
-    if args.family != "completeS":
-        return FormulaId(args.family)
-    if args.dx is None or args.dy is None or args.size is None:
+    """Every option given goes to ``FormulaId``, which rejects those the
+    family does not take."""
+    if args.family == "completeS" and None in (args.dx, args.dy, args.size):
         raise UsageError("completeS needs --dx, --dy and --size")
 
     def side(v):
         return int(v) if v.isdecimal() else v
-    case = (side(args.dx), side(args.dy))
-    if case not in COMPLETE_S_CASES:
-        raise UsageError(f"unknown completeS case {case}")
-    zx = args.zx_eq_zy if case == (1, 1) else None
-    return FormulaId("completeS", case, zx, args.size)
+    case = tuple(side(v) for v in (args.dx, args.dy) if v is not None)
+    return FormulaId(args.family, case or None, args.zx_eq_zy, args.size)
 
 
 def run_verify_formula(args) -> Result:
@@ -255,6 +254,14 @@ def _opt(*flags, **kwargs):
     return flags, kwargs
 
 
+def seconds(text: str) -> float:
+    """A budget: a number of seconds, at least 0."""
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError("must be at least 0")
+    return value
+
+
 NAMES = sorted(CONSTRUCTIONS)
 DUAL = _opt("--dual", action="store_true")
 GEOMETRY = (_opt("--construct", required=True, choices=NAMES), DUAL)
@@ -263,7 +270,7 @@ GRAPH = (_opt("--construct", choices=NAMES), DUAL,
 T = _opt("--t", type=int, required=True)
 K2 = _opt("--k", type=int, default=2,
           help="isoregularity level for reduced mode")
-BUDGET = _opt("--budget-seconds", dest="budget_seconds", type=float)
+BUDGET = _opt("--budget-seconds", dest="budget_seconds", type=seconds)
 JSON_OUT = _opt("--json-out", dest="json_out")
 
 
@@ -300,8 +307,8 @@ COMMANDS = (
         _opt("--family", required=True,
              choices=sorted(ORDER5_FAMILIES) + ["completeS"]),
         _opt("--dx"), _opt("--dy"), _opt("--size", type=int),
-        _opt("--zx-eq-zy", dest="zx_eq_zy", action="store_true",
-             default=None))),
+        _opt("--zx-eq-zy", dest="zx_eq_zy",
+             action=argparse.BooleanOptionalAction))),
 )
 
 

@@ -1,13 +1,15 @@
 """Partial linear spaces and generalised quadrangles.
 
 Provides validation of the PLS and GQ axioms, point/line duality, point
-graphs, and four construction families: the symplectic quadrangle W(q),
-the elliptic quadric quadrangle Q-(5,q), the hyperoval quadrangle
-T2*(O) over GF(4), and flock quadrangles built from q-clans.
+graphs, and four construction families: the symplectic quadrangle W(q)
+and the elliptic quadric quadrangle Q-(5,q), both from one polar-space
+builder, the hyperoval quadrangle T2*(O) over GF(4), and flock
+quadrangles built from q-clans.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
 from typing import Callable, NamedTuple
@@ -208,29 +210,8 @@ def export_incidence(pls: PartialLinearSpace) -> str:
 def _projective_points(field: Field, dim: int) -> list[tuple[int, ...]]:
     """Projective points of PG(dim-1, q), normalized so the first
     nonzero coordinate is 1, in lexicographic order."""
-    pts = []
-
-    def rec(prefix):
-        k = len(prefix)
-        if k == dim:
-            return
-        # first nonzero coordinate at position k
-        tail_len = dim - k - 1
-        for tail in _all_vectors(field, tail_len):
-            pts.append(tuple(prefix) + (1,) + tail)
-        rec(prefix + [0])
-
-    rec([])
-    return sorted(pts)
-
-
-def _all_vectors(field: Field, k: int):
-    if k == 0:
-        yield ()
-        return
-    for head in field.elements():
-        for tail in _all_vectors(field, k - 1):
-            yield (head,) + tail
+    return [v for v in itertools.product(field.elements(), repeat=dim)
+            if next(filter(None, v), 0) == 1]
 
 
 def _scale(field: Field, v, c):
@@ -248,13 +229,6 @@ def _normalize(field: Field, v):
     raise GeometryError("zero vector has no projective class")
 
 
-def _projective_perms(field: Field, index: dict, maps) -> tuple:
-    """Each linear map's permutation of the projective points of
-    ``index`` (point -> index, in index order)."""
-    return tuple(tuple(index[_normalize(field, m(p))] for p in index)
-                 for m in maps)
-
-
 def _span_line(field: Field, p, r) -> frozenset:
     pts = {p, r}
     for lam in field.elements():
@@ -263,13 +237,51 @@ def _span_line(field: Field, p, r) -> frozenset:
     return frozenset(pts)
 
 
+def _polar_gq(field: Field, points, orthogonal, maps,
+              order) -> PartialLinearSpace:
+    """The polar space on ``points`` (normalized, in order): its lines
+    are the spans of the pairs that ``orthogonal`` accepts, each spanned
+    once, and its generators the point permutations of the isometries
+    ``maps``.  Row i of ``seen`` holds the points that already share a
+    found line with point i, so no pair on a found line is tested."""
+    index = {p: i for i, p in enumerate(points)}
+    seen = [0] * len(points)
+    later = (1 << len(points)) - 1
+    lines = []
+    for i, p in enumerate(points):
+        later ^= 1 << i
+        cand = later & ~seen[i]
+        while cand:
+            j = (cand & -cand).bit_length() - 1
+            cand ^= 1 << j
+            if orthogonal(p, points[j]):
+                line = [index[x] for x in _span_line(field, p, points[j])]
+                m = sum(1 << x for x in line)
+                for x in line:
+                    seen[x] |= m
+                cand &= ~m
+                lines.append(line)
+    generators = [tuple(index[_normalize(field, m(p))] for p in points)
+                  for m in maps]
+    return PartialLinearSpace.make(len(points), lines, order, generators)
+
+
+@lru_cache(maxsize=None)
+def _field_for(q: int) -> Field:
+    p = next((d for d in range(2, q + 1) if q % d == 0), None)
+    e = 1
+    while p is not None and p ** e < q:
+        e += 1
+    if p is None or p ** e != q:
+        raise GeometryError(f"{q} is not a prime power")
+    return field_make(p, e)
+
+
 @lru_cache(maxsize=None)
 def build_symplectic_gq(q: int) -> PartialLinearSpace:
     """W(q): points of PG(3,q), lines the totally isotropic lines of the
     standard symplectic form; a GQ of order (q, q)."""
     field = _field_for(q)
-    pts = _projective_points(field, 4)
-    index = {p: i for i, p in enumerate(pts)}
 
     def form(u, v):
         f = field
@@ -281,43 +293,19 @@ def build_symplectic_gq(q: int) -> PartialLinearSpace:
         # x -> x + B(x, w) w preserves the form
         return lambda x: _vadd(field, x, _scale(field, w, form(x, w)))
 
-    lines = set()
-    for i, p in enumerate(pts):
-        for r in pts[i + 1:]:
-            if form(p, r) == 0:
-                lines.add(frozenset(index[x] for x in _span_line(field, p, r)))
-    generators = _projective_perms(field, index, [transvection(w) for w in (
-        (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 1, 0))])
-    return PartialLinearSpace.make(len(pts), [tuple(sorted(l)) for l in lines],
-                                   (q, q), generators)
-
-
-@lru_cache(maxsize=None)
-def _field_for(q: int) -> Field:
-    for p in range(2, q + 1):
-        if is_prime_power_of(q, p):
-            e = 0
-            qq = q
-            while qq > 1:
-                qq //= p
-                e += 1
-            return field_make(p, e)
-    raise GeometryError(f"{q} is not a prime power")
-
-
-def is_prime_power_of(q: int, p: int) -> bool:
-    from .algebra import is_prime
-    if not is_prime(p):
-        return False
-    while q % p == 0:
-        q //= p
-    return q == 1
+    return _polar_gq(field, _projective_points(field, 4),
+                     lambda u, v: form(u, v) == 0,
+                     [transvection(w) for w in (
+                         (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                         (0, 0, 0, 1), (1, 0, 1, 0))], (q, q))
 
 
 @lru_cache(maxsize=None)
 def build_elliptic_gq(q: int) -> PartialLinearSpace:
     """Q-(5,q): singular points and totally singular lines of an
-    elliptic quadric in PG(5,q); a GQ of order (q, q^2)."""
+    elliptic quadric in PG(5,q); a GQ of order (q, q^2).  For singular
+    p and r, quad(p + r) is their polar form, so it vanishes exactly
+    when the line through p and r is totally singular."""
     field = _field_for(q)
     alpha, beta = _least_irreducible_quadratic(field)
 
@@ -328,15 +316,6 @@ def build_elliptic_gq(q: int) -> PartialLinearSpace:
         t = f.add[t][f.mul[f.mul[alpha][v[4]]][v[5]]]
         return f.add[t][f.mul[f.mul[beta][v[5]]][v[5]]]
 
-    pts = [p for p in _projective_points(field, 6) if quad(p) == 0]
-    index = {p: i for i, p in enumerate(pts)}
-    ptset = set(pts)
-    lines = set()
-    for i, p in enumerate(pts):
-        for r in pts[i + 1:]:
-            span = _span_line(field, p, r)
-            if span <= ptset:
-                lines.add(frozenset(index[x] for x in span))
     add, mul, sub = field.add, field.mul, field.sub
     two = add[1][1]
 
@@ -357,9 +336,10 @@ def build_elliptic_gq(q: int) -> PartialLinearSpace:
         lambda x: (sub(x[0], dot((0, beta, 0, 0, alpha, mul[two][beta]), x)),
                    *x[1:5], add[x[5]][x[1]]),
     ]
-    return PartialLinearSpace.make(len(pts), [tuple(sorted(l)) for l in lines],
-                                   (q, q * q),
-                                   _projective_perms(field, index, isometries))
+    return _polar_gq(field,
+                     [p for p in _projective_points(field, 6) if quad(p) == 0],
+                     lambda u, v: quad(_vadd(field, u, v)) == 0,
+                     isometries, (q, q * q))
 
 
 def _least_irreducible_quadratic(field: Field) -> tuple[int, int]:

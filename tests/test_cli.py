@@ -114,6 +114,18 @@ def test_verify_formula_cli():
                  "--size", "3"]) == 0
 
 
+@pytest.mark.parametrize("flag, label", [("--zx-eq-zy", "z_x=z_y"),
+                                         ("--no-zx-eq-zy", "z_x!=z_y")])
+def test_verify_formula_complete_s_1_1_either_flag(flag, label, tmp_path):
+    report = tmp_path / "r.json"
+    assert main(["verify-formula", "--construct", "q5_2", "--family",
+                 "completeS", "--dx", "1", "--dy", "1", "--size", "2", flag,
+                 "--json-out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert doc["formula"] == f"completeS (1, 1) |S|=2 {label}"
+    assert (doc["pairs_checked"], doc["mismatches"]) == (27 * 26, [])
+
+
 def test_usage_errors():
     assert main(["no-such-command"]) == 3
     assert main(["check-srg"]) == 3  # no input source
@@ -150,11 +162,37 @@ def test_usage_errors():
      "--stop-after-values must be at least 1"),
     (["k44-census", "--construct", "w2", "--stop-after-values", "-3"],
      "--stop-after-values must be at least 1"),
+    (["check-srg", "--construct", "w3", "--input", "w2.g6"],
+     "give --construct or --input, not both"),
+    (["verify-formula", "--construct", "q5_2", "--family", "type0",
+      "--size", "3"], "order-5 families take no parameters"),
+    (["verify-formula", "--construct", "q5_2", "--family", "type0",
+      "--dx", "1"], "order-5 families take no parameters"),
+    (["verify-formula", "--construct", "q5_2", "--family", "type0",
+      "--no-zx-eq-zy"], "order-5 families take no parameters"),
+    (["verify-formula", "--construct", "q5_2", "--family", "completeS",
+      "--dx", "T-2", "--dy", "0", "--size", "3", "--zx-eq-zy"],
+     "z_x = z_y applies to case (1, 1) only"),
+    (["verify-formula", "--construct", "q5_2", "--family", "completeS",
+      "--dx", "1", "--dy", "1", "--size", "2"],
+     "case (1, 1) needs the z_x = z_y flag"),
+    (["check-tvc", "--construct", "w2", "--t", "4", "--budget-seconds",
+      "-1"], "--budget-seconds: must be at least 0"),
+    (["find-distinguisher", "--construct", "w2", "--t", "4",
+      "--budget-seconds", "-0.5"], "--budget-seconds: must be at least 0"),
+    (["check-isoregular", "--construct", "w2", "--budget-seconds", "-1"],
+     "--budget-seconds: must be at least 0"),
+    (["check-tvc", "--construct", "w2", "--t", "4", "--budget-seconds",
+      "nan"], "--budget-seconds: must be at least 0"),
 ], ids=["vertex-out-of-range", "vertex-repeated", "t-zero",
         "t-nine-exhaustive", "t-nine-reduced", "k44-threads", "tvc-threads",
         "count-type-budget", "isoregular-k-five", "dx-not-a-number",
         "k44-negative-max-edges", "k44-zero-stop-after-values",
-        "k44-negative-stop-after-values"])
+        "k44-negative-stop-after-values", "construct-and-input",
+        "order5-with-size", "order5-with-dx", "order5-with-zx-flag",
+        "zx-flag-off-case-1-1", "case-1-1-without-zx-flag",
+        "tvc-negative-budget", "distinguisher-negative-budget",
+        "isoregular-negative-budget", "tvc-nan-budget"])
 def test_bad_input_exits_3_with_message(argv, message, capsys):
     assert main(argv) == 3
     assert message in capsys.readouterr().err

@@ -4,9 +4,13 @@ import pytest
 
 from gqtvc.algebra import field_make
 from gqtvc.geometry import (INF, GeometryError, PartialLinearSpace, QClan,
-                            _normalize, _span_line, build_flock_gq,
-                            check_gq_axiom, dualize, export_incidence,
-                            payne_qclan, point_graph, validate_pls)
+                            _field_for, _least_irreducible_quadratic,
+                            _normalize, _scale, _span_line, _vadd,
+                            build_elliptic_gq, build_flock_gq,
+                            build_symplectic_gq, check_gq_axiom, dualize,
+                            export_incidence, payne_qclan, point_graph,
+                            validate_pls)
+from gqtvc.regularity import srg_parameters
 
 from conftest import geometry, graph_of
 
@@ -185,6 +189,108 @@ def test_flock_star_cosets_match_the_multiplied_out_ones():
     # generators are the same as when they are multiplied out
     clan = payne_qclan()
     assert build_flock_gq(clan) == multiplied_out_flock_gq(clan)
+
+
+def sorted_projective_points(field, dim):
+    return sorted({_normalize(field, v) for v in
+                   itertools.product(field.elements(), repeat=dim) if any(v)})
+
+
+def all_pairs_symplectic_gq(q):
+    """W(q) with every orthogonal pair of points spanned."""
+    field = _field_for(q)
+    f = field
+    pts = sorted_projective_points(field, 4)
+    index = {p: i for i, p in enumerate(pts)}
+
+    def form(u, v):
+        a = f.sub(f.mul[u[0]][v[1]], f.mul[u[1]][v[0]])
+        b = f.sub(f.mul[u[2]][v[3]], f.mul[u[3]][v[2]])
+        return f.add[a][b]
+
+    def transvection(w):
+        return lambda x: _vadd(field, x, _scale(field, w, form(x, w)))
+
+    lines = {frozenset(index[x] for x in _span_line(field, p, r))
+             for p, r in itertools.combinations(pts, 2) if form(p, r) == 0}
+    maps = [transvection(w) for w in ((1, 0, 0, 0), (0, 1, 0, 0),
+                                      (0, 0, 1, 0), (0, 0, 0, 1),
+                                      (1, 0, 1, 0))]
+    return PartialLinearSpace.make(
+        len(pts), lines, (q, q),
+        [tuple(index[_normalize(field, m(p))] for p in pts) for m in maps])
+
+
+def all_pairs_elliptic_gq(q):
+    """Q-(5,q) with every pair of singular points spanned, a span kept
+    when all its points are singular."""
+    field = _field_for(q)
+    add, mul, sub = field.add, field.mul, field.sub
+    alpha, beta = _least_irreducible_quadratic(field)
+    two = add[1][1]
+
+    def dot(coeffs, x):
+        out = 0
+        for c, v in zip(coeffs, x):
+            out = add[out][mul[c][v]]
+        return out
+
+    def quad(v):
+        return dot((v[1], v[3], v[4], mul[alpha][v[4]], mul[beta][v[5]]),
+                   (v[0], v[2], v[4], v[5], v[5]))
+
+    pts = [p for p in sorted_projective_points(field, 6) if quad(p) == 0]
+    index = {p: i for i, p in enumerate(pts)}
+    singular = set(pts)
+    lines = set()
+    for p, r in itertools.combinations(pts, 2):
+        span = _span_line(field, p, r)
+        if span <= singular:
+            lines.add(frozenset(index[x] for x in span))
+    maps = [
+        lambda x: (x[1], x[0]) + x[2:],
+        lambda x: x[2:4] + x[0:2] + x[4:],
+        lambda x: (sub(x[0], x[3]), x[1], add[x[2]][x[1]]) + x[3:],
+        lambda x: (sub(x[0], dot((0, 1, 0, 0, two, alpha), x)),
+                   *x[1:4], add[x[4]][x[1]], x[5]),
+        lambda x: (sub(x[0], dot((0, beta, 0, 0, alpha, mul[two][beta]), x)),
+                   *x[1:5], add[x[5]][x[1]]),
+    ]
+    return PartialLinearSpace.make(
+        len(pts), lines, (q, q * q),
+        [tuple(index[_normalize(field, m(p))] for p in pts) for m in maps])
+
+
+@pytest.mark.parametrize("build, oracle, q", [
+    *((build_symplectic_gq, all_pairs_symplectic_gq, q) for q in (2, 3, 4, 5)),
+    *((build_elliptic_gq, all_pairs_elliptic_gq, q) for q in (2, 3, 4)),
+], ids=["w2", "w3", "w4", "w5", "q5_2", "q5_3", "q5_4"])
+def test_polar_builder_matches_all_pairs_spans(build, oracle, q):
+    # points, lines and order are equality; the generators are not
+    got, want = build(q), oracle(q)
+    assert got == want and got.generators == want.generators
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25])
+def test_field_for_prime_powers(q):
+    assert _field_for(q).q == q
+
+
+@pytest.mark.parametrize("q", [0, 1, 6, 12])
+def test_field_for_rejects_non_prime_powers(q):
+    with pytest.raises(GeometryError, match="not a prime power"):
+        _field_for(q)
+
+
+def test_elliptic_quadric_q5_5():
+    # the classical GQ(5, 25), rank-3 twin of dual Payne
+    pls = build_elliptic_gq(5)
+    assert pls.num_points == 756 and len(pls.lines) == 3276
+    res = check_gq_axiom(pls)
+    assert res and res.order == (5, 25)
+    params = srg_parameters(point_graph(pls))
+    assert (params.v, params.k, params.lam, params.mu) == (756, 130, 4, 26)
+    assert params == srg_parameters(graph_of("payne", dual=True))
 
 
 def test_hyperoval_is_arc():
