@@ -79,7 +79,8 @@ def _load_graph(args) -> Graph:
 def _verdict_result(verdict: TvcVerdict) -> Result:
     report = {"t": verdict.t, "status": verdict.status,
               "representatives": verdict.representatives,
-              "rank3": verdict.rank3}
+              "rank3": verdict.rank3, "generators": verdict.generators,
+              "searched": verdict.searched}
     lines = [f"{verdict.t}-vertex condition: {verdict.status} "
              f"({verdict.mode} mode{', rank 3' if verdict.rank3 else ''})"]
     w = verdict.witness
@@ -193,8 +194,8 @@ def run_count_type(args) -> Result:
 
 
 def run_k44_census(args) -> Result:
-    if args.max_edges is not None and args.max_edges < 0:
-        raise UsageError("--max-edges must be at least 0")
+    if args.max_edges is not None and args.max_edges < 1:
+        raise UsageError("--max-edges must be at least 1")
     if args.stop_after_values is not None and args.stop_after_values < 1:
         raise UsageError("--stop-after-values must be at least 1")
     counts = count_k44_per_edge(_load_graph(args),

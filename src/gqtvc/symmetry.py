@@ -3,8 +3,11 @@
 The scans compare counts that automorphisms preserve, so they need one
 representative per orbit of any group of automorphisms; a subgroup
 only makes the orbits finer.  Candidate permutations come from the
-constructions and are checked against the object they act on before a
-scan uses them: a geometry's must map every line onto a line
+constructions, or, for a graph without any (graph6 input, a graph built
+by hand), from ``automorphisms``, a bounded search that ``check_tvc``
+runs; a search cut short has found a subgroup, so its orbits are still
+sound.  Every candidate is checked against the object it acts on before
+a scan uses it: a geometry's must map every line onto a line
 (``line_action``, O(incidences)), a bare graph's every row onto a row
 (``check_automorphisms``, O(edges)).
 
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 
-from .graph import Graph, GraphError, _check_deadline, bits_of
+from .graph import BudgetExceeded, Graph, GraphError, _check_deadline, bits_of
 
 
 def _check_permutation(i: int, perm, n: int) -> None:
@@ -44,15 +47,23 @@ def line_action(num_points: int, lines, perms) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _moved_row(rows, perm) -> int | None:
+    """The first vertex whose neighbours ``perm`` maps off those of its
+    image, or None."""
+    moved = [1 << v for v in perm]
+    return next((v for v, row in enumerate(rows)
+                 if sum(map(moved.__getitem__, bits_of(row)))
+                 != rows[perm[v]]), None)
+
+
 def check_automorphisms(rows, perms) -> None:
     """GraphError unless each permutation maps every row onto a row."""
     for i, perm in enumerate(perms):
         _check_permutation(i, perm, len(rows))
-        moved = [1 << v for v in perm]
-        for v, row in enumerate(rows):
-            if sum(map(moved.__getitem__, bits_of(row))) != rows[perm[v]]:
-                raise GraphError(f"generator {i} maps the neighbours of {v} "
-                                 f"off those of {perm[v]}")
+        v = _moved_row(rows, perm)
+        if v is not None:
+            raise GraphError(f"generator {i} maps the neighbours of {v} "
+                             f"off those of {perm[v]}")
 
 
 def vertex_orbits(n: int, gens) -> list[tuple[int, int]]:
@@ -145,3 +156,125 @@ def orbit_of(g: Graph, pair) -> list[tuple[int, int]]:
         return [tuple(pair)]
     members = _pair_orbit(g, pair, bytearray(g.n * g.n))
     return [divmod(code, g.n) for code in members]
+
+
+def _refine(rows, cells: dict[int, int], queue: list[int]) -> dict[int, int]:
+    """``cells`` (each cell's vertex bitmask by its first position)
+    refined until no splitter in ``queue`` splits a cell.  A cell splits
+    by its members' numbers of neighbours in the splitter (in binary, one
+    bitmask per digit), the parts in order of that number; all but the
+    first largest are queued (Hopcroft).  No step depends on labels, so
+    an automorphism maps a refinement onto that of the image."""
+    cells = dict(cells)
+    wide = sorted(p for p, c in cells.items() if c & (c - 1))
+    while queue and wide:
+        digits: list[int] = []
+        for u in bits_of(queue.pop()):
+            carry = rows[u]
+            for j, d in enumerate(digits):
+                digits[j] = d ^ carry
+                carry &= d
+                if not carry:
+                    break
+            if carry:
+                digits.append(carry)
+        still = []
+        for p in wide:
+            parts = [cells[p]]
+            for d in reversed(digits):
+                parts = [q for c in parts for q in (c & ~d, c & d) if q]
+            big = parts.index(max(parts, key=int.bit_count))
+            queue += parts[:big] + parts[big + 1:]
+            for c in parts:
+                cells[p] = c
+                if c & (c - 1):
+                    still.append(p)
+                p += c.bit_count()
+        wide = still
+    return cells
+
+
+def _individualise(rows, cells: dict[int, int], p: int,
+                   v: int) -> dict[int, int]:
+    """``cells`` with ``v`` split off in front of the cell at ``p``."""
+    return _refine(rows, cells | {p: 1 << v, p + 1: cells[p] ^ 1 << v},
+                   [1 << v])
+
+
+def _low(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _orbit(vs: list[int], gens) -> int:
+    """The union of the orbits of ``vs``, as a bitmask."""
+    orbit, members = sum(1 << v for v in vs), list(vs)
+    for u in members:
+        for s in gens:
+            if not orbit >> s[u] & 1:
+                orbit |= 1 << s[u]
+                members.append(s[u])
+    return orbit
+
+
+def automorphisms(g: Graph, deadline=None) -> tuple[tuple[int, ...], ...]:
+    """Generators of the automorphism group of ``g``, by individualisation
+    and refinement (McKay & Piperno, 2014).  The first path splits off
+    the least vertex of the first non-singleton cell until the partition
+    is discrete.  Deepest level first, each vertex of a level's target
+    cell is then tried for its base point, unless the automorphisms found
+    so far (which fix the base points above) map the base point or a
+    vertex tried in vain onto it.  Below, the search follows the first
+    path's target cells, drops partitions whose cells start elsewhere,
+    and keeps the first leaf that the first leaf maps onto by an
+    automorphism.  After 8n refinements, or at ``deadline``, it returns
+    what it has: a subgroup, whose finer orbits are still sound."""
+    rows, n = g.rows, g.n
+    found: list[tuple[int, ...]] = []
+    nodes = 8 * n
+
+    def leaf(cells, level):
+        """The automorphism from the first leaf to a leaf below ``cells``,
+        or None."""
+        nonlocal nodes
+        nodes -= 1
+        if nodes < 0:
+            raise BudgetExceeded()
+        _check_deadline(deadline)
+        if cells.keys() != path[level][0].keys():
+            return None
+        if level == len(path) - 1:
+            perm = [0] * n
+            for p, c in cells.items():
+                perm[_low(path[-1][0][p])] = _low(c)
+            return None if _moved_row(rows, perm) is not None else tuple(perm)
+        p = path[level][1]
+        for v in bits_of(cells[p]):
+            perm = leaf(_individualise(rows, cells, p, v), level + 1)
+            if perm is not None:
+                return perm
+        return None
+
+    try:
+        # per level: the partition and the position of its target cell
+        path = [(_refine(rows, {0: g.full_mask}, [g.full_mask]), 0)]
+        while len(path[-1][0]) < n:
+            _check_deadline(deadline)
+            cells = path[-1][0]
+            p = min(p for p, c in cells.items() if c & (c - 1))
+            path[-1] = cells, p
+            path.append((_individualise(rows, cells, p, _low(cells[p])), 0))
+        for level in reversed(range(len(path) - 1)):
+            cells, p = path[level]
+            tried = [_low(cells[p])]  # the base point, then the failures
+            orbits = 1 << tried[0]
+            for v in bits_of(cells[p]):
+                if not orbits >> v & 1:
+                    perm = leaf(_individualise(rows, cells, p, v), level + 1)
+                    if perm is None:
+                        tried.append(v)
+                    else:
+                        found.append(perm)
+                    orbits = _orbit(tried, found)
+    except BudgetExceeded:
+        pass
+    return tuple(found)

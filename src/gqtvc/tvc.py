@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import factorial, prod
 
@@ -16,8 +16,8 @@ from .graph import (BudgetExceeded, CanonicalCode, Graph, ParameterError,
                     rows_from_bits)
 from .gtypes import (K44_TYPE, MAX_TYPE_ORDER, GraphType, enumerate_types,
                      pair_fixing_aut_order)
-from .regularity import check_isoregular, srg_parameters
-from .symmetry import pair_orbits
+from .regularity import check_isoregular, check_regular, srg_parameters
+from .symmetry import automorphisms, pair_orbits
 
 
 # largest t of the exhaustive scan and of pair_fingerprint
@@ -58,6 +58,10 @@ class TvcVerdict:
     # reduced mode found one orbit of ordered edges and one of ordered
     # non-edges (or none), so it compared no counts
     rank3: bool = False
+    # verified automorphisms the scan reduced by, and whether they came
+    # from ``symmetry.automorphisms`` (the graph had none of its own)
+    generators: int = 0
+    searched: bool = False
 
 
 # -- exhaustive fingerprinting --------------------------------------------
@@ -185,31 +189,38 @@ def check_tvc(g: Graph, t: int, mode: str = "exhaustive", k: int | None = None,
     condition.  Both modes count at one pair per orbit of the
     generators of ``g`` (see ``symmetry``).  In reduced mode one orbit
     of ordered edges and one of ordered non-edges make ``g`` rank 3:
-    the condition holds for every t, and the verdict sets ``rank3``.
+    the condition holds for every t, and the verdict sets ``rank3``.  For
+    t >= 4 a graph without generators gets those that
+    ``symmetry.automorphisms`` finds, each checked by ``Graph`` to map
+    every row onto a row before the scan uses it.
     """
     top = {"exhaustive": MAX_EXHAUSTIVE_ORDER, "reduced": MAX_TYPE_ORDER}
     if mode not in top:
         raise ParameterError(f"unknown mode {mode!r}")
     if not 2 <= t <= top[mode]:
         raise ParameterError(f"{mode} mode needs 2 <= t <= {top[mode]}, got {t}")
+    if budget_seconds is not None and not budget_seconds >= 0:
+        raise ParameterError(
+            f"budget_seconds must be at least 0, got {budget_seconds}")
     deadline = None if budget_seconds is None \
         else time.monotonic() + budget_seconds
-    if t == 2:
-        from .regularity import check_regular
-        ok = check_regular(g) is not None
-        return TvcVerdict(2, "satisfied" if ok else "violated", mode=mode)
-    if t == 3:
-        params = srg_parameters(g)
-        ok = params is not None
-        return TvcVerdict(3, "satisfied" if ok else "violated", mode=mode)
-    try:
-        if mode == "exhaustive":
-            return _check_tvc_exhaustive(g, t, deadline)
-        if k is None:
-            raise ParameterError("reduced mode needs an isoregularity level")
-        return _check_tvc_reduced(g, t, k, deadline)
-    except BudgetExceeded:
-        return TvcVerdict(t, "inconclusive", mode=mode)
+    searched = t >= 4 and not g.generators
+    if t < 4:
+        ok = (check_regular(g) if t == 2 else srg_parameters(g)) is not None
+        verdict = TvcVerdict(t, "satisfied" if ok else "violated")
+    elif mode == "reduced" and k is None:
+        raise ParameterError("reduced mode needs an isoregularity level")
+    else:
+        try:
+            if searched:
+                g = Graph(g.n, g.rows, automorphisms(g, deadline))
+            verdict = _check_tvc_exhaustive(g, t, deadline) \
+                if mode == "exhaustive" else _check_tvc_reduced(g, t, k,
+                                                                 deadline)
+        except BudgetExceeded:
+            verdict = TvcVerdict(t, "inconclusive")
+    return replace(verdict, mode=mode, generators=len(g.generators),
+                   searched=searched)
 
 
 def _check_tvc_exhaustive(g: Graph, t: int, deadline) -> TvcVerdict:
@@ -405,7 +416,7 @@ def _check_tvc_reduced(g: Graph, t: int, k: int, deadline) -> TvcVerdict:
         if witness is not None:
             break
     return TvcVerdict(t, "satisfied" if witness is None else "violated",
-                      witness, mode="reduced",
+                      witness,
                       representatives=len(reps[True]) + len(reps[False]),
                       rank3=rank3)
 

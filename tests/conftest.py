@@ -1,7 +1,10 @@
+import itertools
+import random
 from functools import lru_cache
 
 import pytest
 
+import gqtvc.tvc
 from gqtvc.geometry import get_construction, point_graph
 from gqtvc.graph import Graph, graph_from_edges
 
@@ -14,8 +17,38 @@ def graph_of(name: str, dual: bool = False):
 
 
 def unreduced(g):
-    """``g`` without its generators: every pair is its own orbit."""
+    """``g`` without its generators: every pair is its own orbit, and
+    ``check_tvc`` searches for automorphisms (see ``unsearched_tvc``)."""
     return Graph(g.n, g.rows)
+
+
+def relabelled(g, seed):
+    """``g`` under a seeded random relabelling, without generators."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return graph_from_edges(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+
+
+def chang():
+    """A Chang graph, SRG(28,12,6,4): the line graph of K8 (vertices the
+    pairs from 0..7, adjacent when they meet) switched with respect to a
+    perfect matching of K8; its automorphism group has order 384."""
+    pairs = list(itertools.combinations(range(8), 2))
+    matching = {(0, 1), (2, 3), (4, 5), (6, 7)}
+    return graph_from_edges(28, [
+        (i, j) for (i, a), (j, b) in itertools.combinations(enumerate(pairs), 2)
+        if bool(set(a) & set(b)) != ((a in matching) != (b in matching))])
+
+
+@pytest.fixture
+def unsearched_tvc(monkeypatch):
+    """``check_tvc`` with its automorphism search switched off, so that a
+    graph without generators is scanned one pair at a time."""
+    def check(*args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(gqtvc.tvc, "automorphisms", lambda g, deadline=None: ())
+            return gqtvc.tvc.check_tvc(*args, **kwargs)
+    return check
 
 
 def shrikhande(generators=False):

@@ -64,6 +64,23 @@ def test_reports_count_representatives(tmp_path):
     assert (doc["pairs_checked"], doc["representatives"]) == (112 * 111, 2)
 
 
+def test_reports_count_searched_generators(tmp_path):
+    # graph6 input carries no generators, so check-tvc searches for them
+    g6, report = tmp_path / "q.g6", tmp_path / "r.json"
+    assert main(["export-graph6", "--construct", "q5_2", "--out",
+                 str(g6)]) == 0
+    for argv in (["check-tvc", "--mode", "reduced"], ["find-distinguisher"]):
+        assert main(argv + ["--input", str(g6), "--t", "6", "--k", "3",
+                            "--json-out", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        assert (doc["searched"], doc["rank3"]) == (True, True)
+        assert doc["generators"] > 0
+    assert main(["check-tvc", "--construct", "q5_2", "--t", "4",
+                 "--json-out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert (doc["searched"], doc["generators"]) == (False, 5)
+
+
 def test_check_tvc(capsys):
     assert main(["check-tvc", "--construct", "w2", "--t", "5"]) == 0
     assert "satisfied" in capsys.readouterr().out
@@ -157,7 +174,9 @@ def test_usage_errors():
     (["verify-formula", "--construct", "q5_2", "--family", "completeS",
       "--dx", "one", "--dy", "0", "--size", "3"], "unknown completeS case"),
     (["k44-census", "--construct", "w2", "--max-edges", "-1"],
-     "--max-edges must be at least 0"),
+     "--max-edges must be at least 1"),
+    (["k44-census", "--construct", "w2", "--max-edges", "0"],
+     "--max-edges must be at least 1"),
     (["k44-census", "--construct", "w2", "--stop-after-values", "0"],
      "--stop-after-values must be at least 1"),
     (["k44-census", "--construct", "w2", "--stop-after-values", "-3"],
@@ -187,7 +206,8 @@ def test_usage_errors():
 ], ids=["vertex-out-of-range", "vertex-repeated", "t-zero",
         "t-nine-exhaustive", "t-nine-reduced", "k44-threads", "tvc-threads",
         "count-type-budget", "isoregular-k-five", "dx-not-a-number",
-        "k44-negative-max-edges", "k44-zero-stop-after-values",
+        "k44-negative-max-edges", "k44-zero-max-edges",
+        "k44-zero-stop-after-values",
         "k44-negative-stop-after-values", "construct-and-input",
         "order5-with-size", "order5-with-dx", "order5-with-zx-flag",
         "zx-flag-off-case-1-1", "case-1-1-without-zx-flag",

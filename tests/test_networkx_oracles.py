@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gqtvc.graph import (canonical_code, from_graph6, graph_from_edges,
-                         to_graph6)
+from gqtvc.graph import (Graph, canonical_code, from_graph6,
+                         graph_from_edges, to_graph6)
 from gqtvc.gtypes import (K44_TYPE, enumerate_order5_complements,
                           enumerate_types, pair_fixing_aut_order)
 from gqtvc.regularity import srg_parameters
+from gqtvc.symmetry import automorphisms, pair_orbits
 
-from conftest import graph_of
+from conftest import chang, graph_of, relabelled, shrikhande
 
 nx = pytest.importorskip("networkx")
 
@@ -154,3 +155,27 @@ def test_generators_map_edges_to_edges(name, dual):
     for perm in g.generators:
         assert sorted(perm) == list(range(g.n))
         assert all(h.has_edge(perm[u], perm[v]) for u, v in h.edges)
+
+
+@pytest.mark.parametrize("name, order", [
+    ("petersen", 120), ("shrikhande", 192), ("chang", 384),
+    ("rook", 1152), ("paley13", 78)])
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_searched_orbits_are_those_of_the_full_group(name, order, seed):
+    g = {"petersen": lambda: from_nx(nx.petersen_graph()),
+         "shrikhande": shrikhande, "chang": chang,
+         "rook": lambda: from_nx(nx.cartesian_product(
+             nx.complete_graph(4), nx.complete_graph(4))),
+         "paley13": lambda: from_nx(nx.Graph(nx.paley_graph(13)))}[name]()
+    if seed is not None:
+        g = relabelled(g, seed)
+    matcher = nx.algorithms.isomorphism.GraphMatcher(to_nx(g), to_nx(g))
+    group = [tuple(m[v] for v in range(g.n))
+             for m in matcher.isomorphisms_iter()]
+    assert len(group) == order
+    # the searched generators are automorphisms (Graph checks them), so
+    # their orbits refine the group's; equal representatives and sizes
+    # make them the same orbits
+    found = Graph(g.n, g.rows, automorphisms(g))
+    assert list(pair_orbits(found)) \
+        == list(pair_orbits(Graph(g.n, g.rows, tuple(group))))

@@ -2,6 +2,7 @@
 scans that must give what the same scans give without generators."""
 
 import itertools
+import random
 import time
 
 import pytest
@@ -10,12 +11,14 @@ import gqtvc.tvc
 from gqtvc.formulas import FormulaId, verify_formula
 from gqtvc.geometry import (CONSTRUCTIONS as REGISTERED, PartialLinearSpace,
                             check_gq_axiom, point_graph)
-from gqtvc.graph import BudgetExceeded, Graph, GraphError
+from gqtvc.graph import (BudgetExceeded, Graph, GraphError, ParameterError,
+                         from_graph6, graph_from_edges, to_graph6)
 from gqtvc.regularity import check_isoregular, srg_parameters
-from gqtvc.symmetry import orbit_of, pair_orbits, vertex_orbits
+from gqtvc.symmetry import automorphisms, orbit_of, pair_orbits, vertex_orbits
 from gqtvc.tvc import check_tvc
 
-from conftest import geometry, graph_of, shrikhande, unreduced
+from conftest import (chang, geometry, graph_of, relabelled, shrikhande,
+                      unreduced)
 
 CONSTRUCTIONS = [("w2", False), ("w3", False), ("q5_2", False),
                  ("q5_3", False), ("t2star", False), ("t2star", True),
@@ -160,9 +163,9 @@ def test_isoregularity_representatives():
 ], ids=["w2-6", "w3-5", "q5_2-5", "shrikhande-5", "shrikhande-5-reduced",
         "t2star-dual-6-reduced", "q5_2-7-reduced", "q5_3-5-reduced",
         "w3-5-reduced"])
-def test_tvc_matches_unreduced(g, t, mode, k):
+def test_tvc_matches_unreduced(g, t, mode, k, unsearched_tvc):
     a = check_tvc(g, t, mode=mode, k=k)
-    b = check_tvc(unreduced(g), t, mode=mode, k=k)
+    b = unsearched_tvc(unreduced(g), t, mode=mode, k=k)
     assert (a.status, a.witness) == (b.status, b.witness)
     assert a.representatives < b.representatives
     # reduced mode takes the rank-3 short-cut exactly on the rank-3
@@ -195,15 +198,102 @@ def test_rank_three_short_cut_makes_no_count(monkeypatch):
         check_tvc(graph_of("t2star", True), 4, mode="reduced", k=2)
 
 
-def test_tvc_representatives():
+def test_tvc_representatives(unsearched_tvc):
     w2 = graph_of("w2")
     assert check_tvc(w2, 5).representatives == 2
-    assert check_tvc(unreduced(w2), 5).representatives == 15 * 14 // 2
+    assert unsearched_tvc(unreduced(w2), 5).representatives == 15 * 14 // 2
     q = graph_of("q5_2")
     assert check_tvc(q, 6, mode="reduced", k=3).representatives == 2
-    assert check_tvc(unreduced(q), 6, mode="reduced",
-                     k=3).representatives == 27 * 26
+    assert unsearched_tvc(unreduced(q), 6, mode="reduced",
+                          k=3).representatives == 27 * 26
     assert check_tvc(q, 3).representatives is None
+
+
+def circulant(n, seed):
+    """A Cayley graph of Z_n on a seeded random connection set."""
+    rng = random.Random(seed)
+    steps = [d for d in range(1, n // 2 + 1) if rng.random() < 0.5]
+    return graph_from_edges(n, {tuple(sorted((i, (i + d) % n)))
+                                for i in range(n) for d in steps})
+
+
+def random_graph(n, seed):
+    rng = random.Random(seed)
+    return graph_from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                                if rng.random() < 0.5])
+
+
+@pytest.mark.parametrize("g, t, k", [
+    (relabelled(graph_of("w2"), 1), 6, 2),
+    (relabelled(graph_of("w3"), 2), 5, 2),
+    (relabelled(graph_of("q5_2"), 3), 6, 3),
+    (shrikhande(), 5, 2),
+    (chang(), 5, 2),
+    (circulant(17, 4), 5, 1),
+    (random_graph(12, 5), 5, 1),
+], ids=["w2", "w3", "q5_2", "shrikhande", "chang", "circulant", "random"])
+@pytest.mark.parametrize("mode", ["exhaustive", "reduced"])
+def test_search_matches_no_search(g, t, k, mode, unsearched_tvc):
+    # the searched generators change which pairs are counted, never the
+    # verdict or the witness
+    assert not g.generators
+    try:
+        off = unsearched_tvc(g, t, mode=mode, k=k)
+    except ParameterError:  # the random graph is not regular
+        with pytest.raises(ParameterError, match="isoregular"):
+            check_tvc(g, t, mode=mode, k=k)
+        return
+    on = check_tvc(g, t, mode=mode, k=k)
+    assert (on.status, on.witness) == (off.status, off.witness)
+    assert on.searched and off.searched and off.generators == 0
+    assert on.generators == len(automorphisms(g))
+    assert on.representatives <= off.representatives
+    if on.status == "satisfied" and on.generators:
+        assert on.representatives < off.representatives
+    assert on.rank3 == (mode == "reduced" and len(list(pair_orbits(
+        Graph(g.n, g.rows, automorphisms(g))))) == 2)
+
+
+def test_search_result_is_verified(monkeypatch):
+    # a permutation the search returns is checked like any generator
+    g = unreduced(graph_of("w2"))
+    swap = list(range(g.n))
+    swap[0], swap[1] = 1, 0
+    monkeypatch.setattr(gqtvc.tvc, "automorphisms",
+                        lambda g, deadline=None: (tuple(swap),))
+    with pytest.raises(GraphError, match="generator 0 maps the neighbours"):
+        check_tvc(g, 4)
+
+
+def test_search_runs_only_without_generators(monkeypatch):
+    def no_search(g, deadline=None):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(gqtvc.tvc, "automorphisms", no_search)
+    verdict = check_tvc(graph_of("w2"), 4)
+    assert (verdict.generators, verdict.searched) \
+        == (len(graph_of("w2").generators), False)
+    verdict = check_tvc(unreduced(graph_of("w2")), 3)
+    assert (verdict.generators, verdict.searched) == (0, False)
+
+
+def test_reduced_check_of_graph6_input_is_rank_three():
+    g = from_graph6(to_graph6(relabelled(graph_of("q5_2"), 5)))
+    verdict = check_tvc(g, 8, mode="reduced", k=3)
+    assert (verdict.status, verdict.rank3, verdict.representatives) \
+        == ("satisfied", True, 2)
+    assert verdict.searched and verdict.generators > 0
+
+
+def test_search_stops_at_deadline():
+    # the dual Payne graph without generators: a full search would take
+    # minutes; what it returns at its deadline is verified before use
+    g = unreduced(graph_of("payne", dual=True))
+    start = time.monotonic()
+    verdict = check_tvc(g, 4, mode="reduced", k=3, budget_seconds=0.2)
+    assert verdict.status == "inconclusive" and verdict.searched
+    assert time.monotonic() - start < 1.5
+    assert automorphisms(g, time.monotonic() - 1) == ()
 
 
 @pytest.mark.parametrize("name, dual", CONSTRUCTIONS[:6])

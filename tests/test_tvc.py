@@ -176,37 +176,44 @@ def test_tvc_witness_counts_differ():
     assert count_type_anchored(g, w.graph_type, w.pair_b) == w.count_b
 
 
-def test_exhaustive_honours_budget():
+def test_exhaustive_honours_budget(unsearched_tvc):
     # the deadline is checked at every internal node of the census, so the
     # scan ends near the budget
     start = time.monotonic()
-    verdict = check_tvc(unreduced(graph_of("w3")), 6, budget_seconds=2)
+    verdict = unsearched_tvc(unreduced(graph_of("w3")), 6, budget_seconds=2)
     assert verdict.status == "inconclusive"
     assert time.monotonic() - start < 4
 
 
-def test_budget_inconclusive(q5_2_graph):
-    verdict = check_tvc(unreduced(q5_2_graph), 7, budget_seconds=0.01)
+def test_budget_inconclusive(q5_2_graph, unsearched_tvc):
+    verdict = unsearched_tvc(unreduced(q5_2_graph), 7, budget_seconds=0.01)
     assert verdict.status == "inconclusive"
 
 
-def test_reduced_budget_covers_isoregularity():
+def test_reduced_budget_covers_isoregularity(unsearched_tvc):
     # 3-isoregularity of GQ(3,9) alone takes about a second
     g = unreduced(graph_of("q5_3"))
     start = time.monotonic()
-    verdict = check_tvc(g, 6, mode="reduced", k=3, budget_seconds=0.05)
+    verdict = unsearched_tvc(g, 6, mode="reduced", k=3, budget_seconds=0.05)
     assert verdict.status == "inconclusive"
     assert time.monotonic() - start < 0.5
 
 
-def test_reduced_budget_checked_per_pair(q5_2_graph):
+def test_reduced_budget_checked_per_pair(q5_2_graph, unsearched_tvc):
     # each anchored count on GQ(2,4) visits fewer search nodes than the
     # interval at which count_type_anchored looks at the clock
     start = time.monotonic()
-    verdict = check_tvc(unreduced(q5_2_graph), 7, mode="reduced", k=3,
-                        budget_seconds=0.05)
+    verdict = unsearched_tvc(unreduced(q5_2_graph), 7, mode="reduced", k=3,
+                             budget_seconds=0.05)
     assert verdict.status == "inconclusive"
     assert time.monotonic() - start < 5
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "reduced"])
+@pytest.mark.parametrize("budget", [-1, -0.5, float("nan")])
+def test_negative_budget_is_a_parameter_error(mode, budget):
+    with pytest.raises(ParameterError, match="budget_seconds must be at"):
+        check_tvc(graph_of("w2"), 4, mode=mode, k=2, budget_seconds=budget)
 
 
 def test_lower_level_failure_is_violated(tmp_path):
