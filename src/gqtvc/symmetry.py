@@ -66,25 +66,24 @@ def check_automorphisms(rows, perms) -> None:
                              f"off those of {perm[v]}")
 
 
+def _orbit(vs, gens, seen: bytearray) -> list[int]:
+    """The union of the orbits of ``vs``, marked in ``seen``."""
+    members = [v for v in vs if not seen[v]]
+    for v in members:
+        seen[v] = 1
+    for u in members:
+        for s in gens:
+            if not seen[s[u]]:
+                seen[s[u]] = 1
+                members.append(s[u])
+    return members
+
+
 def vertex_orbits(n: int, gens) -> list[tuple[int, int]]:
     """(least member, size) of each orbit on 0..n-1, in vertex order."""
-    if not gens:
-        return [(v, 1) for v in range(n)]
     seen = bytearray(n)
-    out = []
-    for v in range(n):
-        if seen[v]:
-            continue
-        seen[v] = 1
-        members = [v]
-        for u in members:
-            for s in gens:
-                w = s[u]
-                if not seen[w]:
-                    seen[w] = 1
-                    members.append(w)
-        out.append((v, len(members)))
-    return out
+    return [(v, len(_orbit([v], gens, seen))) for v in range(n)
+            if not seen[v]]
 
 
 def scan_pairs(g: Graph):
@@ -158,18 +157,22 @@ def orbit_of(g: Graph, pair) -> list[tuple[int, int]]:
     return [divmod(code, g.n) for code in members]
 
 
-def _refine(rows, cells: dict[int, int], queue: list[int]) -> dict[int, int]:
+def _refine(rows, cells: dict[int, int], queue: list[int],
+            charge) -> dict[int, int]:
     """``cells`` (each cell's vertex bitmask by its first position)
     refined until no splitter in ``queue`` splits a cell.  A cell splits
     by its members' numbers of neighbours in the splitter (in binary, one
     bitmask per digit), the parts in order of that number; all but the
     first largest are queued (Hopcroft).  No step depends on labels, so
-    an automorphism maps a refinement onto that of the image."""
+    an automorphism maps a refinement onto that of the image.  Each
+    splitter's work goes to ``charge``: a unit per row it adds to the
+    counts and per cell it splits by a digit."""
     cells = dict(cells)
     wide = sorted(p for p, c in cells.items() if c & (c - 1))
     while queue and wide:
         digits: list[int] = []
-        for u in bits_of(queue.pop()):
+        splitter = queue.pop()
+        for u in bits_of(splitter):
             carry = rows[u]
             for j, d in enumerate(digits):
                 digits[j] = d ^ carry
@@ -178,6 +181,7 @@ def _refine(rows, cells: dict[int, int], queue: list[int]) -> dict[int, int]:
                     break
             if carry:
                 digits.append(carry)
+        charge(splitter.bit_count() + len(wide) * len(digits))
         still = []
         for p in wide:
             parts = [cells[p]]
@@ -194,26 +198,22 @@ def _refine(rows, cells: dict[int, int], queue: list[int]) -> dict[int, int]:
     return cells
 
 
-def _individualise(rows, cells: dict[int, int], p: int,
-                   v: int) -> dict[int, int]:
+def _individualise(rows, cells: dict[int, int], p: int, v: int,
+                   charge) -> dict[int, int]:
     """``cells`` with ``v`` split off in front of the cell at ``p``."""
     return _refine(rows, cells | {p: 1 << v, p + 1: cells[p] ^ 1 << v},
-                   [1 << v])
+                   [1 << v], charge)
 
 
 def _low(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _orbit(vs: list[int], gens) -> int:
-    """The union of the orbits of ``vs``, as a bitmask."""
-    orbit, members = sum(1 << v for v in vs), list(vs)
-    for u in members:
-        for s in gens:
-            if not orbit >> s[u] & 1:
-                orbit |= 1 << s[u]
-                members.append(s[u])
-    return orbit
+# refinement work units per n^2 that one search may spend.  A unit takes
+# 2-5 us and an order-4 census the time of 1.2n-2.4n units, so a search
+# costs at most 3n-7n such censuses.  The graphs in the tests need at
+# most 6.2 n^2 (a Chang graph); a rigid graph spends it all.
+SEARCH_WORK = 8
 
 
 def automorphisms(g: Graph, deadline=None) -> tuple[tuple[int, ...], ...]:
@@ -226,20 +226,22 @@ def automorphisms(g: Graph, deadline=None) -> tuple[tuple[int, ...], ...]:
     vertex tried in vain onto it.  Below, the search follows the first
     path's target cells, drops partitions whose cells start elsewhere,
     and keeps the first leaf that the first leaf maps onto by an
-    automorphism.  After 8n refinements, or at ``deadline``, it returns
-    what it has: a subgroup, whose finer orbits are still sound."""
+    automorphism.  After ``SEARCH_WORK * n * n`` units of refinement
+    work (see ``_refine``), or at ``deadline``, it returns what it has:
+    a subgroup, whose finer orbits are still sound."""
     rows, n = g.rows, g.n
     found: list[tuple[int, ...]] = []
-    nodes = 8 * n
+    work = [SEARCH_WORK * n * n]
+
+    def charge(units):
+        work[0] -= units
+        if work[0] < 0:
+            raise BudgetExceeded()
+        _check_deadline(deadline)
 
     def leaf(cells, level):
         """The automorphism from the first leaf to a leaf below ``cells``,
         or None."""
-        nonlocal nodes
-        nodes -= 1
-        if nodes < 0:
-            raise BudgetExceeded()
-        _check_deadline(deadline)
         if cells.keys() != path[level][0].keys():
             return None
         if level == len(path) - 1:
@@ -249,32 +251,33 @@ def automorphisms(g: Graph, deadline=None) -> tuple[tuple[int, ...], ...]:
             return None if _moved_row(rows, perm) is not None else tuple(perm)
         p = path[level][1]
         for v in bits_of(cells[p]):
-            perm = leaf(_individualise(rows, cells, p, v), level + 1)
+            perm = leaf(_individualise(rows, cells, p, v, charge), level + 1)
             if perm is not None:
                 return perm
         return None
 
     try:
         # per level: the partition and the position of its target cell
-        path = [(_refine(rows, {0: g.full_mask}, [g.full_mask]), 0)]
+        path = [(_refine(rows, {0: g.full_mask}, [g.full_mask], charge), 0)]
         while len(path[-1][0]) < n:
-            _check_deadline(deadline)
             cells = path[-1][0]
             p = min(p for p, c in cells.items() if c & (c - 1))
             path[-1] = cells, p
-            path.append((_individualise(rows, cells, p, _low(cells[p])), 0))
+            path.append((_individualise(rows, cells, p, _low(cells[p]),
+                                        charge), 0))
         for level in reversed(range(len(path) - 1)):
             cells, p = path[level]
             tried = [_low(cells[p])]  # the base point, then the failures
-            orbits = 1 << tried[0]
+            _orbit(tried, found, seen := bytearray(n))
             for v in bits_of(cells[p]):
-                if not orbits >> v & 1:
-                    perm = leaf(_individualise(rows, cells, p, v), level + 1)
+                if not seen[v]:
+                    perm = leaf(_individualise(rows, cells, p, v, charge),
+                                level + 1)
                     if perm is None:
                         tried.append(v)
                     else:
                         found.append(perm)
-                    orbits = _orbit(tried, found)
+                    _orbit(tried, found, seen := bytearray(n))
     except BudgetExceeded:
         pass
     return tuple(found)

@@ -190,9 +190,13 @@ def check_tvc(g: Graph, t: int, mode: str = "exhaustive", k: int | None = None,
     generators of ``g`` (see ``symmetry``).  In reduced mode one orbit
     of ordered edges and one of ordered non-edges make ``g`` rank 3:
     the condition holds for every t, and the verdict sets ``rank3``.  For
-    t >= 4 a graph without generators gets those that
+    t >= 4 a strongly regular graph without generators gets those that
     ``symmetry.automorphisms`` finds, each checked by ``Graph`` to map
-    every row onto a row before the scan uses it.
+    every row onto a row before the scan uses it.  Any other graph
+    without generators fails the condition for every t >= 3 and is
+    scanned pair by pair, as the search could only delay its witness:
+    a census differs at the first pair whose degrees or common
+    neighbours differ from those of the first pair of its class.
     """
     top = {"exhaustive": MAX_EXHAUSTIVE_ORDER, "reduced": MAX_TYPE_ORDER}
     if mode not in top:
@@ -204,7 +208,7 @@ def check_tvc(g: Graph, t: int, mode: str = "exhaustive", k: int | None = None,
             f"budget_seconds must be at least 0, got {budget_seconds}")
     deadline = None if budget_seconds is None \
         else time.monotonic() + budget_seconds
-    searched = t >= 4 and not g.generators
+    searched = False
     if t < 4:
         ok = (check_regular(g) if t == 2 else srg_parameters(g)) is not None
         verdict = TvcVerdict(t, "satisfied" if ok else "violated")
@@ -212,6 +216,8 @@ def check_tvc(g: Graph, t: int, mode: str = "exhaustive", k: int | None = None,
         raise ParameterError("reduced mode needs an isoregularity level")
     else:
         try:
+            searched = not g.generators \
+                and check_isoregular(g, 2, deadline).ok
             if searched:
                 g = Graph(g.n, g.rows, automorphisms(g, deadline))
             verdict = _check_tvc_exhaustive(g, t, deadline) \

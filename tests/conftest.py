@@ -1,5 +1,4 @@
 import itertools
-import random
 from functools import lru_cache
 
 import pytest
@@ -22,11 +21,16 @@ def unreduced(g):
     return Graph(g.n, g.rows)
 
 
-def relabelled(g, seed):
-    """``g`` under a seeded random relabelling, without generators."""
-    perm = list(range(g.n))
-    random.Random(seed).shuffle(perm)
-    return graph_from_edges(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+def random_graph(n, p, rng):
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < p]
+    return graph_from_edges(n, edges)
+
+
+def permuted(g, perm):
+    """``g`` with each vertex v renamed ``perm[v]``, without generators."""
+    edges = [(perm[i], perm[j]) for i, j in g.edges()]
+    return graph_from_edges(g.n, edges)
 
 
 def chang():

@@ -8,16 +8,7 @@ from gqtvc.graph import (Graph, GraphError, canonical_code, complement,
                          from_graph6, graph_from_edges, induced_subgraph,
                          read_graph6_file, to_graph6, write_graph6_file)
 
-
-def random_graph(n, p, rng):
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if rng.random() < p]
-    return graph_from_edges(n, edges)
-
-
-def permuted(g, perm):
-    edges = [(perm[i], perm[j]) for i, j in g.edges()]
-    return graph_from_edges(g.n, edges)
+from conftest import permuted, random_graph
 
 
 def test_graph_validation():

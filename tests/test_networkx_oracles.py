@@ -17,15 +17,9 @@ from gqtvc.gtypes import (K44_TYPE, enumerate_order5_complements,
 from gqtvc.regularity import srg_parameters
 from gqtvc.symmetry import automorphisms, pair_orbits
 
-from conftest import chang, graph_of, relabelled, shrikhande
+from conftest import chang, graph_of, permuted, random_graph, shrikhande
 
 nx = pytest.importorskip("networkx")
-
-
-def random_graph(n, p, rng):
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if rng.random() < p]
-    return graph_from_edges(n, edges)
 
 
 def to_nx(g, pair=()):
@@ -168,7 +162,7 @@ def test_searched_orbits_are_those_of_the_full_group(name, order, seed):
              nx.complete_graph(4), nx.complete_graph(4))),
          "paley13": lambda: from_nx(nx.Graph(nx.paley_graph(13)))}[name]()
     if seed is not None:
-        g = relabelled(g, seed)
+        g = permuted(g, random.Random(seed).sample(range(g.n), g.n))
     matcher = nx.algorithms.isomorphism.GraphMatcher(to_nx(g), to_nx(g))
     group = [tuple(m[v] for v in range(g.n))
              for m in matcher.isomorphisms_iter()]

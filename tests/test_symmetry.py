@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+import gqtvc.symmetry
 import gqtvc.tvc
 from gqtvc.formulas import FormulaId, verify_formula
 from gqtvc.geometry import (CONSTRUCTIONS as REGISTERED, PartialLinearSpace,
@@ -17,8 +18,8 @@ from gqtvc.regularity import check_isoregular, srg_parameters
 from gqtvc.symmetry import automorphisms, orbit_of, pair_orbits, vertex_orbits
 from gqtvc.tvc import check_tvc
 
-from conftest import (chang, geometry, graph_of, relabelled, shrikhande,
-                      unreduced)
+from conftest import (chang, geometry, graph_of, permuted, random_graph,
+                      shrikhande, unreduced)
 
 CONSTRUCTIONS = [("w2", False), ("w3", False), ("q5_2", False),
                  ("q5_3", False), ("t2star", False), ("t2star", True),
@@ -217,20 +218,14 @@ def circulant(n, seed):
                                 for i in range(n) for d in steps})
 
 
-def random_graph(n, seed):
-    rng = random.Random(seed)
-    return graph_from_edges(n, [e for e in itertools.combinations(range(n), 2)
-                                if rng.random() < 0.5])
-
-
 @pytest.mark.parametrize("g, t, k", [
-    (relabelled(graph_of("w2"), 1), 6, 2),
-    (relabelled(graph_of("w3"), 2), 5, 2),
-    (relabelled(graph_of("q5_2"), 3), 6, 3),
+    (permuted(graph_of("w2"), random.Random(1).sample(range(15), 15)), 6, 2),
+    (permuted(graph_of("w3"), random.Random(2).sample(range(40), 40)), 5, 2),
+    (permuted(graph_of("q5_2"), random.Random(3).sample(range(27), 27)), 6, 3),
     (shrikhande(), 5, 2),
     (chang(), 5, 2),
     (circulant(17, 4), 5, 1),
-    (random_graph(12, 5), 5, 1),
+    (random_graph(12, 0.5, random.Random(5)), 5, 1),
 ], ids=["w2", "w3", "q5_2", "shrikhande", "chang", "circulant", "random"])
 @pytest.mark.parametrize("mode", ["exhaustive", "reduced"])
 def test_search_matches_no_search(g, t, k, mode, unsearched_tvc):
@@ -245,8 +240,9 @@ def test_search_matches_no_search(g, t, k, mode, unsearched_tvc):
         return
     on = check_tvc(g, t, mode=mode, k=k)
     assert (on.status, on.witness) == (off.status, off.witness)
-    assert on.searched and off.searched and off.generators == 0
-    assert on.generators == len(automorphisms(g))
+    srg = srg_parameters(g) is not None
+    assert on.searched == off.searched == srg and off.generators == 0
+    assert on.generators == (len(automorphisms(g)) if srg else 0)
     assert on.representatives <= off.representatives
     if on.status == "satisfied" and on.generators:
         assert on.representatives < off.representatives
@@ -277,8 +273,37 @@ def test_search_runs_only_without_generators(monkeypatch):
     assert (verdict.generators, verdict.searched) == (0, False)
 
 
+def test_search_skips_graphs_that_are_not_strongly_regular(monkeypatch):
+    # such a graph fails the condition; the search could only delay the
+    # witness of the scan
+    def no_search(g, deadline=None):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(gqtvc.tvc, "automorphisms", no_search)
+    for g in (circulant(17, 4), random_graph(12, 0.5, random.Random(5))):
+        verdict = check_tvc(g, 4)
+        assert (verdict.status, verdict.searched) == ("violated", False)
+
+
+def test_search_work_is_bounded(monkeypatch):
+    # a search cut short by its work bound returns a subgroup: coarser
+    # than the full group's orbits, finer than none, and the verdict
+    # does not change
+    g = chang()
+    full = list(pair_orbits(Graph(g.n, g.rows, automorphisms(g))))
+    want = check_tvc(g, 5)
+    monkeypatch.setattr(gqtvc.symmetry, "SEARCH_WORK", 2)
+    some = list(pair_orbits(Graph(g.n, g.rows, automorphisms(g))))
+    assert len(full) < len(some) < g.n * (g.n - 1)
+    got = check_tvc(g, 5)
+    assert (got.status, got.witness) == (want.status, want.witness)
+    monkeypatch.setattr(gqtvc.symmetry, "SEARCH_WORK", 0)
+    assert automorphisms(g) == ()
+
+
 def test_reduced_check_of_graph6_input_is_rank_three():
-    g = from_graph6(to_graph6(relabelled(graph_of("q5_2"), 5)))
+    g = from_graph6(to_graph6(permuted(
+        graph_of("q5_2"), random.Random(5).sample(range(27), 27))))
     verdict = check_tvc(g, 8, mode="reduced", k=3)
     assert (verdict.status, verdict.rank3, verdict.representatives) \
         == ("satisfied", True, 2)

@@ -15,13 +15,7 @@ from gqtvc.tvc import (_pair_census, check_tvc, count_k44_per_edge,
                        count_type_anchored, find_distinguisher,
                        pair_fingerprint)
 
-from conftest import graph_of, shrikhande, unreduced
-
-
-def random_graph(n, p, rng):
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if rng.random() < p]
-    return graph_from_edges(n, edges)
+from conftest import graph_of, random_graph, shrikhande, unreduced
 
 
 def test_fingerprint_conservation(w2_graph):
