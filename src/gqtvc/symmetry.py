@@ -210,8 +210,8 @@ def _low(mask: int) -> int:
 
 
 # refinement work units per n^2 that one search may spend.  A unit takes
-# 2-5 us and an order-4 census the time of 1.2n-2.4n units, so a search
-# costs at most 3n-7n such censuses.  The graphs in the tests need at
+# 2-5 us and an order-4 census the time of 0.7n-2.4n units, so a search
+# costs at most 3n-11n such censuses.  The graphs in the tests need at
 # most 6.2 n^2 (a Chang graph); a rigid graph spends it all.
 SEARCH_WORK = 8
 
