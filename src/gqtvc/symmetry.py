@@ -13,14 +13,20 @@ a scan uses it: a geometry's must map every line onto a line
 
 An orbit is given by its least member in scan order and its size.
 Pairs are scanned edges first, then non-edges, each (a, b) with a < b
-in increasing order, for ordered pairs followed by (b, a).  The search
-runs on ordered pairs; the unordered orbits are read off it.  Without
+in increasing order, for ordered pairs followed by (b, a).  The orbits
+on ordered pairs (x, y) with x in a vertex orbit O are those of the
+stabiliser of O's least vertex r on the second vertex (Seress,
+*Permutation Group Algorithms*, 2003): a search per vertex orbit, each
+step a permutation of a row of labels, with no table of the n^2 pairs.
+The unordered orbits are read off the ordered ones.  Without
 generators every pair is its own orbit, produced as it is scanned.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from operator import itemgetter
 
 from .graph import BudgetExceeded, Graph, GraphError, _check_deadline, bits_of
 
@@ -93,25 +99,6 @@ def scan_pairs(g: Graph):
         yield b, a
 
 
-def _pair_orbit(g: Graph, pair, seen: bytearray, deadline=None) -> list[int]:
-    """The orbit of the ordered ``pair`` as codes x * n + y, marked in
-    ``seen``."""
-    n, gens = g.n, g.generators
-    x, y = pair
-    seen[x * n + y] = 1
-    members = [x * n + y]
-    for i, code in enumerate(members):
-        if not i & 4095:
-            _check_deadline(deadline)
-        u, v = divmod(code, n)
-        for s in gens:
-            image = s[u] * n + s[v]
-            if not seen[image]:
-                seen[image] = 1
-                members.append(image)
-    return members
-
-
 def unordered_orbits(ordered):
     """``(pair, size)`` for the orbits on unordered pairs (a, b), a < b,
     from the orbits on ordered pairs in scan order.  The reverses of an
@@ -131,6 +118,53 @@ def unordered_orbits(ordered):
         yield pair, size // 2
 
 
+def _root(up: list[int], a: int) -> int:
+    """The root of ``a`` in the forest ``up``, halving the path to it."""
+    while up[a] != a:
+        up[a] = up[up[a]]
+        a = up[a]
+    return a
+
+
+def _stabiliser(g: Graph, r: int, deadline=None):
+    """``(w, lab)`` for the orbit O of ``r``: ``w[x]``, for each x in O
+    in search order, a product of generators that maps x to ``r``, and
+    ``lab[v]`` the least vertex of the orbit of v under the stabiliser of
+    ``r``.  The stabiliser is generated by the Schreier generators
+    h = w[s(x)] s w[x]^-1 (Sims, 1970), and h fixes ``lab`` exactly when
+    lab w[s(x)] s = lab w[x], the labels of the pairs (x, .).  ``lab``
+    starts discrete; where the two differ, their labels are merged.
+    Merging keeps every h checked before fixed, so one pass over the
+    (x, s) suffices, and the pairs of the spanning tree, whose h is the
+    identity, are skipped."""
+    n = g.n
+    moves = [(s, itemgetter(*s),  # s, its action on rows, and s^-1
+              itemgetter(*sorted(range(n), key=s.__getitem__)))
+             for s in g.generators]
+    lab, up = list(range(n)), list(range(n))
+    w = {r: tuple(range(n))}
+    order = [r]
+    for x in order:
+        _check_deadline(deadline)
+        wx = w[x]
+        row = itemgetter(*wx)(lab)
+        for s, move, inverse in moves:
+            y = s[x]
+            if y not in w:
+                w[y] = inverse(wx)
+                order.append(y)
+                continue
+            other = move(itemgetter(*w[y])(lab))
+            if other != row:
+                for a, b in zip(other, row):
+                    if a != b:
+                        a, b = _root(up, a), _root(up, b)
+                        up[max(a, b)] = min(a, b)
+                lab = [_root(up, c) for c in lab]
+                row = itemgetter(*wx)(lab)
+    return w, lab
+
+
 def pair_orbits(g: Graph, ordered: bool = True, deadline=None):
     """Yield ``(pair, size)`` for each orbit of the generators of ``g``
     on its ordered pairs, or on its unordered pairs (a, b) with a < b,
@@ -139,22 +173,45 @@ def pair_orbits(g: Graph, ordered: bool = True, deadline=None):
     if not ordered:
         yield from unordered_orbits(pair_orbits(g, True, deadline))
         return
-    if not g.generators:
+    if not g.generators or g.n < 2:
         for pair in scan_pairs(g):
             yield pair, 1
         return
-    seen = bytearray(g.n * g.n)
-    for x, y in scan_pairs(g):
-        if not seen[x * g.n + y]:
-            yield (x, y), len(_pair_orbit(g, (x, y), seen, deadline))
+
+    def key(pair):
+        x, y = pair
+        return not g.has_edge(x, y), min(pair), max(pair), x > y
+
+    reps = [r for r, _ in vertex_orbits(g.n, g.generators)]
+    found = []
+    for r in reps:
+        w, lab = _stabiliser(g, r, deadline)
+        sizes = Counter(lab)
+        del sizes[r]  # the pair (r, r)
+        # the least vertex of an orbit's least member is the least of a
+        # vertex orbit: the member is (r, c), c the least of its class, or
+        # (x, r2), r2 in reps and x least; a class's vertices are in the
+        # orbit of one r2
+        firsts = {}
+        for x in sorted(w):
+            for r2 in reps:
+                firsts.setdefault(lab[w[x][r2]], (x, r2))
+        for c, size in sizes.items():
+            pair = min((r, c), firsts[c], key=key)
+            found.append((key(pair), pair, len(w) * size))
+    for _, pair, size in sorted(found):
+        yield pair, size
 
 
 def orbit_of(g: Graph, pair) -> list[tuple[int, int]]:
     """The ordered pairs in the orbit of ``pair``."""
+    x, y = pair
     if not g.generators:
-        return [tuple(pair)]
-    members = _pair_orbit(g, pair, bytearray(g.n * g.n))
-    return [divmod(code, g.n) for code in members]
+        return [(x, y)]
+    w, lab = _stabiliser(g, x)  # the pairs (u, v) with lab w[u] (v) = lab y
+    same = lab[y].__eq__
+    return [(u, v) for u, wu in w.items() for v in
+            itertools.compress(range(g.n), map(same, itemgetter(*wu)(lab)))]
 
 
 def _refine(rows, cells: dict[int, int], queue: list[int],

@@ -148,6 +148,8 @@ def _pair_census(g: Graph, t: int, x: int, y: int, codes: dict,
 
 def _check_pair(g: Graph, pair: tuple[int, int]) -> tuple[int, int]:
     x, y = pair
+    if g.n < 2:
+        raise ParameterError(f"graph has {g.n} vertices, fewer than a pair")
     if x == y or not (0 <= x < g.n and 0 <= y < g.n):
         raise ParameterError(
             f"pair must be two distinct vertices in 0..{g.n - 1}")

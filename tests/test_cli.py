@@ -230,6 +230,17 @@ def test_input_must_hold_one_graph(content, message, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, n", [(b"?\n", 0), (b"@\n", 1)],
+                         ids=["empty", "one-vertex"])
+def test_count_type_needs_two_vertices(content, n, tmp_path, capsys):
+    g6 = tmp_path / "small.g6"
+    g6.write_bytes(content)
+    assert main(["count-type", "--input", str(g6), "--type", "0",
+                 "--x", "0", "--y", "1"]) == 3
+    assert f"graph has {n} vertices, fewer than a pair" \
+        in capsys.readouterr().err
+
+
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     # a ValueError from inside gqtvc is a bug, not a caller's mistake
     def broken(g):

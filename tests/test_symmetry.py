@@ -11,11 +11,12 @@ import gqtvc.symmetry
 import gqtvc.tvc
 from gqtvc.formulas import FormulaId, verify_formula
 from gqtvc.geometry import (CONSTRUCTIONS as REGISTERED, PartialLinearSpace,
-                            check_gq_axiom, point_graph)
+                            build_elliptic_gq, check_gq_axiom, point_graph)
 from gqtvc.graph import (BudgetExceeded, Graph, GraphError, ParameterError,
                          from_graph6, graph_from_edges, to_graph6)
 from gqtvc.regularity import check_isoregular, srg_parameters
-from gqtvc.symmetry import automorphisms, orbit_of, pair_orbits, vertex_orbits
+from gqtvc.symmetry import (automorphisms, orbit_of, pair_orbits, scan_pairs,
+                            unordered_orbits, vertex_orbits)
 from gqtvc.tvc import check_tvc
 
 from conftest import (chang, geometry, graph_of, permuted, random_graph,
@@ -35,16 +36,41 @@ def test_orbit_sizes_cover_every_vertex_and_pair(name, dual):
     g = graph_of(name, dual)
     assert g.generators
     assert sum(size for _, size in vertex_orbits(g.n, g.generators)) == g.n
-    if g.n > 1000:
-        return  # 10.7 million ordered pairs on the Payne graph
     ordered = list(pair_orbits(g))
     assert sum(size for _, size in ordered) == g.n * (g.n - 1)
-    assert sum(size for _, size in pair_orbits(g, False)) \
+    # the unordered orbits of pair_orbits(g, False), without a second search
+    assert sum(size for _, size in unordered_orbits(ordered)) \
         == g.n * (g.n - 1) // 2
     # each representative is the least member of its orbit in scan order
     x, y = ordered[-1][0]
-    assert len(orbit_of(g, (x, y))) == ordered[-1][1]
-    assert all(g.has_edge(*p) == g.has_edge(x, y) for p in orbit_of(g, (x, y)))
+    orbit = orbit_of(g, (x, y))
+    assert len(orbit) == len(set(orbit)) == ordered[-1][1]
+    assert all(g.has_edge(*p) == g.has_edge(x, y) for p in orbit)
+    assert min(orbit, key=scan_position(g)) == (x, y)
+
+
+def scan_position(g):
+    """The key that sorts ordered pairs into scan order."""
+    return lambda p: (not g.has_edge(*p), min(p), max(p), p[0] > p[1])
+
+
+def search_over_pairs(g):
+    """The orbits of the generators on ordered pairs, found by closing
+    each pair under them in scan order (an n^2-byte table of the pairs
+    seen): the search that the stabiliser orbits replaced."""
+    n, seen = g.n, bytearray(g.n * g.n)
+    for x, y in scan_pairs(g):
+        if seen[x * n + y]:
+            continue
+        seen[x * n + y] = 1
+        members = [x * n + y]
+        for code in members:
+            u, v = divmod(code, n)
+            for s in g.generators:
+                if not seen[s[u] * n + s[v]]:
+                    seen[s[u] * n + s[v]] = 1
+                    members.append(s[u] * n + s[v])
+        yield (x, y), len(members)
 
 
 def unordered_search(g):
@@ -77,6 +103,79 @@ def test_unordered_orbits_come_from_the_ordered_search(name, dual):
     if g.n < 100:
         assert list(pair_orbits(unreduced(g), False)) \
             == [(p, 1) for p in itertools.chain(g.edges(), g.non_edges())]
+
+
+@pytest.mark.parametrize("name, dual", [
+    c for c in CONSTRUCTIONS if c != ("payne", False)] + [("q5_5", False)])
+def test_stabiliser_orbits_match_the_search_over_pairs(name, dual):
+    g = point_graph(build_elliptic_gq(5)) if name == "q5_5" \
+        else graph_of(name, dual)
+    want = list(search_over_pairs(g))
+    assert list(pair_orbits(g)) == want
+    assert list(pair_orbits(g, False)) == list(unordered_orbits(want))
+
+
+def test_payne_stabiliser_orbits_start_like_the_search_over_pairs():
+    # 10.7 million ordered pairs: the search over them is checked on the
+    # orbits it meets first
+    g = graph_of("payne")
+    assert list(itertools.islice(pair_orbits(g), 50)) \
+        == list(itertools.islice(search_over_pairs(g), 50))
+
+
+def random_generated(n, seed):
+    """A seeded graph on n >= 3 vertices with hand-made generators:
+    rotations and reflections of blocks of 1, 2, 3, ... shuffled
+    vertices, one of them the product of two, and the closure of random
+    edges under them.  The last whole block is always rotated, so the
+    vertex orbits differ in size."""
+    rng = random.Random(seed)
+    order = rng.sample(range(n), n)
+    blocks = [order[i * (i + 1) // 2:(i + 1) * (i + 2) // 2]
+              for i in range(n) if i * (i + 1) // 2 < n]
+    whole = blocks[-1] if len(blocks[-1]) == len(blocks) else blocks[-2]
+    perms = []
+    for block in blocks:
+        for image in (block[1:] + block[:1], block[::-1]):
+            if block is whole and not perms or rng.random() < 0.5:
+                perm = list(range(n))
+                for a, b in zip(block, image):
+                    perm[a] = b
+                perms.append(tuple(perm))
+    if len(perms) > 1:
+        a, b = rng.sample(range(len(perms)), 2)
+        perms[a] = tuple(perms[a][v] for v in perms[b])
+    edges = set(rng.sample(list(itertools.combinations(range(n), 2)), n))
+    queue = list(edges)
+    for u, v in queue:
+        for perm in perms:
+            e = tuple(sorted((perm[u], perm[v])))
+            if e not in edges:
+                edges.add(e)
+                queue.append(e)
+    return Graph(n, graph_from_edges(n, edges).rows, tuple(perms))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_stabiliser_orbits_of_hand_made_generators(seed):
+    g = random_generated(6 + seed, seed)
+    assert len({size for _, size in vertex_orbits(g.n, g.generators)}) > 1
+    assert list(pair_orbits(g)) == list(search_over_pairs(g))
+    assert list(pair_orbits(g, False)) == list(unordered_search(g))
+    for pair, size in pair_orbits(g):
+        orbit = orbit_of(g, pair)
+        assert sorted(orbit) == sorted(set(orbit)) and len(orbit) == size
+
+
+@pytest.mark.parametrize("g", [
+    Graph(1, (0,), ((0,),)),
+    Graph(2, (2, 1), ((1, 0),)),
+    Graph(2, (0, 0), ((1, 0),)),
+    Graph(2, (0, 0), ((0, 1),)),
+], ids=["K1-identity", "K2-swap", "empty-2-swap", "empty-2-identity"])
+def test_stabiliser_orbits_of_small_graphs(g):
+    assert list(pair_orbits(g)) == list(search_over_pairs(g))
+    assert list(pair_orbits(g, False)) == list(unordered_search(g))
 
 
 @pytest.mark.parametrize("name", ["w2", "w3", "q5_2", "q5_3"])
@@ -178,13 +277,14 @@ def test_tvc_matches_unreduced(g, t, mode, k, unsearched_tvc):
 def test_reduced_check_searches_the_pair_orbits_once(monkeypatch):
     import gqtvc.symmetry as symmetry
     searched = []
-    search = symmetry._pair_orbit
-    monkeypatch.setattr(symmetry, "_pair_orbit",
-                        lambda g, pair, *rest: searched.append(pair)
-                        or search(g, pair, *rest))
-    # Q-(5,2) at k = 3: isoregularity sums over its unordered pair orbits
+    search = symmetry._stabiliser
+    monkeypatch.setattr(symmetry, "_stabiliser",
+                        lambda g, r, *rest: searched.append(r)
+                        or search(g, r, *rest))
+    # Q-(5,2) at k = 3: isoregularity sums over its unordered pair orbits,
+    # read off the one search for the stabiliser of its one vertex orbit
     assert check_tvc(graph_of("q5_2"), 6, mode="reduced", k=3).rank3
-    assert len(searched) == 2
+    assert searched == [0]
 
 
 def test_rank_three_short_cut_makes_no_count(monkeypatch):
@@ -345,9 +445,10 @@ def test_formula_mismatch_is_listed_for_its_whole_orbit(monkeypatch):
     assert a.representatives < b.representatives
 
 
-def test_reduced_path_stops_at_deadline_in_orbit_search():
-    # dual Payne at k = 3: the one search of its 570,780 ordered pairs
-    # comes first; without a budget it takes about a second
+def test_reduced_path_stops_at_deadline_in_orbit_search(monkeypatch):
+    # dual Payne at k = 3: the one search for its 420 ordered pair orbits
+    # comes first, and reads the deadline at each of the 756 vertices it
+    # reaches, not only before it starts
     g = graph_of("payne", dual=True)
     start = time.monotonic()
     verdict = check_tvc(g, 4, mode="reduced", k=3, budget_seconds=0.1)
@@ -355,3 +456,13 @@ def test_reduced_path_stops_at_deadline_in_orbit_search():
     assert time.monotonic() - start < 0.6
     with pytest.raises(BudgetExceeded):
         next(pair_orbits(g, deadline=time.monotonic() - 1))
+    reads = []
+
+    def passed_at_read_100(deadline):
+        reads.append(deadline)
+        if len(reads) == 100:
+            raise BudgetExceeded()
+
+    monkeypatch.setattr(gqtvc.symmetry, "_check_deadline", passed_at_read_100)
+    verdict = check_tvc(g, 4, mode="reduced", k=3, budget_seconds=60)
+    assert verdict.status == "inconclusive" and len(reads) == 100
