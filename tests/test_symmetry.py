@@ -127,8 +127,9 @@ def random_generated(n, seed):
     """A seeded graph on n >= 3 vertices with hand-made generators:
     rotations and reflections of blocks of 1, 2, 3, ... shuffled
     vertices, one of them the product of two, and the closure of random
-    edges under them.  The last whole block is always rotated, so the
-    vertex orbits differ in size."""
+    edges under them.  The last whole block is always rotated (a
+    generator replaced by its product with another leaves the group as
+    it was), so it is an orbit, and the vertex orbits differ in size."""
     rng = random.Random(seed)
     order = rng.sample(range(n), n)
     blocks = [order[i * (i + 1) // 2:(i + 1) * (i + 2) // 2]
@@ -137,7 +138,8 @@ def random_generated(n, seed):
     perms = []
     for block in blocks:
         for image in (block[1:] + block[:1], block[::-1]):
-            if block is whole and not perms or rng.random() < 0.5:
+            if (block is whole and image[0] == block[1]) \
+                    or rng.random() < 0.5:
                 perm = list(range(n))
                 for a, b in zip(block, image):
                     perm[a] = b
@@ -162,9 +164,12 @@ def test_stabiliser_orbits_of_hand_made_generators(seed):
     assert len({size for _, size in vertex_orbits(g.n, g.generators)}) > 1
     assert list(pair_orbits(g)) == list(search_over_pairs(g))
     assert list(pair_orbits(g, False)) == list(unordered_search(g))
-    for pair, size in pair_orbits(g):
-        orbit = orbit_of(g, pair)
-        assert sorted(orbit) == sorted(set(orbit)) and len(orbit) == size
+    # orbit_of gives each orbit whole: its least member, its size, and
+    # together every pair once
+    orbits = [orbit_of(g, pair) for pair, _ in pair_orbits(g)]
+    assert [(min(o, key=scan_position(g)), len(o)) for o in orbits] \
+        == list(pair_orbits(g))
+    assert sorted(p for o in orbits for p in o) == sorted(scan_pairs(g))
 
 
 @pytest.mark.parametrize("g", [
