@@ -18,8 +18,6 @@ from .algebra import AlgebraError, Field, Matrix2, anisotropic_difference_check,
 from .graph import Graph, bits_of, counter_spreader
 from .symmetry import line_action, vertex_orbits
 
-INF = "inf"  # q-clan index for the special member of the 4-gonal family
-
 
 class GeometryError(ValueError):
     pass
@@ -393,6 +391,8 @@ class QClan:
     def __post_init__(self):
         if len(self.matrices) != self.field.q:
             raise AlgebraError("need one matrix per field element")
+        if any(m.field != self.field for m in self.matrices):
+            raise AlgebraError("matrices over another field")
         if not anisotropic_difference_check(list(self.matrices)):
             raise AlgebraError("pairwise differences are not anisotropic")
 
@@ -411,106 +411,73 @@ def payne_qclan() -> QClan:
 def build_flock_gq(clan: QClan) -> PartialLinearSpace:
     """Coset-geometry GQ of order (q^2, q) from a q-clan.
 
-    The group has elements (alpha, c, beta) with alpha, beta in GF(q)^2
-    and c in GF(q), multiplied by (a,c,b)(a',c',b') =
-    (a+a', c+c'+b.a', b+b').  The 4-gonal family consists of
-    A(t) = {(a, a A_t a^T, a (A_t + A_t^T))} and A(inf) = {(0,0,b)}.
-    The construction is validated by the GQ axiom checker downstream;
-    a failed axiom check signals an error in these conventions.
+    The group has elements (a, c, b) with a, b in GF(q)^2 and c in
+    GF(q), multiplied by (a,c,b)(a',c',b') = (a+a', c+c'+b.a', b+b').
+    The 4-gonal family is A(t) = {(x, x A_t x^T, x M_t)}, with
+    M_t = A_t + A_t^T, and A(inf) = {(0, 0, y)}; A*(t) = A(t)Z frees c.
+    No coset is multiplied out: A(t)(a, c, b) holds one element
+    (0, c - a A_t a^T, b - a M_t), so A*(t)(a, c, b) is named by
+    s = b - a M_t, and A*(inf)(a, c, b), holding (a, c - b.a, 0), by a.
+    Points are the elements in lexicographic order, then per tag (the
+    clan's matrices, then inf) the A*(t)-cosets in name order, that of
+    their least elements, then the symbol point.  A line is an
+    A(t)-coset with its A*(t)-coset, or a tag's A*(t)-cosets with the
+    symbol point.  The generators, right multiplication by the five
+    unit elements (x, z, y), send s to s + y - x M_t and a to a + x.
+    The GQ axiom checker validates the construction downstream.
     """
     f = clan.field
-    q = f.q
+    q, add, mul, sub = f.q, f.add, f.mul, f.sub
+    vectors = list(itertools.product(f.elements(), repeat=2))
+    stars = q ** 5
+    infinity = stars + (q + 1) * q * q
 
-    def gmul(g, h):
-        a0, a1, c, b0, b1 = g
-        x0, x1, z, y0, y1 = h
-        dot = f.add[f.mul[b0][x0]][f.mul[b1][x1]]
-        return (f.add[a0][x0], f.add[a1][x1],
-                f.add[f.add[c][z]][dot],
-                f.add[b0][y0], f.add[b1][y1])
+    def element(a, c, b):
+        return (((a[0] * q + a[1]) * q + c) * q + b[0]) * q + b[1]
 
-    elements = [(a0, a1, c, b0, b1)
-                for a0 in f.elements() for a1 in f.elements()
-                for c in f.elements()
-                for b0 in f.elements() for b1 in f.elements()]
-    eindex = {g: i for i, g in enumerate(elements)}
+    def star(tag, s):
+        return stars + (tag * q + s[0]) * q + s[1]
 
-    members = {}          # t -> list of elements of A(t)
-    for ti, mat in enumerate(clan.matrices):
-        mt_b = f.add[mat.b][mat.c]  # A_t + A_t^T off-diagonal entries
-        mem = []
-        for a0 in f.elements():
-            for a1 in f.elements():
-                qa = (f.add[f.add[f.mul[f.mul[a0][a0]][mat.a]]
-                            [f.mul[f.mul[a0][a1]][mt_b]]]
-                      [f.mul[f.mul[a1][a1]][mat.d]])
-                # a (A_t + A_t^T): diagonal 2a, 2d; off-diagonal b+c
-                two_a = f.add[mat.a][mat.a]
-                two_d = f.add[mat.d][mat.d]
-                b0 = f.add[f.mul[a0][two_a]][f.mul[a1][mt_b]]
-                b1 = f.add[f.mul[a0][mt_b]][f.mul[a1][two_d]]
-                mem.append((a0, a1, qa, b0, b1))
-        members[ti] = mem
-    members[INF] = [(0, 0, 0, b0, b1) for b0 in f.elements() for b1 in f.elements()]
+    def vadd(u, v):
+        return add[u[0]][v[0]], add[u[1]][v[1]]
 
-    tags = list(range(q)) + [INF]
+    def dot(u, v):
+        return add[mul[u[0]][v[0]]][mul[u[1]][v[1]]]
 
-    # right cosets of A(t); canonical representative = least element
-    def cosets(subgroup):
-        seen = set()
-        out = []
-        for g in elements:
-            if g in seen:
-                continue
-            coset = sorted(gmul(h, g) for h in subgroup)
-            out.append(tuple(coset))
-            seen.update(coset)
-        return out
+    def times_m(x, m):
+        off = add[m.b][m.c]
+        return dot(x, (add[m.a][m.a], off)), dot(x, (off, add[m.d][m.d]))
 
-    acosets = {t: cosets(members[t]) for t in tags}
-
-    # points: group elements, then A*(t)-cosets, then the symbol point.
-    # A*(t) = A(t) Z frees the central coordinate c, so an A*(t)-coset
-    # is the union of the q A(t)-cosets with the same (alpha, beta)
-    # projections; grouped in the order of their least elements, they
-    # come in the order of the A*(t)-cosets' least elements
-    npts = len(elements)
-    star_first = {}       # t -> least element of each A*(t)-coset
-    star_lookup = {}
-    for t in tags:
-        groups = {}
-        for coset in acosets[t]:
-            key = min((g[0], g[1], g[3], g[4]) for g in coset)
-            groups.setdefault(key, []).append(coset)
-        star_first[t] = [group[0][0] for group in groups.values()]
-        for group in groups.values():
-            for coset in group:
-                for g in coset:
-                    star_lookup[(t, g)] = npts
-            npts += 1
-    infinity = npts
-    npts += 1
-
+    # the A(t)-coset named (c, s) is {(x, c + x A_t x^T, s + x M_t)},
+    # and the A(inf)-coset named (a, c) is {(a, c + y.a, y)}
     lines = []
-    for t in tags:
-        for coset in acosets[t]:
-            pts = [eindex[g] for g in coset]
-            pts.append(star_lookup[(t, coset[0])])
-            lines.append(tuple(sorted(pts)))
-        # the symbol line [A(t)]: all A*(t)-cosets plus the symbol point
-        sym = [star_lookup[(t, g)] for g in star_first[t]]
-        sym.append(infinity)
-        lines.append(tuple(sorted(sym)))
+    for tag, m in enumerate(clan.matrices):
+        subgroup = [(x, m.quadratic_form(*x), times_m(x, m)) for x in vectors]
+        lines += [[element(x, add[c][cx], vadd(s, xm))
+                   for x, cx, xm in subgroup] + [star(tag, s)]
+                  for c in f.elements() for s in vectors]
+    lines += [[element(a, add[c][dot(y, a)], y) for y in vectors]
+              + [star(q, a)] for a in vectors for c in f.elements()]
+    lines += [[star(tag, s) for s in vectors] + [infinity]
+              for tag in range(q + 1)]
 
-    # right multiplication by each unit element maps the cosets of A(t)
-    # and A*(t) to cosets of the same subgroup and fixes the symbol point
-    generators = [tuple(eindex[gmul(g, h)] for g in elements)
-                  + tuple(star_lookup[(t, gmul(g, h))]
-                          for t in tags for g in star_first[t])
-                  + (infinity,)
-                  for h in ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
-                            (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))]
-    return PartialLinearSpace.make(npts, lines, (q * q, q), generators)
+    generators = []
+    for x0, x1, z, y0, y1 in ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
+                              (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)):
+        x, y = (x0, x1), (y0, y1)
+        # (a, c, b)(x, z, y) = (a + x, c + z + b.x, b + y), indexed in parts
+        a_part = [element(vadd(a, x), 0, (0, 0)) for a in vectors]
+        b_part = [(dot(b, x), element((0, 0), 0, vadd(b, y))) for b in vectors]
+        perm = [ah + add[add[c][z]][bx] * q * q + bh
+                for ah in a_part for c in f.elements() for bx, bh in b_part]
+        for tag, m in enumerate(clan.matrices):
+            xm = times_m(x, m)
+            perm += [star(tag, vadd(s, (sub(y0, xm[0]), sub(y1, xm[1]))))
+                     for s in vectors]
+        perm += [star(q, vadd(a, x)) for a in vectors]
+        generators.append(tuple(perm) + (infinity,))
+    return PartialLinearSpace.make(infinity + 1, lines, (q * q, q),
+                                   generators)
 
 
 # -- the built-in constructions -------------------------------------------

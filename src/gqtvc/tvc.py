@@ -16,7 +16,7 @@ from .graph import (BudgetExceeded, CanonicalCode, Graph, ParameterError,
                     rows_from_bits)
 from .gtypes import (K44_TYPE, MAX_TYPE_ORDER, GraphType, enumerate_types,
                      pair_fixing_aut_order)
-from .regularity import check_isoregular, check_regular, srg_parameters
+from .regularity import check_isoregular, check_regular
 from .symmetry import automorphisms, pair_orbits
 
 
@@ -210,14 +210,15 @@ def check_tvc(g: Graph, t: int, mode: str = "exhaustive", k: int | None = None,
             f"budget_seconds must be at least 0, got {budget_seconds}")
     deadline = None if budget_seconds is None \
         else time.monotonic() + budget_seconds
-    searched = False
-    if t < 4:
-        ok = (check_regular(g) if t == 2 else srg_parameters(g)) is not None
-        verdict = TvcVerdict(t, "satisfied" if ok else "violated")
-    elif mode == "reduced" and k is None:
+    if mode == "reduced" and k is None and t >= 4:
         raise ParameterError("reduced mode needs an isoregularity level")
-    else:
-        try:
+    searched = False
+    try:
+        if t < 4:
+            ok = check_regular(g) is not None if t == 2 \
+                else check_isoregular(g, 2, deadline).ok
+            verdict = TvcVerdict(t, "satisfied" if ok else "violated")
+        else:
             searched = not g.generators \
                 and check_isoregular(g, 2, deadline).ok
             if searched:
@@ -225,8 +226,8 @@ def check_tvc(g: Graph, t: int, mode: str = "exhaustive", k: int | None = None,
             verdict = _check_tvc_exhaustive(g, t, deadline) \
                 if mode == "exhaustive" else _check_tvc_reduced(g, t, k,
                                                                  deadline)
-        except BudgetExceeded:
-            verdict = TvcVerdict(t, "inconclusive")
+    except BudgetExceeded:
+        verdict = TvcVerdict(t, "inconclusive")
     return replace(verdict, mode=mode, generators=len(g.generators),
                    searched=searched)
 

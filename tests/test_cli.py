@@ -94,6 +94,15 @@ def test_check_tvc_budget_inconclusive():
     assert code == 2
 
 
+def test_check_tvc_budget_inconclusive_at_t3(tmp_path):
+    # graph6 input carries no generators; t = 3 runs under the budget too
+    g6 = tmp_path / "q.g6"
+    assert main(["export-graph6", "--construct", "q5_2", "--out",
+                 str(g6)]) == 0
+    assert main(["check-tvc", "--input", str(g6), "--t", "3",
+                 "--budget-seconds", "0"]) == 2
+
+
 def test_count_type(capsys, tmp_path):
     report = tmp_path / "c.json"
     code = main(["count-type", "--construct", "w3", "--type", "3a",

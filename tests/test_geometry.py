@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from gqtvc.algebra import field_make
-from gqtvc.geometry import (INF, GeometryError, PartialLinearSpace, QClan,
+from gqtvc.algebra import AlgebraError, Matrix2, field_make
+from gqtvc.geometry import (GeometryError, PartialLinearSpace, QClan,
                             _field_for, _least_irreducible_quadratic,
                             _normalize, _scale, _span_line, _vadd,
                             build_elliptic_gq, build_flock_gq,
@@ -131,7 +131,7 @@ def test_flock_construction_validates():
 def multiplied_out_flock_gq(clan):
     """``build_flock_gq`` with the right cosets of A(t) and of
     A*(t) = {(a, c, b) : (a, c', b) in A(t)} each multiplied out element
-    by element, in the order of their least elements."""
+    by element, in the order of their least elements.  Tag q is A(inf)."""
     f = clan.field
     add, mul, field = f.add, f.mul, f.elements()
 
@@ -142,7 +142,7 @@ def multiplied_out_flock_gq(clan):
 
     elements = list(itertools.product(field, repeat=5))
     eindex = {g: i for i, g in enumerate(elements)}
-    members = {INF: [(0, 0, 0, b0, b1) for b0 in field for b1 in field]}
+    members = {f.q: [(0, 0, 0, b0, b1) for b0 in field for b1 in field]}
     for t, m in enumerate(clan.matrices):
         off = add[m.b][m.c]
         members[t] = [
@@ -160,7 +160,7 @@ def multiplied_out_flock_gq(clan):
                 seen.update(out[-1])
         return out
 
-    tags = [*range(f.q), INF]
+    tags = range(f.q + 1)
     star, star_cosets, npts = {}, {}, len(elements)
     for t in tags:
         star_cosets[t] = cosets([(a0, a1, c, b0, b1)
@@ -184,11 +184,25 @@ def multiplied_out_flock_gq(clan):
                                    generators)
 
 
-def test_flock_star_cosets_match_the_multiplied_out_ones():
-    # the A*(t)-cosets are read off the A(t)-cosets; points, lines and
-    # generators are the same as when they are multiplied out
-    clan = payne_qclan()
-    assert build_flock_gq(clan) == multiplied_out_flock_gq(clan)
+def linear_qclan(p, e, u, w):
+    """The q-clan {[[t, ut], [0, wt]]} over GF(p^e)."""
+    f = field_make(p, e)
+    return QClan(f, tuple(Matrix2(f, t, f.mul[u][t], 0, f.mul[w][t])
+                          for t in f.elements()))
+
+
+@pytest.mark.parametrize("clan", [
+    payne_qclan, lambda: linear_qclan(2, 1, 1, 1),
+    lambda: linear_qclan(3, 1, 0, 1), lambda: linear_qclan(2, 2, 1, 2)],
+    ids=["payne", "q2", "q3", "q4"])
+def test_flock_star_cosets_match_the_multiplied_out_ones(clan):
+    # the cosets are named in closed form; points, lines and generators
+    # are the same as when they are multiplied out
+    clan = clan()
+    q = clan.field.q
+    pls, oracle = build_flock_gq(clan), multiplied_out_flock_gq(clan)
+    assert pls == oracle and pls.generators == oracle.generators
+    assert check_gq_axiom(pls).order == (q * q, q)
 
 
 def sorted_projective_points(field, dim):
@@ -308,9 +322,16 @@ def test_payne_qclan_anisotropic():
     clan = payne_qclan()
     assert len(clan.matrices) == 5
     f = field_make(5)
-    from gqtvc.algebra import AlgebraError, Matrix2
     with pytest.raises((GeometryError, AlgebraError)):
         QClan(f, tuple(Matrix2(f, t, 0, 0, t) for t in range(5)))
+
+
+def test_qclan_matrices_over_another_field_are_rejected():
+    # anisotropic over GF(5), but GF(3) tables cannot index their entries
+    with pytest.raises(AlgebraError, match="another field"):
+        QClan(field_make(3), payne_qclan().matrices[:3])
+    # an equal field built again is the same field
+    assert QClan(field_make(5), payne_qclan().matrices).field.q == 5
 
 
 def test_line_counts_match_order_formula():

@@ -184,6 +184,15 @@ def test_budget_inconclusive(q5_2_graph, unsearched_tvc):
     assert verdict.status == "inconclusive"
 
 
+def test_budget_holds_at_t3():
+    # t = 3 is strong regularity, which on the 756 vertices of the dual
+    # Payne graph without generators takes longer than the budget
+    g = unreduced(graph_of("payne", dual=True))
+    start = time.monotonic()
+    assert check_tvc(g, 3, budget_seconds=0.05).status == "inconclusive"
+    assert time.monotonic() - start < 0.5
+
+
 def test_reduced_budget_covers_isoregularity(unsearched_tvc):
     # 3-isoregularity of GQ(3,9) alone takes about a second
     g = unreduced(graph_of("q5_3"))
