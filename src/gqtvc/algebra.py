@@ -177,7 +177,7 @@ class Matrix2:
     d: int
 
     def sub(self, other: "Matrix2") -> "Matrix2":
-        if other.field is not self.field:
+        if other.field != self.field:
             raise AlgebraError("matrices over different fields")
         f = self.field
         return Matrix2(f, f.sub(self.a, other.a), f.sub(self.b, other.b),
@@ -198,7 +198,7 @@ def anisotropic_difference_check(matrices: list[Matrix2]) -> bool:
     if not matrices:
         return True
     f = matrices[0].field
-    if any(m.field is not f for m in matrices):
+    if any(m.field != f for m in matrices):
         raise AlgebraError("matrices over different fields")
     vectors = [(v0, v1) for v0 in f.elements() for v1 in f.elements()
                if (v0, v1) != (0, 0)]

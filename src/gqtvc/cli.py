@@ -202,7 +202,8 @@ def run_k44_census(args) -> Result:
                                 stop_after_values=args.stop_after_values,
                                 max_edges=args.max_edges)
     values = sorted(set(counts.values()))
-    report = {"edges_scanned": len(counts), "distinct_values": values}
+    report = {"edges_scanned": len(counts), "counts_made": counts.counts_made,
+              "distinct_values": values}
     lines = [f"scanned {len(counts)} edges; distinct K4,4 counts: {values}"]
     if len(values) >= 2:
         by_val = {}

@@ -424,7 +424,11 @@ def build_flock_gq(clan: QClan) -> PartialLinearSpace:
     A(t)-coset with its A*(t)-coset, or a tag's A*(t)-cosets with the
     symbol point.  The generators, right multiplication by the five
     unit elements (x, z, y), send s to s + y - x M_t and a to a + x.
-    The GQ axiom checker validates the construction downstream.
+    Up to two torus elements follow, (a, c, b) -> (aD, kc, bkD^-1) with
+    D = diag(u, v): each maps A(t) onto the subgroup of kD^-1 A_t D^-1,
+    s to s kD^-1 and a to aD, and is kept if it maps each clan form
+    (a, b + c, d) onto one.  The GQ axiom checker validates the
+    construction downstream.
     """
     f = clan.field
     q, add, mul, sub = f.q, f.add, f.mul, f.sub
@@ -476,6 +480,25 @@ def build_flock_gq(clan: QClan) -> PartialLinearSpace:
                      for s in vectors]
         perm += [star(q, vadd(a, x)) for a in vectors]
         generators.append(tuple(perm) + (infinity,))
+
+    # (u, v, k) = (g, g, g^2), (g, 1, g^3), g the least primitive element
+    tags = {(m.a, add[m.b][m.c], m.d): tag
+            for tag, m in enumerate(clan.matrices)}
+    g = next(x for x in range(1, q) if len({f.pow(x, k) for k in range(q)})
+             == q - 1)
+    for u, v, k in ((g, g, mul[g][g]), (g, 1, f.pow(g, 3))):
+        e = mul[k][f.inv[u]], mul[k][f.inv[v]]  # kD^-1
+        w = mul[e[0]][f.inv[u]], mul[e[0]][f.inv[v]], mul[e[1]][f.inv[v]]
+        image = [tags.get(tuple(mul[x][y] for x, y in zip(form, w)))
+                 for form in tags]
+        if g == 1 or None in image:  # q = 2 gives the identity
+            continue
+        ad = [(mul[a0][u], mul[a1][v]) for a0, a1 in vectors]
+        be = [(mul[b0][e[0]], mul[b1][e[1]]) for b0, b1 in vectors]
+        perm = [element(a, mul[k][c], (0, 0)) + b0 * q + b1
+                for a in ad for c in f.elements() for b0, b1 in be]
+        perm += [star(image[tag], s) for tag in range(q) for s in be]
+        generators.append(tuple(perm + [star(q, a) for a in ad] + [infinity]))
     return PartialLinearSpace.make(infinity + 1, lines, (q * q, q),
                                    generators)
 

@@ -17,7 +17,7 @@ from .graph import (BudgetExceeded, CanonicalCode, Graph, ParameterError,
 from .gtypes import (K44_TYPE, MAX_TYPE_ORDER, GraphType, enumerate_types,
                      pair_fixing_aut_order)
 from .regularity import check_isoregular, check_regular
-from .symmetry import automorphisms, pair_orbits
+from .symmetry import _stabiliser, automorphisms, pair_orbits
 
 
 # largest t of the exhaustive scan and of pair_fingerprint
@@ -444,19 +444,35 @@ def find_distinguisher(g: Graph, t: int, k: int) -> GraphType | None:
 
 # -- the K4,4 edge invariant ----------------------------------------------
 
+class K44Census(dict):
+    """Counts by edge in scan order, from ``counts_made`` anchored counts."""
+    counts_made = 0
+
+
 def count_k44_per_edge(g: Graph, stop_after_values: int | None = None,
-                       max_edges: int | None = None) -> dict[tuple[int, int], int]:
+                       max_edges: int | None = None) -> K44Census:
     """For each edge (x, y), the number of induced K4,4 subgraphs with x
     and y on opposite sides.
 
     ``stop_after_values`` ends the scan once that many distinct counts
-    have been seen; ``max_edges`` caps the number of edges scanned.
+    have been seen; ``max_edges`` caps the number of edges scanned.  An
+    edge orbit of the generators of ``g`` is counted at its first scanned
+    member, keyed as in ``orbit_of`` by x's orbit, with w[x] mapping x to
+    its first scanned vertex r, and the stabiliser orbit of w[x] (y).
     """
-    out: dict[tuple[int, int], int] = {}
-    values: set[int] = set()
-    for edge in itertools.islice(g.edges(), max_edges):
-        out[edge] = count = count_type_anchored(g, K44_TYPE, edge)
+    out, values = K44Census(), set()
+    made, bases = {}, {}  # count by key; r, w and lab by vertex
+    for x, y in itertools.islice(g.edges(), max_edges):
+        if g.generators and x not in bases:
+            w, lab = _stabiliser(g, x)
+            bases.update(dict.fromkeys(w, (x, w, lab)))
+        r, w, lab = bases.get(x, (x, None, None))
+        key = (r, lab[w[x][y]]) if w else (x, y)
+        if key not in made:
+            made[key] = count_type_anchored(g, K44_TYPE, (x, y))
+        out[x, y] = count = made[key]
         values.add(count)
         if stop_after_values is not None and len(values) >= stop_after_values:
             break
+    out.counts_made = len(made)
     return out

@@ -5,6 +5,7 @@ output); an assertion failure marks the criterion failed.
 """
 
 import random
+from collections import Counter
 from math import comb
 
 from gqtvc.formulas import COMPLETE_S_CASES, FormulaId, verify_formula
@@ -140,6 +141,17 @@ def test_criterion_7_k44_counts_differ():
     assert len(values) >= 2, values
     report(7, f"dual Payne GQ(5,25): per-edge K4,4 counts differ "
               f"({values}); the 8-vertex condition fails")
+
+
+def test_criterion_7_full_k44_distribution():
+    # every edge of the dual Payne graph, counted once per edge orbit
+    counts = count_k44_per_edge(graph_of("payne", True))
+    tally = Counter(counts.values())
+    assert tally == {7896: 46875, 8000: 1500, 23000: 750, 75000: 15}
+    assert sum(tally.values()) == len(counts) == 49140
+    report(7, f"dual Payne GQ(5,25): K4,4 counts over all 49140 edges "
+              f"{dict(sorted(tally.items()))}, from {counts.counts_made} "
+              f"counts")
 
 
 def test_criterion_8_enumeration_checksums():

@@ -118,6 +118,16 @@ def test_k44_census_constant(capsys):
     assert main(["k44-census", "--construct", "w2"]) == 0
 
 
+def test_k44_census_counts_one_edge_per_orbit(tmp_path):
+    # the first 4 edges of the dual Payne graph lie in 2 edge orbits
+    report = tmp_path / "k.json"
+    assert main(["k44-census", "--construct", "payne", "--dual",
+                 "--max-edges", "4", "--json-out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert (doc["edges_scanned"], doc["counts_made"],
+            doc["distinct_values"]) == (4, 2, [7896])
+
+
 def test_export_and_read_back(tmp_path):
     g6 = tmp_path / "g.g6"
     assert main(["export-graph6", "--construct", "w2", "--out", str(g6)]) == 0

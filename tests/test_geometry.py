@@ -180,6 +180,28 @@ def multiplied_out_flock_gq(clan):
                   + tuple(star[t, gmul(c[0], h)]
                           for t in tags for c in star_cosets[t])
                   + (infinity,) for h in units]
+    # the torus elements (a, c, b) -> (aD, kc, bkD^-1), D = diag(u, v),
+    # for (u, v, k) = (g, g, g^2) and (g, 1, g^3), g the least primitive
+    # element, each kept if it maps every subgroup A(t) onto one; at
+    # q = 2 both are the identity
+    g = next(x for x in field if x and all(
+        f.pow(x, i) != 1 for i in range(1, f.q - 1)))
+    subgroups = {frozenset(members[t]): t for t in tags}
+    torus = ((g, g, mul[g][g]), (g, 1, f.pow(g, 3))) if g != 1 else ()
+    for u, v, k in torus:
+        e0, e1 = mul[k][f.inv[u]], mul[k][f.inv[v]]
+
+        def phi(h, u=u, v=v, k=k, e0=e0, e1=e1):
+            return (mul[h[0]][u], mul[h[1]][v], mul[h[2]][k],
+                    mul[h[3]][e0], mul[h[4]][e1])
+
+        image = [subgroups.get(frozenset(map(phi, members[t]))) for t in tags]
+        if None not in image:
+            generators.append(
+                tuple(eindex[phi(h)] for h in elements)
+                + tuple(star[image[t], phi(c[0])]
+                        for t in tags for c in star_cosets[t])
+                + (infinity,))
     return PartialLinearSpace.make(infinity + 1, lines, (f.q ** 2, f.q),
                                    generators)
 
@@ -191,17 +213,26 @@ def linear_qclan(p, e, u, w):
                           for t in f.elements()))
 
 
-@pytest.mark.parametrize("clan", [
-    payne_qclan, lambda: linear_qclan(2, 1, 1, 1),
-    lambda: linear_qclan(3, 1, 0, 1), lambda: linear_qclan(2, 2, 1, 2)],
-    ids=["payne", "q2", "q3", "q4"])
-def test_flock_star_cosets_match_the_multiplied_out_ones(clan):
+@pytest.mark.parametrize("clan, torus", [
+    (payne_qclan, 2), (lambda: linear_qclan(2, 1, 1, 1), 0),
+    (lambda: linear_qclan(3, 1, 0, 1), 2),
+    (lambda: linear_qclan(2, 2, 1, 2), 1)], ids=["payne", "q2", "q3", "q4"])
+def test_flock_star_cosets_match_the_multiplied_out_ones(clan, torus):
     # the cosets are named in closed form; points, lines and generators
-    # are the same as when they are multiplied out
+    # are the same as when they are multiplied out.  Five elations come
+    # first, then the torus elements that keep the clan: both for the
+    # Payne (FTWKB) clan and for {[[t, 0], [0, t]]} over GF(3), whose
+    # matrices (g, 1, g^3) sends to [[gt, 0], [0, g^3 t]] = A(gt) as
+    # g^2 = 1; only the scalar one over GF(4), where it sends
+    # [[t, t], [0, 2t]] to [[gt, g^2 t], [0, 2g^3 t]], no clan matrix
+    # for t != 0; none at q = 2
     clan = clan()
     q = clan.field.q
     pls, oracle = build_flock_gq(clan), multiplied_out_flock_gq(clan)
     assert pls == oracle and pls.generators == oracle.generators
+    assert len(pls.generators) == 5 + torus
+    # line_action has checked every generator before the axiom's scan
+    assert len(pls.collineations[1]) == 5 + torus
     assert check_gq_axiom(pls).order == (q * q, q)
 
 
@@ -332,6 +363,16 @@ def test_qclan_matrices_over_another_field_are_rejected():
         QClan(field_make(3), payne_qclan().matrices[:3])
     # an equal field built again is the same field
     assert QClan(field_make(5), payne_qclan().matrices).field.q == 5
+
+
+def test_qclan_from_two_equal_fields():
+    # two payne_qclan() calls make two equal GF(5) tables; the clan check
+    # compares fields by equality, as QClan does
+    a, b = payne_qclan().matrices, payne_qclan().matrices
+    assert a[0].field is not b[0].field and a[0].field == b[0].field
+    clan = QClan(a[0].field, a[:3] + b[3:])
+    assert build_flock_gq(clan) == build_flock_gq(payne_qclan())
+    assert a[4].sub(b[4]) == Matrix2(a[0].field, 0, 0, 0, 0)
 
 
 def test_line_counts_match_order_formula():

@@ -17,7 +17,7 @@ from gqtvc.graph import (BudgetExceeded, Graph, GraphError, ParameterError,
 from gqtvc.regularity import check_isoregular, srg_parameters
 from gqtvc.symmetry import (automorphisms, orbit_of, pair_orbits, scan_pairs,
                             unordered_orbits, vertex_orbits)
-from gqtvc.tvc import check_tvc
+from gqtvc.tvc import check_tvc, count_k44_per_edge
 
 from conftest import (chang, geometry, graph_of, permuted, random_graph,
                       shrikhande, unreduced)
@@ -191,8 +191,8 @@ def test_rank_three_constructions_have_two_pair_orbits(name):
 
 
 def test_orbit_counts():
-    assert len(vertex_orbits(3276, graph_of("payne").generators)) == 8
-    assert len(vertex_orbits(756, graph_of("payne", True).generators)) == 12
+    assert len(vertex_orbits(3276, graph_of("payne").generators)) == 5
+    assert len(vertex_orbits(756, graph_of("payne", True).generators)) == 6
     assert len(list(pair_orbits(graph_of("t2star")))) == 21
     assert len(list(pair_orbits(graph_of("t2star", True)))) == 90
 
@@ -277,6 +277,85 @@ def test_tvc_matches_unreduced(g, t, mode, k, unsearched_tvc):
     # graphs with generators; without them it counts every type
     assert a.rank3 == (mode == "reduced" and len(list(pair_orbits(g))) == 2)
     assert not b.rank3
+
+
+def same_census(g, **cap):
+    """The K4,4 census of ``g`` equals that without its generators, the
+    same counts in the same order, from at most as many counts."""
+    a, b = count_k44_per_edge(g, **cap), count_k44_per_edge(unreduced(g), **cap)
+    assert list(a.items()) == list(b.items())
+    assert a.counts_made <= b.counts_made == len(b)
+    return a
+
+
+@pytest.mark.parametrize("name, dual", CONSTRUCTIONS)
+def test_k44_census_matches_unreduced(name, dual):
+    # the Payne graphs: their first 10 edges
+    cap = {"max_edges": 10} if name == "payne" else {}
+    a = same_census(graph_of(name, dual), **cap)
+    assert a.counts_made < len(a)
+
+
+def bipartite_generated(seed):
+    """A seeded graph on two sides of m vertices, i and m + i, with
+    hand-made generators: two rotations of complementary blocks of a
+    shuffled side, each applied to both sides, and sometimes the swap
+    of the sides.  Whole edge orbits are kept, with probability 0.8
+    across the sides and 0.15 inside one, so that many edges lie in an
+    induced K4,4 and their counts differ."""
+    rng = random.Random(seed)
+    m = rng.randrange(6, 10)
+    n = 2 * m
+    order = rng.sample(range(m), m)
+    cut = rng.randrange(2, m - 2)
+    perms = []
+    for block in (order[:cut], order[cut:]):
+        perm = list(range(n))
+        for a, b in zip(block, block[1:] + block[:1]):
+            perm[a], perm[a + m] = b, b + m
+        perms.append(tuple(perm))
+    if rng.random() < 0.5:
+        perms.append(tuple((v + m) % n for v in range(n)))
+    edges, seen = set(), set()
+    for pair in itertools.combinations(range(n), 2):
+        if pair in seen:
+            continue
+        orbit, queue = {pair}, [pair]
+        for u, v in queue:
+            for perm in perms:
+                e = tuple(sorted((perm[u], perm[v])))
+                if e not in orbit:
+                    orbit.add(e)
+                    queue.append(e)
+        seen |= orbit
+        if rng.random() < (0.8 if (pair[0] < m) != (pair[1] < m) else 0.15):
+            edges |= orbit
+    return Graph(n, graph_from_edges(n, edges).rows, tuple(perms))
+
+
+def test_k44_census_of_hand_made_generators_matches_unreduced():
+    spread = set()
+    for seed in range(12):
+        g = bipartite_generated(seed)
+        a = same_census(g)
+        spread.add(len(set(a.values())))
+        for cap in ({"max_edges": 5}, {"stop_after_values": 2},
+                    {"max_edges": 20, "stop_after_values": 3}):
+            same_census(g, **cap)
+    assert max(spread) >= 4, spread
+
+
+def test_k44_census_cut_short_matches_unreduced():
+    # a lone edge before a K4,4 (as in test_tvc), with its automorphisms
+    # turning either side of the K4,4 and swapping the sides
+    edges = [(0, 1)] + [(i + 2, j + 6) for i in range(4) for j in range(4)]
+    g = Graph(10, graph_from_edges(10, edges).rows, (
+        (1, 0, 3, 4, 5, 2, 6, 7, 8, 9), (0, 1, 2, 3, 4, 5, 7, 8, 9, 6),
+        (0, 1, 6, 7, 8, 9, 2, 3, 4, 5)))
+    assert same_census(g).counts_made == 2
+    counts = same_census(g, stop_after_values=2)
+    assert len(set(counts.values())) == 2 and len(counts) < g.edge_count()
+    assert len(same_census(g, max_edges=3)) == 3
 
 
 def test_reduced_check_searches_the_pair_orbits_once(monkeypatch):
@@ -451,7 +530,7 @@ def test_formula_mismatch_is_listed_for_its_whole_orbit(monkeypatch):
 
 
 def test_reduced_path_stops_at_deadline_in_orbit_search(monkeypatch):
-    # dual Payne at k = 3: the one search for its 420 ordered pair orbits
+    # dual Payne at k = 3: the one search for its 74 ordered pair orbits
     # comes first, and reads the deadline at each of the 756 vertices it
     # reaches, not only before it starts
     g = graph_of("payne", dual=True)
