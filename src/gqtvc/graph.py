@@ -297,11 +297,13 @@ def min_bits_free(rows, t: int) -> int:
     return min(_relabelled_bits(rows, t, _block_perms(blocks), skip01=False))
 
 
-def pair_first(g: Graph, pair: tuple[int, int]) -> Graph:
-    """``g`` relabelled so that the pair takes slots 0, 1 and the other
-    vertices follow in increasing order."""
+def check_pair(n: int, pair: tuple[int, int]) -> tuple[int, int]:
+    """``pair`` as two distinct vertices of 0..n-1, else GraphError."""
     u, v = pair
-    return induced_subgraph(g, [u, v] + [w for w in range(g.n) if w not in pair])
+    if u == v or not (0 <= u < n and 0 <= v < n):
+        raise GraphError(f"pair {pair} is not two distinct vertices "
+                         f"of 0..{n - 1}")
+    return u, v
 
 
 def canonical_code(g: Graph, pair: tuple[int, int] | None = None) -> CanonicalCode:
@@ -312,9 +314,9 @@ def canonical_code(g: Graph, pair: tuple[int, int] | None = None) -> CanonicalCo
         raise GraphError(f"canonical form limited to order {MAX_CANON_ORDER}")
     if pair is None:
         return CanonicalCode(g.n, min_bits_free(g.rows, g.n), None)
-    h = pair_first(g, pair)
-    return CanonicalCode(g.n, min(pair_relabellings(h.rows, g.n)),
-                         h.has_edge(0, 1))
+    u, v = check_pair(g.n, pair)
+    return CanonicalCode(g.n, min(pair_relabellings(g.rows, g.n, u, v)),
+                         g.has_edge(u, v))
 
 
 # -- graph6 serialization -------------------------------------------------

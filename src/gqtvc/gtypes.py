@@ -9,12 +9,11 @@ class (counting scans both orientations of each anchored pair).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graph import (CanonicalCode, Graph, GraphError, bits_of,
-                    graph_from_edges, min_bits_free, pair_codes, pair_first,
+from .graph import (CanonicalCode, Graph, GraphError, bits_of, check_pair,
+                    graph_from_edges, min_bits_free, pair_codes,
                     pair_relabellings)
 
 MIN_TYPE_ORDER = 2
@@ -37,6 +36,8 @@ class GraphType:
     def __post_init__(self):
         if not MIN_TYPE_ORDER <= self.order <= MAX_TYPE_ORDER:
             raise GraphError("type order must be between 2 and 8")
+        if len(self.rows) != self.order:
+            raise GraphError("type needs one row per vertex")
         if (self.rows[0] >> 1) & 1:
             raise GraphError("pair edge must not appear in type rows")
 
@@ -72,13 +73,16 @@ class GraphType:
 
 def type_from_graph(g: Graph, pair: tuple[int, int],
                     pair_adjacent: bool | None = "auto") -> GraphType:
-    """Build a type from a small graph with a chosen fixed pair."""
-    h = pair_first(g, pair)
-    rows = list(h.rows)
+    """Build a type from a small graph with a chosen fixed pair; the
+    other vertices follow the pair in increasing order."""
+    u, v = check_pair(g.n, pair)
+    perm = [u, v] + [w for w in range(g.n) if w != u and w != v]
+    rows = [sum(1 << j for j, w in enumerate(perm) if g.rows[x] >> w & 1)
+            for x in perm]
     rows[0] &= ~2
     rows[1] &= ~1
     if pair_adjacent == "auto":
-        pair_adjacent = h.has_edge(0, 1)
+        pair_adjacent = g.has_edge(u, v)
     return GraphType(g.n, tuple(rows), pair_adjacent)
 
 
@@ -92,6 +96,31 @@ def pair_fixing_aut_order(order: int, rows: tuple[int, ...]) -> int:
     the least code occurs once per automorphism."""
     codes = list(pair_relabellings(rows, order))
     return codes.count(min(codes))
+
+
+def _grow(start: tuple[int, ...], order: int, first: int, min_valency: int,
+          key) -> list[tuple[int, ...]]:
+    """Graphs of ``order`` vertices grown from the rows ``start`` one
+    vertex at a time, each new vertex joined to any subset of the earlier
+    ones.  A shape is dropped once a vertex from index ``first`` on cannot
+    reach ``min_valency`` with the vertices still to come; each level
+    keeps the first graph of each ``key(rows, size)`` class.  Deleting
+    the last vertex of a graph that meets the bound leaves one that
+    passes the level before, so every class is found (McKay, 1998)."""
+    current = [start]
+    for size in range(len(start), order):  # grow from size to size + 1
+        seen = {}
+        need = min_valency - (order - size - 1)
+        for rows in current:
+            for attach in range(1 << size):
+                new_rows = [r | (attach >> v & 1) << size
+                            for v, r in enumerate(rows)]
+                new_rows.append(attach)
+                if min(map(int.bit_count, new_rows[first:])) < need:
+                    continue
+                seen.setdefault(key(new_rows, size + 1), tuple(new_rows))
+        current = list(seen.values())
+    return current
 
 
 @lru_cache(maxsize=None)
@@ -108,40 +137,10 @@ def enumerate_types(t: int, min_add_valency: int) -> tuple[GraphType, ...]:
         raise GraphError("valency bound out of range")
     if min_add_valency > t - 1:
         return ()  # no order-t type can meet the bound
-
-    # level-wise extension: add one additional vertex at a time, pruning
-    # shapes whose vertices can no longer reach the valency bound, and
-    # deduplicating by canonical bits at each level
-    current: list[tuple[int, ...]] = [(0, 0)]
-    for size in range(3, t + 1):
-        seen = {}
-        for rows in current:
-            prev = size - 1
-            for attach in range(1 << prev):
-                new_rows = []
-                for v in range(prev):
-                    r = rows[v]
-                    if (attach >> v) & 1:
-                        r |= 1 << prev
-                    new_rows.append(r)
-                new_rows.append(attach)
-                # prune: remaining extensions add at most t - size neighbours
-                ok = True
-                for v in range(2, size):
-                    if new_rows[v].bit_count() + (t - size) < min_add_valency:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                key = min(pair_codes(new_rows, size))
-                if key not in seen:
-                    seen[key] = tuple(new_rows)
-        current = list(seen.values())
-    out = []
-    for rows in current:
-        ty = GraphType(t, rows, None)
-        if all(v >= min_add_valency for v in ty.additional_valencies()):
-            out.append(ty)
+    # at order t the growth bound is the valency bound itself
+    grown = _grow((0, 0), t, 2, min_add_valency,
+                  lambda rows, size: min(pair_codes(rows, size)))
+    out = [GraphType(t, rows, None) for rows in grown]
     out.sort(key=lambda ty: (ty.edge_count_structure(), ty.code.bits))
     return tuple(out)
 
@@ -174,20 +173,21 @@ class ComplementTable:
 def enumerate_order5_complements(max_size: int = 3) -> ComplementTable:
     """Orbits of small edge sets on {x, y, a, b, c} (pair edge excluded)
     under S({x,y}) x S({a,b,c}), with stabilizer orders and orbit
-    lengths.  Orbit lengths per size must sum to C(9, size)."""
-    by_size = {}
-    for size in range(0, max_size + 1):
-        classes = {}
-        for edges in itertools.combinations(_EDGE_SLOTS, size):
-            rows = graph_from_edges(5, edges).rows
-            fwd, bwd = pair_codes(rows, 5)
-            key = min(fwd, bwd)
-            if key not in classes:
-                # an automorphism swapping x and y exists iff fwd == bwd
-                stab = pair_fixing_aut_order(5, rows) * (2 if fwd == bwd else 1)
-                classes[key] = ComplementClass(edges, stab, 12 // stab)
-        by_size[size] = tuple(classes.values())
-    return ComplementTable(by_size)
+    lengths.  Orbit lengths per size must sum to C(9, size).
+
+    Each orbit is the complement of an order-5 type class, and shares
+    its automorphisms."""
+    if not 0 <= max_size <= len(_EDGE_SLOTS):
+        raise GraphError("complement size must be between 0 and 9")
+    by_size = {size: [] for size in range(max_size + 1)}
+    for ty in enumerate_types(5, 0):
+        edges = tuple((i, j) for i, j in _EDGE_SLOTS if not ty.rows[i] >> j & 1)
+        if len(edges) <= max_size:
+            fwd, bwd = pair_codes(ty.rows, 5)
+            # an automorphism swapping x and y exists iff fwd == bwd
+            stab = pair_fixing_aut_order(5, ty.rows) * (2 if fwd == bwd else 1)
+            by_size[len(edges)].append(ComplementClass(edges, stab, 12 // stab))
+    return ComplementTable({s: tuple(cs) for s, cs in by_size.items()})
 
 
 # the eight order-5 types surviving the valency-3 reduction, named by
@@ -224,41 +224,6 @@ K44_TYPE = type_from_graph(graph_from_edges(
 
 # -- candidate cores for high-order type searches -------------------------
 
-def _all_graphs_of_order(n: int):
-    """All graphs on n labelled vertices as row tuples (not deduped)."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for mask in range(1 << len(pairs)):
-        rows = [0] * n
-        for b, (i, j) in enumerate(pairs):
-            if (mask >> b) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-        yield tuple(rows)
-
-
-def _maximal_cliques(rows: tuple[int, ...], n: int):
-    full = (1 << n) - 1
-    out = []
-
-    def bk(r, p, x):
-        if p == 0 and x == 0:
-            out.append(r)
-            return
-        pivot_candidates = p | x
-        u = (pivot_candidates & -pivot_candidates).bit_length() - 1
-        ext = p & ~rows[u]
-        m = ext
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            bk(r | low, p & rows[v], x & rows[v])
-            p &= ~low
-            x |= low
-    bk(0, full, 0)
-    return out
-
-
 def enumerate_s_candidates(t0: int) -> tuple[Graph, ...]:
     """Cores S of order t0-2 that could distinguish pairs at level t0 in
     a point graph of a generalised quadrangle of order (s, s^2).
@@ -275,15 +240,14 @@ def enumerate_s_candidates(t0: int) -> tuple[Graph, ...]:
         raise GraphError("supported core searches: 6 <= t0 <= 8")
     n = t0 - 2
     forbidden_clique = t0 - 4
-    seen = set()
     out = []
-    for rows in _all_graphs_of_order(n):
+    for rows in _grow((0,), n, 0, 2, min_bits_free):
         degs = [r.bit_count() for r in rows]
-        if min(degs) < 2:
-            continue
-        if all(d == n - 1 for d in degs):
-            continue
-        cliques = _maximal_cliques(rows, n)
+        # cliques: each member sees the others; maximal: no vertex outside
+        # sees all of them.  A complete S fails the clique bound (n > t0 - 4)
+        cliques = [c for c in range(1, 1 << n)
+                   if all(c & ~rows[v] == 1 << v for v in bits_of(c))
+                   and all(c & ~rows[z] for z in range(n) if not c >> z & 1)]
         if max(c.bit_count() for c in cliques) >= forbidden_clique:
             continue
         # maximal clique attachment
@@ -298,10 +262,6 @@ def enumerate_s_candidates(t0: int) -> tuple[Graph, ...]:
                         for v, d in enumerate(degs))
         if not (edge_branch or nonedge_branch):
             continue
-        key = min_bits_free(rows, n)
-        if key in seen:
-            continue
-        seen.add(key)
         out.append(Graph(n, rows))
     out.sort(key=lambda g: (g.edge_count(), min_bits_free(g.rows, g.n)))
     return tuple(out)

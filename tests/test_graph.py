@@ -42,6 +42,13 @@ def test_induced_subgraph_relabels_in_order():
     assert sub.has_edge(0, 1)
 
 
+@pytest.mark.parametrize("pair", [(0, 9), (-1, 2), (2, 2), (4, 0)])
+def test_canonical_code_rejects_bad_pair(pair):
+    g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(GraphError):
+        canonical_code(g, pair)
+
+
 def test_canonical_code_fixed_values():
     # path and star on 4 vertices are distinguishable, K4 is minimal
     p4 = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])

@@ -1,3 +1,6 @@
+import hashlib
+from math import comb
+
 import pytest
 
 from gqtvc.graph import GraphError, canonical_code, graph_from_edges
@@ -6,6 +9,11 @@ from gqtvc.gtypes import (GraphType, ORDER5_COMPLEMENTS, ORDER5_DISCARDED,
                           enumerate_s_candidates, enumerate_types,
                           order5_type, pair_fixing_aut_order,
                           type_from_graph)
+
+# sha256 of the representatives test_enumerate_types_digest lists,
+# recorded from the enumeration before it was rewritten
+TYPES_DIGEST = \
+    "22a0b5709f21c3b6980713d7481234cb39aedf4c32c7944cabb25572e4b1796f"
 
 
 def test_graph_type_basics():
@@ -22,6 +30,18 @@ def test_graph_type_basics():
 def test_graph_type_rejects_pair_bit_in_rows():
     with pytest.raises(GraphError):
         GraphType(3, (6, 5, 3), None)  # rows contain the 0-1 edge
+
+
+def test_graph_type_rejects_missing_rows():
+    with pytest.raises(GraphError):
+        GraphType(4, (0, 0))
+
+
+@pytest.mark.parametrize("pair", [(0, 9), (-1, 2), (2, 2)])
+def test_type_from_graph_rejects_bad_pair(pair):
+    g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(GraphError):
+        type_from_graph(g, pair)
 
 
 def test_type_from_graph_roundtrip():
@@ -41,6 +61,18 @@ def test_order5_complement_checksums():
             assert cl.aut_order * cl.orbit_length == 12
 
 
+def test_order5_complements_cover_every_size():
+    tab = enumerate_order5_complements(9)
+    assert tab.orbit_sums() == {s: comb(9, s) for s in range(10)}
+    assert tab.class_counts()[9] == 1
+
+
+@pytest.mark.parametrize("max_size", [-1, 10])
+def test_order5_complements_reject_size_out_of_range(max_size):
+    with pytest.raises(GraphError):
+        enumerate_order5_complements(max_size)
+
+
 def test_order5_aut_orders_by_size():
     tab = enumerate_order5_complements(3)
     assert sorted(c.aut_order for c in tab.by_size[1]) == [2, 4]
@@ -55,6 +87,16 @@ def test_enumerate_types_counts():
     assert enumerate_types(4, 4) == ()  # bound exceeds possible valency
     # order 4, every additional vertex adjacent to the 3 others
     assert len(enumerate_types(4, 3)) == 1
+
+
+def test_enumerate_types_digest():
+    # every representative's rows, order and pair flag, in output order;
+    # a rewrite of the enumeration must not change any of them
+    cases = [(t, v) for t in range(2, 7) for v in range(t + 1)]
+    text = repr([(t, v, [(ty.rows, ty.order, ty.pair_adjacent)
+                         for ty in enumerate_types(t, v)])
+                 for t, v in cases + [(7, 3), (7, 4)]])
+    assert hashlib.sha256(text.encode()).hexdigest() == TYPES_DIGEST
 
 
 def test_enumerate_types_valency_bound_holds():

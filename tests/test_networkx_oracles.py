@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gqtvc.graph import (Graph, canonical_code, from_graph6,
-                         graph_from_edges, to_graph6)
-from gqtvc.gtypes import (K44_TYPE, enumerate_order5_complements,
+                         graph_from_edges, min_bits_free, to_graph6)
+from gqtvc.gtypes import (K44_TYPE, _grow, enumerate_order5_complements,
                           enumerate_types, pair_fixing_aut_order)
 from gqtvc.regularity import srg_parameters
 from gqtvc.symmetry import automorphisms, pair_orbits
@@ -126,6 +126,27 @@ def test_pair_fixing_aut_order_matches_networkx():
         assert pair_fixing_aut_order(ty.order, ty.rows) \
             == automorphism_count(h, same_slots), ty
     assert pair_fixing_aut_order(K44_TYPE.order, K44_TYPE.rows) == 36
+
+
+def test_free_graph_grower_finds_each_class_once():
+    # graphs on 1..6 vertices up to isomorphism (OEIS A000088), each
+    # matched against networkx's atlas of all graphs on up to 7 vertices
+    def degrees(h):
+        return tuple(sorted(d for _, d in h.degree()))
+
+    atlas = {}
+    for h in nx.graph_atlas_g():
+        atlas.setdefault(degrees(h), []).append(h)
+    for n, count in zip(range(1, 7), (1, 2, 4, 11, 34, 156)):
+        grown = _grow((0,), n, 0, 0, min_bits_free)
+        assert len(grown) == count
+        matched = set()
+        for rows in grown:
+            g = to_nx(Graph(n, rows))
+            same = [id(h) for h in atlas[degrees(g)] if nx.is_isomorphic(g, h)]
+            assert len(same) == 1, rows
+            matched.add(same[0])
+        assert len(matched) == count
 
 
 def test_complement_aut_orders_match_networkx():
