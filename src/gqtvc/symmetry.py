@@ -20,11 +20,15 @@ stabiliser of O's least vertex r on the second vertex (Seress,
 step a permutation of a row of labels, with no table of the n^2 pairs.
 The unordered orbits are read off the ordered ones.  Without
 generators every pair is its own orbit, produced as it is scanned.
+Automorphisms fixing a pair (``Stabilisers.fixers``) are Schreier
+generators drawn at those two levels from fixed seeds; a count that
+weights by their orbits holds for any subgroup of the pair stabiliser.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from collections import Counter
 from operator import itemgetter
 
@@ -212,6 +216,73 @@ def orbit_of(g: Graph, pair) -> list[tuple[int, int]]:
     same = lab[y].__eq__
     return [(u, v) for u, wu in w.items() for v in
             itertools.compress(range(g.n), map(same, itemgetter(*wu)(lab)))]
+
+
+# Schreier generators drawn at each level of ``Stabilisers.fixers``.  On
+# dual Payne's 74 pair representatives, 16 leave 3 % more vertex
+# orbits than 64 at a third of the cost, and 8 leave twice as many.
+FIXERS = 16
+
+
+def _inverse(perm) -> list[int]:
+    inverse = [0] * len(perm)
+    for i, v in enumerate(perm):
+        inverse[v] = i
+    return inverse
+
+
+def _schreier(w, gens, seed: int) -> list[tuple[int, ...]]:
+    """``FIXERS`` Schreier generators w[s(u)] s w[u]^-1 of the stabiliser
+    of the root of ``w`` (Sims, 1970), u and s drawn from ``seed``."""
+    rng, points = random.Random(seed), list(w)
+    out = []
+    for _ in range(FIXERS):
+        u, s = rng.choice(points), rng.choice(gens)
+        out.append(itemgetter(*itemgetter(*_inverse(w[u]))(s))(w[s[u]]))
+    return out
+
+
+class Stabilisers(dict):
+    """``self[x]``: ``(r, w, lab)`` from ``_stabiliser(g, r)``, r the
+    first vertex of x's orbit looked up; each orbit is searched once."""
+
+    def __init__(self, g: Graph, deadline=None):
+        super().__init__()
+        self.g, self.deadline = g, deadline
+        self.moves = {}  # by r: Schreier generators of its stabiliser
+
+    def __missing__(self, x):
+        w, lab = _stabiliser(self.g, x, self.deadline)
+        self.update(dict.fromkeys(w, (x, w, lab)))
+        return self[x]
+
+    def key(self, x, y):
+        """The same for two ordered pairs exactly when they share an orbit."""
+        r, w, lab = self[x]
+        return r, lab[w[x][y]]
+
+    def fixers(self, x, y) -> tuple[tuple[int, ...], ...]:
+        """Automorphisms fixing x and y, products of the generators:
+        Schreier generators of the stabiliser of r from w (drawn once per
+        r), then of their stabiliser of c = w[x](y), conjugated by w[x].
+        They generate a subgroup of the pair's stabiliser, as large as
+        draws from fixed seeds make it."""
+        if not self.g.generators:
+            return ()
+        r, w, _ = self[x]
+        if r not in self.moves:
+            self.moves[r] = [(s, itemgetter(*_inverse(s))) for s in
+                             _schreier(w, self.g.generators, 0)]
+        c = w[x][y]
+        t, order = {c: w[r]}, [c]  # the orbit of c, as in _stabiliser
+        for z in order:
+            for s, inverse in self.moves[r]:
+                if s[z] not in t:
+                    t[s[z]] = inverse(t[z])
+                    order.append(s[z])
+        into, back = itemgetter(*w[x]), _inverse(w[x])
+        found = _schreier(t, [s for s, _ in self.moves[r]], 1)
+        return tuple({itemgetter(*into(h))(back) for h in found} - {w[r]})
 
 
 def _refine(rows, cells: dict[int, int], queue: list[int],

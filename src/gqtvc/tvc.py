@@ -17,7 +17,7 @@ from .graph import (BudgetExceeded, CanonicalCode, Graph, ParameterError,
 from .gtypes import (K44_TYPE, MAX_TYPE_ORDER, GraphType, enumerate_types,
                      pair_fixing_aut_order)
 from .regularity import check_isoregular, check_regular
-from .symmetry import _stabiliser, automorphisms, pair_orbits
+from .symmetry import Stabilisers, automorphisms, pair_orbits, vertex_orbits
 
 
 # largest t of the exhaustive scan and of pair_fingerprint
@@ -317,10 +317,16 @@ def _enough_neighbours(m0: int, constraints) -> int:
 
 
 def count_type_anchored(g: Graph, ty: GraphType, pair: tuple[int, int],
-                        deadline=None) -> int:
+                        deadline=None, _orbits=None) -> int:
     """Number of vertex subsets containing the ordered pair whose
     induced subgraph is of the given type (fixed vertices mapped to the
-    pair in order)."""
+    pair in order).
+
+    ``_orbits`` maps the least member of each orbit of automorphisms
+    fixing x and y to its size.  The first placed slot is then tried at
+    those members only, each weighted by its orbit's size; the other
+    twins of its class do not rise above it, so completions are counted
+    as sets, which the automorphisms permute."""
     x, y = _check_pair(g, pair)
     adj = g.has_edge(x, y)
     if ty.pair_adjacent is not None and ty.pair_adjacent != adj:
@@ -335,15 +341,19 @@ def count_type_anchored(g: Graph, ty: GraphType, pair: tuple[int, int],
     # fill; then the same for each class after it
     steps = [(skip, sel[a1], k1, [sel[a] for a in adjs], sizes)
              for skip, a1, k1, adjs, sizes in plan]
+    if _orbits and plan and not plan[0][0]:  # twins in the first class
+        steps[0] = (0, sel[plan[0][1] - 2]) + steps[0][2:]
+        residual *= plan[0][2] + 1
     masks = [sel[a0][x] & sel[a1][y] for a0, a1 in starts]
     final = len(steps) - 1
     total = 0
 
-    def rec(d, masks):
-        # masks: candidates of the current class, then of each later class
+    def rec(d, masks, m0):
+        # m0: candidates for slot d; masks: those of the current class,
+        # then of each later class
         nonlocal total
         skip, s1, k1, later, needs = steps[d]
-        m0, m1 = masks[0], masks[skip]
+        m1 = masks[skip]
         if d == final:
             # the last slot is counted here, by popcount
             while m0:
@@ -373,26 +383,38 @@ def count_type_anchored(g: Graph, ty: GraphType, pair: tuple[int, int],
                     break
                 child.append(m)
             else:
-                rec(d + 1, child)
+                rec(d + 1, child, n1)
 
-    if steps:
-        rec(0, masks)
-    else:
+    if not steps:
         total = masks[0].bit_count() if masks else 1
+    elif _orbits:
+        for v in bits_of(masks[0]):
+            if v in _orbits:
+                before = total
+                rec(0, masks, 1 << v)
+                total += (_orbits[v] - 1) * (total - before)
+    else:
+        rec(0, masks, masks[0])
     if total % residual:
         raise AssertionError(f"{total} embeddings, {residual} per subset")
     return total // residual
 
 
-def _scan_types_for_mismatch(g: Graph, types, reps,
-                             deadline) -> TvcWitness | None:
+def _fixer_orbits(bases: Stabilisers, x: int, y: int):
+    """``count_type_anchored``'s orbits for the pair (x, y), or None."""
+    fixers = bases.fixers(x, y)
+    return dict(vertex_orbits(bases.g.n, fixers)) if fixers else None
+
+
+def _scan_types_for_mismatch(g: Graph, types, reps, deadline,
+                             orbits) -> TvcWitness | None:
     for ty in types:
         for adj in (True, False):
             cty = ty.concrete(adj)
             ref = None
             ref_pair = None
             for pair in reps[adj]:
-                c = count_type_anchored(g, cty, pair, deadline)
+                c = count_type_anchored(g, cty, pair, deadline, orbits(pair))
                 if ref is None:
                     ref = c
                     ref_pair = pair
@@ -418,10 +440,12 @@ def _check_tvc_reduced(g: Graph, t: int, k: int, deadline) -> TvcVerdict:
     # the one below it holds; below level 4 the condition is strong
     # regularity, which k-isoregularity covers
     rank3 = len(reps[True]) <= 1 and len(reps[False]) <= 1
+    bases = Stabilisers(g, deadline)  # searched at a pair's first count
+    orbits = lru_cache(maxsize=None)(lambda pair: _fixer_orbits(bases, *pair))
     witness = None
     for level in range(4, 4 if rank3 else t + 1):
         witness = _scan_types_for_mismatch(g, enumerate_types(level, k + 1),
-                                           reps, deadline)
+                                           reps, deadline, orbits)
         if witness is not None:
             break
     return TvcVerdict(t, "satisfied" if witness is None else "violated",
@@ -456,23 +480,25 @@ def count_k44_per_edge(g: Graph, stop_after_values: int | None = None,
 
     ``stop_after_values`` ends the scan once that many distinct counts
     have been seen; ``max_edges`` caps the number of edges scanned.  An
-    edge orbit of the generators of ``g`` is counted at its first scanned
-    member, keyed as in ``orbit_of`` by x's orbit, with w[x] mapping x to
-    its first scanned vertex r, and the stabiliser orbit of w[x] (y).
+    unordered edge orbit of the generators of ``g`` is counted once, at
+    its first scanned member, with the orbits of automorphisms fixing it.
+    It is keyed by the orbit of (x, y) or of (y, x); no pair starting in
+    an orbit not yet searched has been keyed.
     """
     out, values = K44Census(), set()
-    made, bases = {}, {}  # count by key; r, w and lab by vertex
+    made, bases = {}, Stabilisers(g)  # count by key
     for x, y in itertools.islice(g.edges(), max_edges):
-        if g.generators and x not in bases:
-            w, lab = _stabiliser(g, x)
-            bases.update(dict.fromkeys(w, (x, w, lab)))
-        r, w, lab = bases.get(x, (x, None, None))
-        key = (r, lab[w[x][y]]) if w else (x, y)
+        key = bases.key(x, y) if g.generators else (x, y)
         if key not in made:
-            made[key] = count_type_anchored(g, K44_TYPE, (x, y))
+            back = bases.key(y, x) if y in bases else None
+            if back in made:
+                made[key] = made[back]
+            else:
+                made[key] = count_type_anchored(
+                    g, K44_TYPE, (x, y), None, _fixer_orbits(bases, x, y))
+                out.counts_made += 1
         out[x, y] = count = made[key]
         values.add(count)
         if stop_after_values is not None and len(values) >= stop_after_values:
             break
-    out.counts_made = len(made)
     return out

@@ -149,6 +149,7 @@ def test_criterion_7_full_k44_distribution():
     tally = Counter(counts.values())
     assert tally == {7896: 46875, 8000: 1500, 23000: 750, 75000: 15}
     assert sum(tally.values()) == len(counts) == 49140
+    assert counts.counts_made == 17
     report(7, f"dual Payne GQ(5,25): K4,4 counts over all 49140 edges "
               f"{dict(sorted(tally.items()))}, from {counts.counts_made} "
               f"counts")

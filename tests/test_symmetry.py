@@ -15,9 +15,11 @@ from gqtvc.geometry import (CONSTRUCTIONS as REGISTERED, PartialLinearSpace,
 from gqtvc.graph import (BudgetExceeded, Graph, GraphError, ParameterError,
                          from_graph6, graph_from_edges, to_graph6)
 from gqtvc.regularity import check_isoregular, srg_parameters
-from gqtvc.symmetry import (automorphisms, orbit_of, pair_orbits, scan_pairs,
+from gqtvc.gtypes import enumerate_types
+from gqtvc.symmetry import (Stabilisers, automorphisms, check_automorphisms,
+                            orbit_of, pair_orbits, scan_pairs,
                             unordered_orbits, vertex_orbits)
-from gqtvc.tvc import check_tvc, count_k44_per_edge
+from gqtvc.tvc import check_tvc, count_k44_per_edge, count_type_anchored
 
 from conftest import (chang, geometry, graph_of, permuted, random_graph,
                       shrikhande, unreduced)
@@ -294,6 +296,36 @@ def test_k44_census_matches_unreduced(name, dual):
     cap = {"max_edges": 10} if name == "payne" else {}
     a = same_census(graph_of(name, dual), **cap)
     assert a.counts_made < len(a)
+
+
+@pytest.mark.parametrize("name, dual", CONSTRUCTIONS)
+def test_fixers_fix_the_pair_and_keep_counts(name, dual):
+    # the automorphisms Stabilisers.fixers draws for a pair fix it, and
+    # counting with their orbits gives the plain count, on sampled types
+    # of order 4 to 8 at the first edge and non-edge, a seeded random edge
+    # and non-edge, and their reverses
+    g = graph_of(name, dual)
+    rng = random.Random(16)
+    bases, moved = Stabilisers(g), 0
+    pairs = [next(g.edges()), next(g.non_edges())]
+    while len(pairs) < 4:
+        x, y = rng.sample(range(g.n), 2)
+        if g.has_edge(x, y) == (len(pairs) == 2):
+            pairs.append((x, y))
+    for x, y in pairs + [p[::-1] for p in pairs]:
+        fixers = bases.fixers(x, y)
+        check_automorphisms(g.rows, fixers)
+        assert all(s[x] == x and s[y] == y for s in fixers)
+        orbits = dict(vertex_orbits(g.n, fixers))
+        moved += len(orbits) < g.n
+        for t in range(4, 9):
+            for ty in rng.sample(enumerate_types(t, t - 3), 2):
+                ty = ty.concrete(g.has_edge(x, y))
+                assert count_type_anchored(g, ty, (x, y), None, orbits) \
+                    == count_type_anchored(g, ty, (x, y)), (x, y, ty)
+    # the generators of T2*(O) fix no pair: the stabiliser of a point has
+    # order 3 and moves every other point
+    assert moved >= (0 if (name, dual) == ("t2star", False) else 4)
 
 
 def bipartite_generated(seed):

@@ -7,10 +7,12 @@ from math import comb
 import pytest
 
 from gqtvc.cli import main
-from gqtvc.graph import (ParameterError, canonical_code, graph_from_edges,
-                         induced_subgraph, rows_from_bits, write_graph6_file)
+from gqtvc.graph import (Graph, ParameterError, canonical_code,
+                         graph_from_edges, induced_subgraph, rows_from_bits,
+                         write_graph6_file)
 from gqtvc import tvc
 from gqtvc.gtypes import K44_TYPE, GraphType, enumerate_types, order5_type
+from gqtvc.symmetry import check_automorphisms, vertex_orbits
 from gqtvc.tvc import (_pair_census, check_tvc, count_k44_per_edge,
                        count_type_anchored, find_distinguisher,
                        pair_fingerprint)
@@ -129,6 +131,73 @@ def test_neighbour_filter_on_off(monkeypatch):
     assert on == off
     assert seen["pruned"] > 0 and seen["emptied"] > 0, seen
     assert sum(map(bool, on)) > len(on) // 2
+
+
+def pair_fixing_graph(n, keep, rng):
+    """A seeded graph on n vertices with a pair (x, y) and hand-made
+    automorphisms that fix it: rotations of shuffled blocks of 2 to 4 of
+    the other vertices, each block inside one side of a split with x on
+    one side and y on the other.  Whole orbits of pairs are kept, a pair
+    across the split with probability keep(True), inside one side with
+    probability keep(False)."""
+    x, y, *rest = rng.sample(range(n), n)
+    side = set(rest[:len(rest) // 2]) | {x}
+    perms = []
+    for part in (sorted(side - {x}), sorted(set(rest) - side)):
+        rng.shuffle(part)
+        while len(part) >= 2:
+            k = rng.randint(2, 4)
+            block, part = part[:k], part[k:]
+            perm = list(range(n))
+            for a, b in zip(block, block[1:] + block[:1]):
+                perm[a] = b
+            perms.append(tuple(perm))
+    edges, seen = set(), set()
+    for pair in itertools.combinations(range(n), 2):
+        if pair in seen:
+            continue
+        orbit, queue = {pair}, [pair]
+        for u, v in queue:
+            for perm in perms:
+                e = tuple(sorted((perm[u], perm[v])))
+                if e not in orbit:
+                    orbit.add(e)
+                    queue.append(e)
+        seen |= orbit
+        if rng.random() < keep((pair[0] in side) != (pair[1] in side)):
+            edges |= orbit
+    return Graph(n, graph_from_edges(n, edges).rows, tuple(perms)), (x, y)
+
+
+def test_fixer_orbits_on_off():
+    # counting the first placed slot at one vertex per orbit of hand-made
+    # automorphisms fixing the pair, weighted by the orbit's size, gives
+    # the plain count: on random twin types and on K4,4 through the pair
+    # of near-complete-bipartite graphs, as in test_neighbour_filter_on_off
+    rng = random.Random(1970)
+    cases = []
+    for n in range(12, 41, 2):
+        for p in (0.3, 0.5, 0.7):
+            g, pair = pair_fixing_graph(n, lambda across: p, rng)
+            for _ in range(8):
+                ty = random_twin_type(rng.randint(5, 8), p, rng)
+                for x, y in (pair, pair[::-1]):
+                    cases.append((g, ty.concrete(g.has_edge(x, y)), (x, y)))
+            h, pair = pair_fixing_graph(
+                n, lambda across: (1 + p) / 2 if across else 0.05, rng)
+            if h.has_edge(*pair):
+                cases += [(h, K44_TYPE, pair), (h, K44_TYPE, pair[::-1])]
+    twins = Counter()
+    for g, ty, (x, y) in cases:
+        check_automorphisms(g.rows, g.generators)
+        assert all(s[x] == x and s[y] == y for s in g.generators)
+        orbits = dict(vertex_orbits(g.n, g.generators))
+        plain = count_type_anchored(g, ty, (x, y))
+        assert count_type_anchored(g, ty, (x, y), None, orbits) == plain
+        first_class_twins = not tvc._placement(ty.order, ty.rows)[1][0][0]
+        twins[first_class_twins, ty == K44_TYPE] += plain > 0
+    # first placed classes with and without twins, and K4,4, counted
+    assert min(twins.values()) > 10 and len(twins) == 3, twins
 
 
 def test_check_tvc_small_levels():
@@ -317,6 +386,43 @@ def test_count_k44_matches_brute_force():
                                           part, 2)))
             assert count == brute, (x, y)
     assert len(seen) >= 4, seen
+
+
+def direct_k44(g, x, y):
+    """Induced K4,4 through the edge (x, y), x and y on opposite sides,
+    counted directly: a1 < a2 < a3 pairwise non-adjacent in N(y) \\ N[x],
+    then b1 < b2 < b3 pairwise non-adjacent in
+    N(x) & N(a1) & N(a2) & N(a3) \\ N[y]."""
+    nbrs = [set() for _ in range(g.n)]
+    for u, v in g.edges():
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    side = sorted(nbrs[y] - nbrs[x] - {x})
+    total = 0
+    for i, a1 in enumerate(side):
+        common = nbrs[x] & nbrs[a1] - nbrs[y] - {y}
+        for j in range(i + 1, len(side)):
+            a2 = side[j]
+            if a2 in nbrs[a1] or len(common & nbrs[a2]) < 3:
+                continue
+            for a3 in side[j + 1:]:
+                if a3 in nbrs[a1] or a3 in nbrs[a2]:
+                    continue
+                total += sum(
+                    not (b2 in nbrs[b1] or b3 in nbrs[b1] or b3 in nbrs[b2])
+                    for b1, b2, b3 in itertools.combinations(
+                        sorted(common & nbrs[a2] & nbrs[a3]), 3))
+    return total
+
+
+def test_k44_census_matches_direct_count_on_dual_payne():
+    # the two values of the census on the edges of vertex 0, recounted by
+    # a biclique search that shares no code with count_type_anchored
+    g = graph_of("payne", dual=True)
+    counts = count_k44_per_edge(g, max_edges=126)
+    assert (counts[0, 1], counts[0, 126]) == (7896, 8000)
+    assert direct_k44(g, 0, 1) == 7896
+    assert direct_k44(g, 0, 126) == 8000
 
 
 def test_count_k44_early_stop():
