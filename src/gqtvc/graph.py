@@ -322,27 +322,18 @@ def canonical_code(g: Graph, pair: tuple[int, int] | None = None) -> CanonicalCo
 # -- graph6 serialization -------------------------------------------------
 
 def to_graph6(g: Graph) -> str:
-    """Encode in McKay's graph6 format (printable ASCII, offset 63)."""
+    """Encode in McKay's graph6 format (printable ASCII, offset 63): the
+    order, then the upper triangle column by column, six bits a
+    character."""
     n = g.n
-    if n < 63:
-        head = [n + 63]
-    elif n < 258048:
-        head = [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
-    else:
+    if n >= 258048:
         raise GraphError("graph too large for graph6 encoding")
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append((g.rows[i] >> j) & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    body = []
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k:k + 6]:
-            val = (val << 1) | b
-        body.append(val + 63)
-    return "".join(chr(c) for c in head + body)
+    head = [n] if n < 63 else [63, n >> 12, n >> 6 & 63, n & 63]
+    bits = "".join(str(g.rows[i] >> j & 1) for j in range(1, n)
+                   for i in range(j))
+    bits += "0" * (-len(bits) % 6)
+    return "".join(chr(c + 63) for c in head + [
+        int(bits[k:k + 6], 2) for k in range(0, len(bits), 6)])
 
 
 def from_graph6(line: str) -> Graph:
@@ -364,18 +355,13 @@ def from_graph6(line: str) -> Graph:
     nbits = n * (n - 1) // 2
     if len(data) != (nbits + 5) // 6:
         raise GraphError("graph6 body has wrong length")
-    bits = []
-    for val in data:
-        for k in range(5, -1, -1):
-            bits.append((val >> k) & 1)
-    rows = [0] * n
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            idx += 1
+    bits = "".join(format(c, "06b") for c in data)
+    # column j holds the bits (i, j), i < j, from bit j(j - 1)/2 on
+    rows = [int("0" + bits[j * (j - 1) // 2:j * (j + 1) // 2][::-1], 2)
+            for j in range(n)]
+    for j, column in enumerate(rows[:]):
+        for i in bits_of(column):
+            rows[i] |= 1 << j
     return Graph(n, tuple(rows))
 
 
@@ -386,10 +372,5 @@ def write_graph6_file(path, graphs):
 
 
 def read_graph6_file(path) -> list[Graph]:
-    out = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(from_graph6(line))
-    return out
+        return [from_graph6(line) for line in fh if line.strip()]

@@ -135,8 +135,6 @@ def enumerate_types(t: int, min_add_valency: int) -> tuple[GraphType, ...]:
         raise GraphError("type order must be between 2 and 8")
     if min_add_valency < 0:
         raise GraphError("valency bound out of range")
-    if min_add_valency > t - 1:
-        return ()  # no order-t type can meet the bound
     # at order t the growth bound is the valency bound itself
     grown = _grow((0, 0), t, 2, min_add_valency,
                   lambda rows, size: min(pair_codes(rows, size)))

@@ -15,14 +15,16 @@ An orbit is given by its least member in scan order and its size.
 Pairs are scanned edges first, then non-edges, each (a, b) with a < b
 in increasing order, for ordered pairs followed by (b, a).  The orbits
 on ordered pairs (x, y) with x in a vertex orbit O are those of the
-stabiliser of O's least vertex r on the second vertex (Seress,
-*Permutation Group Algorithms*, 2003): a search per vertex orbit, each
-step a permutation of a row of labels, with no table of the n^2 pairs.
-The unordered orbits are read off the ordered ones.  Without
-generators every pair is its own orbit, produced as it is scanned.
-Automorphisms fixing a pair (``Stabilisers.fixers``) are Schreier
-generators drawn at those two levels from fixed seeds; a count that
-weights by their orbits holds for any subgroup of the pair stabiliser.
+stabiliser of a root r in O on y (Seress, *Permutation Group
+Algorithms*, 2003): one search per vertex orbit keeps a Schreier
+vector of O and a label row per x in O, each step a permutation of a
+row, with no table of the n^2 pairs.  ``Stabilisers`` holds the
+searches, and every orbit question reads from it: the pair orbits and
+their members, the key of a pair's orbit, and the automorphisms fixing
+a pair, Schreier generators drawn at those two levels from fixed
+seeds; a count that weights by their orbits holds for any subgroup of
+the pair stabiliser.  The unordered orbits are read off the ordered
+ones.  Without generators every pair is its own orbit.
 """
 
 from __future__ import annotations
@@ -130,52 +132,59 @@ def _root(up: list[int], a: int) -> int:
     return a
 
 
+def _inverse(perm) -> list[int]:
+    inverse = [0] * len(perm)
+    for i, v in enumerate(perm):
+        inverse[v] = i
+    return inverse
+
+
 def _stabiliser(g: Graph, r: int, deadline=None):
-    """``(w, lab)`` for the orbit O of ``r``: ``w[x]``, for each x in O
-    in search order, a product of generators that maps x to ``r``, and
-    ``lab[v]`` the least vertex of the orbit of v under the stabiliser of
+    """``(rows, via)`` for the orbit O of ``r``.  ``via``, a Schreier
+    vector, gives each x in O (in search order) the u and the inverse of
+    the generator s with s(u) = x that first reached it, and so a
+    product w[x] = w[u] s^-1 mapping x to ``r``.  ``rows[x]`` is lab
+    w[x], the labels of the pairs (x, .), where ``lab = rows[r]`` labels
+    each v by the least vertex of its orbit under the stabiliser of
     ``r``.  The stabiliser is generated by the Schreier generators
-    h = w[s(x)] s w[x]^-1 (Sims, 1970), and h fixes ``lab`` exactly when
-    lab w[s(x)] s = lab w[x], the labels of the pairs (x, .).  ``lab``
-    starts discrete; where the two differ, their labels are merged.
-    Merging keeps every h checked before fixed, so one pass over the
-    (x, s) suffices, and the pairs of the spanning tree, whose h is the
-    identity, are skipped."""
-    n = g.n
-    moves = [(s, itemgetter(*s),  # s, its action on rows, and s^-1
-              itemgetter(*sorted(range(n), key=s.__getitem__)))
+    w[s(x)] s w[x]^-1 (Sims, 1970), which fix ``lab`` exactly when
+    rows[s(x)] s = rows[x].  ``lab`` starts discrete; where the two rows
+    differ, their labels are merged and every row is relabelled.
+    Merging keeps every generator checked before fixed, so one pass over
+    the (x, s) suffices, and the pairs of the spanning tree, whose
+    generator is the identity, are skipped."""
+    moves = [(s, itemgetter(*s), itemgetter(*_inverse(s)))
              for s in g.generators]
-    lab, up = list(range(n)), list(range(n))
-    w = {r: tuple(range(n))}
-    order = [r]
+    up = list(range(g.n))
+    rows, via, order = {r: tuple(up)}, {r: None}, [r]
     for x in order:
         _check_deadline(deadline)
-        wx = w[x]
-        row = itemgetter(*wx)(lab)
         for s, move, inverse in moves:
             y = s[x]
-            if y not in w:
-                w[y] = inverse(wx)
+            if y not in rows:
+                rows[y], via[y] = inverse(rows[x]), (x, inverse)
                 order.append(y)
                 continue
-            other = move(itemgetter(*w[y])(lab))
-            if other != row:
-                for a, b in zip(other, row):
+            other = move(rows[y])
+            if other != rows[x]:
+                for a, b in zip(other, rows[x]):
                     if a != b:
                         a, b = _root(up, a), _root(up, b)
                         up[max(a, b)] = min(a, b)
-                lab = [_root(up, c) for c in lab]
-                row = itemgetter(*wx)(lab)
-    return w, lab
+                # a label is a member of its class, so its root relabels it
+                lab = [_root(up, c) for c in range(g.n)]
+                rows = {z: itemgetter(*row)(lab) for z, row in rows.items()}
+    return rows, via
 
 
-def pair_orbits(g: Graph, ordered: bool = True, deadline=None):
+def pair_orbits(g: Graph, ordered: bool = True, deadline=None, bases=None):
     """Yield ``(pair, size)`` for each orbit of the generators of ``g``
     on its ordered pairs, or on its unordered pairs (a, b) with a < b,
-    at the orbit's least member in scan order.  Raises BudgetExceeded
-    once ``deadline`` (``time.monotonic()``) has passed."""
+    at the orbit's least member in scan order.  The stabilisers come
+    from ``bases`` (a ``Stabilisers`` of ``g``, new if None).  Raises
+    BudgetExceeded once ``deadline`` (``time.monotonic()``) has passed."""
     if not ordered:
-        yield from unordered_orbits(pair_orbits(g, True, deadline))
+        yield from unordered_orbits(pair_orbits(g, True, deadline, bases))
         return
     if not g.generators or g.n < 2:
         for pair in scan_pairs(g):
@@ -186,36 +195,39 @@ def pair_orbits(g: Graph, ordered: bool = True, deadline=None):
         x, y = pair
         return not g.has_edge(x, y), min(pair), max(pair), x > y
 
+    bases = bases if bases is not None else Stabilisers(g, deadline)
     reps = [r for r, _ in vertex_orbits(g.n, g.generators)]
     found = []
     for r in reps:
-        w, lab = _stabiliser(g, r, deadline)
-        sizes = Counter(lab)
-        del sizes[r]  # the pair (r, r)
+        _, rows, _ = bases[r]
         # the least vertex of an orbit's least member is the least of a
         # vertex orbit: the member is (r, c), c the least of its class, or
         # (x, r2), r2 in reps and x least; a class's vertices are in the
         # orbit of one r2
         firsts = {}
-        for x in sorted(w):
+        for x in sorted(rows):
             for r2 in reps:
-                firsts.setdefault(lab[w[x][r2]], (x, r2))
-        for c, size in sizes.items():
-            pair = min((r, c), firsts[c], key=key)
-            found.append((key(pair), pair, len(w) * size))
+                firsts.setdefault(rows[x][r2], (x, r2))
+        least = {c: v for v, c in reversed(list(enumerate(rows[r])))}
+        sizes = Counter(rows[r])
+        del sizes[rows[r][r]]  # the pair (r, r)
+        for label, size in sizes.items():
+            pair = min((r, least[label]), firsts[label], key=key)
+            found.append((key(pair), pair, len(rows) * size))
     for _, pair, size in sorted(found):
         yield pair, size
 
 
-def orbit_of(g: Graph, pair) -> list[tuple[int, int]]:
-    """The ordered pairs in the orbit of ``pair``."""
+def orbit_of(g: Graph, pair, bases=None) -> list[tuple[int, int]]:
+    """The ordered pairs in the orbit of ``pair``, from ``bases`` (a
+    ``Stabilisers`` of ``g``, new if None)."""
     x, y = pair
     if not g.generators:
         return [(x, y)]
-    w, lab = _stabiliser(g, x)  # the pairs (u, v) with lab w[u] (v) = lab y
-    same = lab[y].__eq__
-    return [(u, v) for u, wu in w.items() for v in
-            itertools.compress(range(g.n), map(same, itemgetter(*wu)(lab)))]
+    _, rows, _ = (bases if bases is not None else Stabilisers(g))[x]
+    same = rows[x][y].__eq__  # the pairs (u, v) with lab w[u] (v) the same
+    return [(u, v) for u, row in rows.items()
+            for v in itertools.compress(range(g.n), map(same, row))]
 
 
 # Schreier generators drawn at each level of ``Stabilisers.fixers``.  On
@@ -224,27 +236,22 @@ def orbit_of(g: Graph, pair) -> list[tuple[int, int]]:
 FIXERS = 16
 
 
-def _inverse(perm) -> list[int]:
-    inverse = [0] * len(perm)
-    for i, v in enumerate(perm):
-        inverse[v] = i
-    return inverse
-
-
-def _schreier(w, gens, seed: int) -> list[tuple[int, ...]]:
-    """``FIXERS`` Schreier generators w[s(u)] s w[u]^-1 of the stabiliser
-    of the root of ``w`` (Sims, 1970), u and s drawn from ``seed``."""
-    rng, points = random.Random(seed), list(w)
+def _schreier(points, w, gens, seed: int) -> list[tuple[int, ...]]:
+    """``FIXERS`` Schreier generators w(s(u)) s w(u)^-1 of the stabiliser
+    of the root of the transversal ``w`` (Sims, 1970), u drawn from
+    ``points`` and s from ``gens`` by ``seed``."""
+    rng = random.Random(seed)
     out = []
     for _ in range(FIXERS):
         u, s = rng.choice(points), rng.choice(gens)
-        out.append(itemgetter(*itemgetter(*_inverse(w[u]))(s))(w[s[u]]))
+        out.append(itemgetter(*itemgetter(*_inverse(w(u)))(s))(w(s[u])))
     return out
 
 
 class Stabilisers(dict):
-    """``self[x]``: ``(r, w, lab)`` from ``_stabiliser(g, r)``, r the
-    first vertex of x's orbit looked up; each orbit is searched once."""
+    """``self[x]``: ``(r, rows, via)`` from ``_stabiliser(g, r)``, r the
+    first vertex of x's orbit looked up; each orbit is searched once, and
+    every orbit question reads from it."""
 
     def __init__(self, g: Graph, deadline=None):
         super().__init__()
@@ -252,37 +259,51 @@ class Stabilisers(dict):
         self.moves = {}  # by r: Schreier generators of its stabiliser
 
     def __missing__(self, x):
-        w, lab = _stabiliser(self.g, x, self.deadline)
-        self.update(dict.fromkeys(w, (x, w, lab)))
+        rows, via = _stabiliser(self.g, x, self.deadline)
+        self.update(dict.fromkeys(rows, (x, rows, via)))
         return self[x]
 
     def key(self, x, y):
         """The same for two ordered pairs exactly when they share an orbit."""
-        r, w, lab = self[x]
-        return r, lab[w[x][y]]
+        r, rows, _ = self[x]
+        return r, rows[x][y]
+
+    def w(self, x) -> tuple[int, ...]:
+        """The product w[x] of generators mapping x to its root, rebuilt
+        along the Schreier vector from the root."""
+        _, _, via = self[x]
+        path = []
+        while via[x]:
+            x, undo = via[x]
+            path.append(undo)
+        w = tuple(range(self.g.n))
+        for undo in reversed(path):
+            w = undo(w)
+        return w
 
     def fixers(self, x, y) -> tuple[tuple[int, ...], ...]:
         """Automorphisms fixing x and y, products of the generators:
-        Schreier generators of the stabiliser of r from w (drawn once per
-        r), then of their stabiliser of c = w[x](y), conjugated by w[x].
-        They generate a subgroup of the pair's stabiliser, as large as
-        draws from fixed seeds make it."""
+        Schreier generators of the stabiliser of r from the Schreier
+        vector (drawn once per r), then of their stabiliser of
+        c = w[x](y), conjugated by w[x].  They generate a subgroup of the
+        pair's stabiliser, as large as draws from fixed seeds make it."""
         if not self.g.generators:
             return ()
-        r, w, _ = self[x]
+        r, rows, _ = self[x]
         if r not in self.moves:
-            self.moves[r] = [(s, itemgetter(*_inverse(s))) for s in
-                             _schreier(w, self.g.generators, 0)]
-        c = w[x][y]
-        t, order = {c: w[r]}, [c]  # the orbit of c, as in _stabiliser
+            self.moves[r] = [(s, itemgetter(*_inverse(s))) for s in _schreier(
+                list(rows), self.w, self.g.generators, 0)]
+        wx, one = self.w(x), tuple(range(self.g.n))
+        t, order = {wx[y]: one}, [wx[y]]  # the orbit of c, as in _stabiliser
         for z in order:
             for s, inverse in self.moves[r]:
                 if s[z] not in t:
                     t[s[z]] = inverse(t[z])
                     order.append(s[z])
-        into, back = itemgetter(*w[x]), _inverse(w[x])
-        found = _schreier(t, [s for s, _ in self.moves[r]], 1)
-        return tuple({itemgetter(*into(h))(back) for h in found} - {w[r]})
+        into, back = itemgetter(*wx), _inverse(wx)
+        found = _schreier(order, t.__getitem__,
+                          [s for s, _ in self.moves[r]], 1)
+        return tuple({itemgetter(*into(h))(back) for h in found} - {one})
 
 
 def _refine(rows, cells: dict[int, int], queue: list[int],

@@ -426,13 +426,10 @@ def _scan_types_for_mismatch(g: Graph, types, reps, deadline,
 def _check_tvc_reduced(g: Graph, t: int, k: int, deadline) -> TvcVerdict:
     # ordered pair orbit representatives by adjacency, for every type
     reps: dict[bool, list] = {True: [], False: []}
-    for pair, _ in pair_orbits(g, deadline=deadline):
+    bases = Stabilisers(g, deadline)  # one search per vertex orbit
+    for pair, _ in pair_orbits(g, deadline=deadline, bases=bases):
         reps[g.has_edge(*pair)].append(pair)
-    # the same search serves isoregularity: an unordered orbit's least
-    # member (a, b), a < b, is the least member of an ordered orbit
-    unordered = (pair for pairs in reps.values() for pair in pairs
-                 if pair[0] < pair[1])
-    if not check_isoregular(g, k, deadline, unordered).ok:
+    if not check_isoregular(g, k, deadline, bases).ok:
         raise ParameterError(f"graph is not {k}-isoregular")
     # rank 3: the pairs of a class form one orbit, so every type has one
     # count per class and the condition holds for all t (Hestenes &
@@ -440,7 +437,6 @@ def _check_tvc_reduced(g: Graph, t: int, k: int, deadline) -> TvcVerdict:
     # the one below it holds; below level 4 the condition is strong
     # regularity, which k-isoregularity covers
     rank3 = len(reps[True]) <= 1 and len(reps[False]) <= 1
-    bases = Stabilisers(g, deadline)  # searched at a pair's first count
     orbits = lru_cache(maxsize=None)(lambda pair: _fixer_orbits(bases, *pair))
     witness = None
     for level in range(4, 4 if rank3 else t + 1):

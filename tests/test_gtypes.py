@@ -11,9 +11,10 @@ from gqtvc.gtypes import (GraphType, ORDER5_COMPLEMENTS, ORDER5_DISCARDED,
                           type_from_graph)
 
 # sha256 of the representatives test_enumerate_types_digest lists,
-# recorded from the enumeration before it was rewritten
+# recorded from the enumeration before it was rewritten, and again when
+# (2, 2) gained its one type; every other case kept its digest
 TYPES_DIGEST = \
-    "22a0b5709f21c3b6980713d7481234cb39aedf4c32c7944cabb25572e4b1796f"
+    "45d6e0822f8831e13d66994be4146d1ac81e9a254a8b45c5ed39b693f11a52b9"
 
 
 def test_graph_type_basics():
@@ -83,6 +84,8 @@ def test_order5_aut_orders_by_size():
 
 def test_enumerate_types_counts():
     assert len(enumerate_types(2, 0)) == 1
+    # an order-2 type has no additional vertex, so it meets every bound
+    assert enumerate_types(2, 2) == enumerate_types(2, 0)
     assert len(enumerate_types(5, 3)) == 8
     assert enumerate_types(4, 4) == ()  # bound exceeds possible valency
     # order 4, every additional vertex adjacent to the 3 others

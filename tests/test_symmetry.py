@@ -174,15 +174,53 @@ def test_stabiliser_orbits_of_hand_made_generators(seed):
     assert sorted(p for o in orbits for p in o) == sorted(scan_pairs(g))
 
 
-@pytest.mark.parametrize("g", [
+SMALL_GRAPHS = [
     Graph(1, (0,), ((0,),)),
     Graph(2, (2, 1), ((1, 0),)),
     Graph(2, (0, 0), ((1, 0),)),
     Graph(2, (0, 0), ((0, 1),)),
-], ids=["K1-identity", "K2-swap", "empty-2-swap", "empty-2-identity"])
+]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_pair_orbits_read_stabilisers_at_any_root(seed):
+    # a shared Stabilisers whose orbits were searched from their last
+    # vertex gives the same orbits, and the same members of each
+    g = random_generated(6 + seed, seed)
+    bases = Stabilisers(g)
+    for x in reversed(range(g.n)):
+        bases[x]
+    assert list(pair_orbits(g, bases=bases)) == list(pair_orbits(g))
+    assert list(pair_orbits(g, False, bases=bases)) \
+        == list(unordered_search(g))
+    assert all(sorted(orbit_of(g, pair, bases)) == sorted(orbit_of(g, pair))
+               for pair, _ in pair_orbits(g))
+
+
+@pytest.mark.parametrize("g", SMALL_GRAPHS, ids=[
+    "K1-identity", "K2-swap", "empty-2-swap", "empty-2-identity"])
 def test_stabiliser_orbits_of_small_graphs(g):
     assert list(pair_orbits(g)) == list(search_over_pairs(g))
     assert list(pair_orbits(g, False)) == list(unordered_search(g))
+
+
+@pytest.mark.parametrize("g", [random_generated(6 + seed, seed)
+                               for seed in range(12)] + SMALL_GRAPHS
+                         + [graph_of("t2star", True)])
+def test_stabiliser_keys_are_the_pair_orbits(g):
+    # a key is kept by the generators, so its pairs are a union of orbits,
+    # and the keys' least members and sizes are those of the orbits, so
+    # there are as many keys as orbits.  Dual T2*(O)'s searches merge
+    # labels after rows were made
+    bases = Stabilisers(g)
+    keys = {p: bases.key(*p) for p in scan_pairs(g)}
+    assert all(keys[s[x], s[y]] == key for (x, y), key in keys.items()
+               for s in g.generators)
+    pairs = {}  # by key, in scan order
+    for p in scan_pairs(g):
+        pairs.setdefault(keys[p], []).append(p)
+    assert [(ps[0], len(ps)) for ps in pairs.values()] \
+        == list(search_over_pairs(g))
 
 
 @pytest.mark.parametrize("name", ["w2", "w3", "q5_2", "q5_3"])
@@ -403,6 +441,28 @@ def test_reduced_check_searches_the_pair_orbits_once(monkeypatch):
     assert searched == [0]
 
 
+def test_each_vertex_orbit_is_searched_once(monkeypatch):
+    # the pair orbits, the pair fixers of the counts and the orbits of
+    # mismatching pairs all read one search per vertex orbit
+    g = graph_of("t2star", True)
+    roots = [r for r, _ in vertex_orbits(g.n, g.generators)]
+    assert len(roots) == 6
+    searched, search = [], gqtvc.symmetry._stabiliser
+    monkeypatch.setattr(gqtvc.symmetry, "_stabiliser",
+                        lambda g, r, *rest: searched.append(r)
+                        or search(g, r, *rest))
+    check_tvc(g, 5, mode="reduced", k=2)
+    assert searched == roots
+    import gqtvc.formulas as formulas
+    right = formulas.expected_count
+    monkeypatch.setattr(formulas, "expected_count",
+                        lambda fid, s, t, adj: right(fid, s, t, adj) + adj)
+    searched.clear()
+    report = verify_formula(geometry("t2star", True), FormulaId("type3a"))
+    assert len(report.mismatches) == 2 * g.edge_count()
+    assert searched == roots
+
+
 def test_rank_three_short_cut_makes_no_count(monkeypatch):
     def no_count(*args):
         raise AssertionError("counted a type")
@@ -562,14 +622,16 @@ def test_formula_mismatch_is_listed_for_its_whole_orbit(monkeypatch):
 
 
 def test_reduced_path_stops_at_deadline_in_orbit_search(monkeypatch):
-    # dual Payne at k = 3: the one search for its 74 ordered pair orbits
-    # comes first, and reads the deadline at each of the 756 vertices it
-    # reaches, not only before it starts
-    g = graph_of("payne", dual=True)
+    # the search for the pair orbits comes first, and reads the deadline
+    # at each vertex it reaches, not only before it starts: on the Payne
+    # graph its first vertex orbit takes seconds, on dual Payne (74
+    # ordered pair orbits, 756 vertices) the reads are counted
+    payne = graph_of("payne")
     start = time.monotonic()
-    verdict = check_tvc(g, 4, mode="reduced", k=3, budget_seconds=0.1)
+    verdict = check_tvc(payne, 4, mode="reduced", k=3, budget_seconds=0.1)
     assert verdict.status == "inconclusive"
     assert time.monotonic() - start < 0.6
+    g = graph_of("payne", dual=True)
     with pytest.raises(BudgetExceeded):
         next(pair_orbits(g, deadline=time.monotonic() - 1))
     reads = []
