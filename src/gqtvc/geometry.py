@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 from .algebra import AlgebraError, Field, Matrix2, anisotropic_difference_check, field_make
-from .graph import Graph, bits_of, counter_spreader
+from .graph import Graph, GraphError
 from .symmetry import line_action, vertex_orbits
 
 
@@ -59,6 +59,8 @@ class PlsResult:
     ok: bool
     order: tuple[int, int] | None = None
     witness: object = None
+    # on success, the indices of the lines through each point
+    pencils: list | None = field(default=None, compare=False, repr=False)
 
     def __bool__(self):
         return self.ok
@@ -86,17 +88,17 @@ def _collinearity(num_points: int, lines) -> tuple[list[int], tuple | None]:
 def validate_pls(pls: PartialLinearSpace) -> PlsResult:
     """Check the partial linear space axioms.
 
-    Returns the order (s, t) on success, otherwise a witness: two lines
-    sharing two points, or a line/point with a deviant count.  Lines are
-    checked in order, each for length, repeated points, range, then a
-    pair it shares with an earlier line (one collinearity mask per
-    point, see ``_collinearity``).
+    Returns the order (s, t) and pencils on success, otherwise a witness:
+    two lines sharing two points, or a line/point with a deviant count.
+    Lines are checked in order, each for length, repeated points, range,
+    then, unless ``_pencils_meet_once``, a pair it shares with an earlier
+    line (one collinearity mask per point, see ``_collinearity``).
     """
     n, lines = pls.num_points, pls.lines
     if n < 1:
         return PlsResult(False, witness=("no points",))
     bad = None
-    point_deg = [0] * n
+    pencils = [[] for _ in range(n)]
     for li, line in enumerate(lines):
         if len(line) < 2:
             bad = ("short line", li, line)
@@ -108,18 +110,20 @@ def validate_pls(pls: PartialLinearSpace) -> PlsResult:
         if bad:
             break
         for p in line:
-            point_deg[p] += 1
-    _, clash = _collinearity(n, lines[:bad[1]] if bad else lines)
-    if clash is not None:
-        li, a, b = clash
-        first = next(lj for lj, line in enumerate(lines) if a in line and b in line)
-        return PlsResult(False, witness=("lines share two points", first, li,
-                                         (a, b)))
-    if bad:
-        return PlsResult(False, witness=bad)
+            pencils[p].append(li)
+    if bad or not _pencils_meet_once(pls, pencils):
+        _, clash = _collinearity(n, lines[:bad[1]] if bad else lines)
+        if clash is not None:
+            li, a, b = clash
+            first = next(lj for lj, line in enumerate(lines) if a in line and b in line)
+            return PlsResult(False, witness=("lines share two points", first, li,
+                                             (a, b)))
+        if bad:
+            return PlsResult(False, witness=bad)
     line_sizes = set(map(len, lines))
     if len(line_sizes) != 1:
         return PlsResult(False, witness=("line sizes differ", sorted(line_sizes)))
+    point_deg = list(map(len, pencils))
     if len(set(point_deg)) != 1:
         lo = point_deg.index(min(point_deg))
         hi = point_deg.index(max(point_deg))
@@ -130,7 +134,26 @@ def validate_pls(pls: PartialLinearSpace) -> PlsResult:
         return PlsResult(False, witness=("isolated points",))
     if pls.order is not None and pls.order != (s, t):
         return PlsResult(False, witness=("declared order mismatch", pls.order, (s, t)))
-    return PlsResult(True, order=(s, t))
+    return PlsResult(True, order=(s, t), pencils=pencils)
+
+
+def _pencils_meet_once(pls: PartialLinearSpace, pencils) -> bool:
+    """Whether at the least point p of each orbit of the verified
+    collineations, which move any two lines sharing two points onto two
+    through a p, the lines through p share no other point.  The copies
+    of a line listed twice, which may map onto one listed once, share an
+    image in the line action; then, or with no collineations, False."""
+    try:
+        points, lines = pls.collineations
+    except GraphError:
+        return False
+    if not points or len(set(lines[0])) != len(lines[0]):
+        return False
+    for p, _ in vertex_orbits(pls.num_points, points):
+        others = [q for li in pencils[p] for q in pls.lines[li] if q != p]
+        if len(set(others)) != len(others):
+            return False
+    return True
 
 
 def point_graph(pls: PartialLinearSpace) -> Graph:
@@ -144,33 +167,27 @@ def point_graph(pls: PartialLinearSpace) -> Graph:
 def check_gq_axiom(pls: PartialLinearSpace) -> PlsResult:
     """Check the generalised quadrangle axiom: every point off a line is
     collinear with exactly one of its points.  Witness: (point, line
-    index, count).
+    index, count), the first line off the point with a wrong count.
 
-    With A the collinearity and N the point-line incidence matrix, row
-    p of AN + (t + 1)N is the sum, over the lines through p, of the
-    counter rows of their points; it must be J + (s + t)N, as p sees s
-    points of its own lines.  Only one point per orbit of the checked
-    generators is summed."""
+    At the least point p of each orbit of the checked generators, the
+    lines through the points collinear with p are tallied: a line off p
+    once per point of it collinear with p, a line through p s times."""
     res = validate_pls(pls)
     if not res:
         return res
-    s, t = res.order
-    pencils = [0] * pls.num_points
-    for li, line in enumerate(pls.lines):
-        for p in line:
-            pencils[p] |= 1 << li
-    spread, width = counter_spreader(len(pls.lines), s + t + 1)
-    counter = cache(lambda p: spread(pencils[p]))
-    line_sum = cache(lambda li: sum(map(counter, pls.lines[li])))
-    ones = spread((1 << len(pls.lines)) - 1)
+    s, pencils = res.order[0], res.pencils
     for p, _ in vertex_orbits(pls.num_points, pls.collineations[0]):
-        got = sum(map(line_sum, bits_of(pencils[p])))
-        diff = got ^ (ones + (s + t) * counter(p))
-        if diff:
-            # a line through p always matches, so li misses p
-            li = ((diff & -diff).bit_length() - 1) // width
-            count = (got >> width * li) & ((1 << width) - 1)
-            return PlsResult(False, order=res.order, witness=(p, li, count))
+        want = [1] * len(pls.lines)
+        counts = [0] * len(pls.lines)
+        for li in pencils[p]:
+            want[li] = s
+            for q in pls.lines[li]:
+                if q != p:
+                    for lj in pencils[q]:
+                        counts[lj] += 1
+        if counts != want:
+            li = next(li for li, c in enumerate(counts) if c != want[li])
+            return PlsResult(False, res.order, (p, li, counts[li]))
     return PlsResult(True, order=res.order)
 
 
@@ -184,13 +201,8 @@ def dualize(pls: PartialLinearSpace) -> PartialLinearSpace:
     if not res:
         raise GeometryError(f"dualize on invalid geometry: {res.witness}")
     s, t = res.order
-    pencils = [[] for _ in range(pls.num_points)]
-    for li, line in enumerate(pls.lines):
-        for p in line:
-            pencils[p].append(li)
     points, lines = pls.collineations
-    dual = PartialLinearSpace(len(pls.lines),
-                              tuple(tuple(pen) for pen in pencils),
+    dual = PartialLinearSpace(len(pls.lines), tuple(map(tuple, res.pencils)),
                               (t, s), lines)
     dual.__dict__["collineations"] = lines, points
     return dual

@@ -47,11 +47,14 @@ def line_action(num_points: int, lines, perms) -> tuple[tuple[int, ...], ...]:
     GraphError for one that maps a line onto a point set that is not a
     line."""
     index = {tuple(sorted(line)): li for li, line in enumerate(lines)}
+    # itemgetter of one point returns the point, not a 1-tuple
+    getters = [itemgetter(*line) if len(line) > 1
+               else lambda perm, line=line: [perm[p] for p in line]
+               for line in lines]
     out = []
     for i, perm in enumerate(perms):
         _check_permutation(i, perm, num_points)
-        image = tuple(index.get(tuple(sorted(map(perm.__getitem__, line))))
-                      for line in lines)
+        image = tuple(index.get(tuple(sorted(get(perm)))) for get in getters)
         if None in image:
             raise GraphError(f"generator {i} maps line {image.index(None)} "
                              f"off the lines")

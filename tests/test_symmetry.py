@@ -7,17 +7,20 @@ import time
 
 import pytest
 
+import gqtvc.geometry
 import gqtvc.symmetry
 import gqtvc.tvc
 from gqtvc.formulas import FormulaId, verify_formula
-from gqtvc.geometry import (CONSTRUCTIONS as REGISTERED, PartialLinearSpace,
-                            build_elliptic_gq, check_gq_axiom, point_graph)
+from gqtvc.geometry import (CONSTRUCTIONS as REGISTERED, GeometryError,
+                            PartialLinearSpace, build_elliptic_gq,
+                            check_gq_axiom, dualize, point_graph,
+                            validate_pls)
 from gqtvc.graph import (BudgetExceeded, Graph, GraphError, ParameterError,
                          from_graph6, graph_from_edges, to_graph6)
 from gqtvc.regularity import check_isoregular, srg_parameters
 from gqtvc.gtypes import enumerate_types
 from gqtvc.symmetry import (Stabilisers, automorphisms, check_automorphisms,
-                            orbit_of, pair_orbits, scan_pairs,
+                            line_action, orbit_of, pair_orbits, scan_pairs,
                             unordered_orbits, vertex_orbits)
 from gqtvc.tvc import check_tvc, count_k44_per_edge, count_type_anchored
 
@@ -252,6 +255,13 @@ def test_generator_that_is_not_a_collineation_raises():
                                        ((0,) * pls.num_points,)))
 
 
+def test_line_action_on_lines_of_fewer_than_two_points():
+    # a one-point itemgetter returns the point itself, not a 1-tuple
+    assert line_action(2, [(), (0,), (1,), (0, 1)], [(1, 0)]) == ((0, 2, 1, 3),)
+    with pytest.raises(GraphError, match="generator 0 maps line 1"):
+        line_action(3, [(0,), (1,), (0, 1)], [(0, 2, 1)])
+
+
 def test_generator_that_is_not_an_automorphism_raises():
     g = graph_of("w2")
     swap = list(range(g.n))
@@ -264,6 +274,16 @@ def test_generator_that_is_not_an_automorphism_raises():
         Graph(h.n, h.rows, h.generators)
 
 
+def axiom_verdicts(pls):
+    """``validate_pls``, ``check_gq_axiom`` and the dual's points, lines
+    and order, or the error ``dualize`` raises."""
+    try:
+        dual = dualize(pls)
+    except GeometryError as exc:
+        return validate_pls(pls), check_gq_axiom(pls), str(exc)
+    return validate_pls(pls), check_gq_axiom(pls), dual
+
+
 @pytest.mark.parametrize("name, dual", CONSTRUCTIONS)
 def test_regularity_scans_match_unreduced(name, dual):
     g = graph_of(name, dual)
@@ -274,8 +294,9 @@ def test_regularity_scans_match_unreduced(name, dual):
         a, b = check_isoregular(g, k), check_isoregular(h, k)
         assert (a.ok, a.table, a.witness) == (b.ok, b.table, b.witness), k
         assert a.representatives <= b.representatives
+    # the geometry's checks too, at one point per orbit against all
     pls = geometry(name, dual)
-    assert check_gq_axiom(pls) == check_gq_axiom(unreduced_geometry(pls))
+    assert axiom_verdicts(pls) == axiom_verdicts(unreduced_geometry(pls))
 
 
 def test_gq_axiom_witness_matches_unreduced():
@@ -285,6 +306,72 @@ def test_gq_axiom_witness_matches_unreduced():
         generators=[tuple((i + 1) % 7 for i in range(7))])
     res = check_gq_axiom(fano)
     assert not res and res == check_gq_axiom(unreduced_geometry(fano))
+
+
+def rotation(n, k=1):
+    return tuple((i + k) % n for i in range(n))
+
+
+Z6_LINES = [(i, (i + 1) % 6, (i + 2) % 6) for i in range(6)]
+
+
+@pytest.mark.parametrize("pls, witness", [
+    # consecutive triples of Z6: lines 0 and 1 share 0 and 1
+    (PartialLinearSpace.make(6, Z6_LINES, generators=[rotation(6)]),
+     ("lines share two points", 0, 1, (0, 1))),
+    # a valid partial linear space: 0 sees both points of line (1, 2)
+    (PartialLinearSpace.make(3, [(0, 1), (1, 2), (0, 2)],
+                             generators=[rotation(3)]), (0, 2, 2)),
+    # a hexagon with (2, 3) and (4, 5) listed twice: i -> i + 2 maps
+    # each line onto a line, but (4, 5) onto (0, 1), listed once
+    (PartialLinearSpace(6, ((0, 1), (0, 5), (1, 2), (2, 3), (2, 3), (3, 4),
+                            (4, 5), (4, 5)), None, (rotation(6, 2),)),
+     ("lines share two points", 3, 4, (2, 3))),
+    # ... and with the second copies in reverse
+    (PartialLinearSpace(6, ((0, 1), (0, 5), (1, 2), (2, 3), (3, 2), (3, 4),
+                            (4, 5), (5, 4)), None, (rotation(6, 2),)),
+     ("lines share two points", 3, 4, (3, 2))),
+], ids=["z6-triples", "triangle", "lines-listed-twice", "reversed-copies"])
+def test_broken_geometry_with_a_collineation_matches_unreduced(pls, witness):
+    assert pls.collineations[1]
+    got = axiom_verdicts(pls)
+    assert got == axiom_verdicts(unreduced_geometry(pls))
+    assert got[1].witness == witness
+
+
+@pytest.mark.parametrize("generator", [
+    lambda n: (0,) * n, lambda n: (1, 0) + tuple(range(2, n))],
+    ids=["not-a-permutation", "maps-a-line-off"])
+def test_bad_generator_on_an_invalid_geometry_gives_its_witness(generator):
+    pls = PartialLinearSpace.make(6, Z6_LINES, generators=[generator(6)])
+    with pytest.raises(GraphError):
+        pls.collineations
+    res = validate_pls(pls)
+    assert res.witness == ("lines share two points", 0, 1, (0, 1))
+    assert check_gq_axiom(pls) == res
+    with pytest.raises(GeometryError, match="lines share two points"):
+        dualize(pls)
+    # on a valid geometry the generator is what fails
+    w2 = geometry("w2")
+    bad = PartialLinearSpace(w2.num_points, w2.lines, w2.order,
+                             (generator(w2.num_points),))
+    assert validate_pls(bad)
+    with pytest.raises(GraphError):
+        check_gq_axiom(bad)
+    with pytest.raises(GraphError):
+        dualize(bad)
+
+
+def test_collinearity_rows_only_without_collineations(monkeypatch):
+    calls = []
+    rows = gqtvc.geometry._collinearity
+    monkeypatch.setattr(gqtvc.geometry, "_collinearity",
+                        lambda *args: calls.append(1) or rows(*args))
+    for dual in (False, True):
+        pls = geometry("payne", dual)
+        assert validate_pls(pls) and check_gq_axiom(pls) and dualize(pls)
+    assert not calls
+    assert validate_pls(unreduced_geometry(pls)) and len(calls) == 1
 
 
 def test_isoregularity_representatives():
