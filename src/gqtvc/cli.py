@@ -21,8 +21,8 @@ from .formulas import (FormulaError, FormulaId, ORDER5_FAMILIES,
                        verify_formula)
 from .geometry import (CONSTRUCTIONS, GeometryError, check_gq_axiom,
                        export_incidence, get_construction, point_graph)
-from .graph import (BudgetExceeded, Graph, GraphError, ParameterError,
-                    read_graph6_file, write_graph6_file)
+from .graph import (BudgetExceeded, Graph, GraphError, read_graph6_file,
+                    write_graph6_file)
 from .gtypes import ORDER5_COMPLEMENTS, order5_type
 from .regularity import DEGENERATE, check_isoregular, srg_parameters
 from .tvc import TvcVerdict, check_tvc, count_k44_per_edge, count_type_anchored
@@ -341,7 +341,7 @@ def main(argv=None) -> int:
                 json.dump(report, fh, indent=2, sort_keys=True)
                 fh.write("\n")
     except (UsageError, FormulaError, GeometryError, GraphError,
-            ParameterError, OSError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return code

@@ -18,7 +18,7 @@ from .geometry import PartialLinearSpace, check_gq_axiom, point_graph
 from .graph import graph_from_edges
 from .gtypes import (GraphType, ORDER5_COMPLEMENTS, ORDER5_DISCARDED,
                      order5_type, type_from_graph)
-from .symmetry import Stabilisers, orbit_of, pair_orbits, scan_pairs
+from .symmetry import pair_orbits, scan_pairs
 from .tvc import count_type_anchored
 
 
@@ -173,16 +173,17 @@ def verify_formula(gq: PartialLinearSpace, fid: FormulaId) -> FormulaReport:
     g = point_graph(gq)
     expect = {adj: (graph_type_for(fid, adj), expected_count(fid, s, t, adj))
               for adj in (True, False)}
-    found, bases = {}, Stabilisers(g)
+    found, key = {}, g.stabilisers.key  # by the key of a mismatching orbit
     checked = counted = 0
-    for pair, size in pair_orbits(g, bases=bases):
+    for pair, size in pair_orbits(g):
         ty, want = expect[g.has_edge(*pair)]
         got = count_type_anchored(g, ty, pair)
         checked += size
         counted += 1
         if got != want:
-            found.update((p, (want, got)) for p in orbit_of(g, pair, bases))
+            found[key(*pair)] = want, got
     mismatches = []
     if found:  # every pair of a mismatching orbit, in scan order
-        mismatches = [(p, *found[p]) for p in scan_pairs(g) if p in found]
+        mismatches = [(p, *found[k]) for p in scan_pairs(g)
+                      if (k := key(*p)) in found]
     return FormulaReport(fid, (s, t), checked, mismatches, counted)

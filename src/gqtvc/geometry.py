@@ -53,6 +53,11 @@ class PartialLinearSpace:
         return self.generators, line_action(self.num_points, self.lines,
                                             self.generators)
 
+    @cached_property
+    def validation(self) -> "PlsResult":
+        """``validate_pls(self)``, run once."""
+        return validate_pls(self)
+
 
 @dataclass(frozen=True)
 class PlsResult:
@@ -172,7 +177,7 @@ def check_gq_axiom(pls: PartialLinearSpace) -> PlsResult:
     At the least point p of each orbit of the checked generators, the
     lines through the points collinear with p are tallied: a line off p
     once per point of it collinear with p, a line through p s times."""
-    res = validate_pls(pls)
+    res = pls.validation
     if not res:
         return res
     s, pencils = res.order[0], res.pencils
@@ -196,8 +201,9 @@ def dualize(pls: PartialLinearSpace) -> PartialLinearSpace:
     the old points' pencils, listed in old point order, so applying the
     map twice reproduces the input exactly.  The generators' action on
     the old lines is the new generators, and their old action on the
-    points is their checked action on the new lines."""
-    res = validate_pls(pls)
+    points is their checked action on the new lines.  For t >= 1 the
+    dual is valid, and its pencils are the old lines."""
+    res = pls.validation
     if not res:
         raise GeometryError(f"dualize on invalid geometry: {res.witness}")
     s, t = res.order
@@ -205,6 +211,9 @@ def dualize(pls: PartialLinearSpace) -> PartialLinearSpace:
     dual = PartialLinearSpace(len(pls.lines), tuple(map(tuple, res.pencils)),
                               (t, s), lines)
     dual.__dict__["collineations"] = lines, points
+    if t >= 1:  # else its lines have one point: "short line"
+        dual.__dict__["validation"] = PlsResult(
+            True, (t, s), pencils=list(map(sorted, pls.lines)))
     return dual
 
 

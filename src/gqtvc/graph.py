@@ -19,7 +19,7 @@ class GraphError(ValueError):
     pass
 
 
-class ParameterError(ValueError):
+class ParameterError(GraphError):
     """An argument outside what a computation supports: a level, order,
     mode or vertex."""
 
@@ -85,6 +85,12 @@ class Graph:
         adjacent."""
         full = self.full_mask
         return tuple(full & ~(r | (1 << i)) for i, r in enumerate(self.rows))
+
+    @cached_property
+    def stabilisers(self):
+        """The orbit searches of ``generators``, kept while the graph lives."""
+        from .symmetry import Stabilisers
+        return Stabilisers(self.n, self.generators)
 
     @cached_property
     def upper_rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -298,11 +304,13 @@ def min_bits_free(rows, t: int) -> int:
 
 
 def check_pair(n: int, pair: tuple[int, int]) -> tuple[int, int]:
-    """``pair`` as two distinct vertices of 0..n-1, else GraphError."""
+    """``pair`` as two distinct vertices of 0..n-1, else ParameterError."""
     u, v = pair
+    if n < 2:
+        raise ParameterError(f"graph has {n} vertices, fewer than a pair")
     if u == v or not (0 <= u < n and 0 <= v < n):
-        raise GraphError(f"pair {pair} is not two distinct vertices "
-                         f"of 0..{n - 1}")
+        raise ParameterError(f"pair {pair} is not two distinct vertices "
+                             f"in 0..{n - 1}")
     return u, v
 
 

@@ -104,14 +104,15 @@ def _grow(start: tuple[int, ...], order: int, first: int, min_valency: int,
     vertex at a time, each new vertex joined to any subset of the earlier
     ones.  A shape is dropped once a vertex from index ``first`` on cannot
     reach ``min_valency`` with the vertices still to come; each level
-    keeps the first graph of each ``key(rows, size)`` class.  Deleting
-    the last vertex of a graph that meets the bound leaves one that
-    passes the level before, so every class is found (McKay, 1998)."""
-    current = [start]
+    keeps the first graph of each ``key(rows, size)`` class, and the
+    last level's are returned in the order of their keys.  Deleting the
+    last vertex of a graph that meets the bound leaves one that passes
+    the level before, so every class is found (McKay, 1998)."""
+    current = {key(start, len(start)): start}
     for size in range(len(start), order):  # grow from size to size + 1
         seen = {}
         need = min_valency - (order - size - 1)
-        for rows in current:
+        for rows in current.values():
             for attach in range(1 << size):
                 new_rows = [r | (attach >> v & 1) << size
                             for v, r in enumerate(rows)]
@@ -119,8 +120,8 @@ def _grow(start: tuple[int, ...], order: int, first: int, min_valency: int,
                 if min(map(int.bit_count, new_rows[first:])) < need:
                     continue
                 seen.setdefault(key(new_rows, size + 1), tuple(new_rows))
-        current = list(seen.values())
-    return current
+        current = seen
+    return [current[k] for k in sorted(current)]
 
 
 @lru_cache(maxsize=None)
@@ -138,9 +139,9 @@ def enumerate_types(t: int, min_add_valency: int) -> tuple[GraphType, ...]:
     # at order t the growth bound is the valency bound itself
     grown = _grow((0, 0), t, 2, min_add_valency,
                   lambda rows, size: min(pair_codes(rows, size)))
-    out = [GraphType(t, rows, None) for rows in grown]
-    out.sort(key=lambda ty: (ty.edge_count_structure(), ty.code.bits))
-    return tuple(out)
+    # a stable sort keeps the code order within each edge count
+    grown.sort(key=lambda rows: sum(map(int.bit_count, rows)))
+    return tuple(GraphType(t, rows, None) for rows in grown)
 
 
 # -- order-5 complement census --------------------------------------------

@@ -72,8 +72,8 @@ class IsoregularityReport:
     representatives: int = 0  # anchors summed
 
 
-def check_isoregular(g: Graph, k: int, deadline: float | None = None,
-                     bases=None) -> IsoregularityReport:
+def check_isoregular(g: Graph, k: int,
+                     deadline: float | None = None) -> IsoregularityReport:
     """Exhaustively check that val(S) depends only on the isomorphism
     class of the induced subgraph, over all vertex sets of size <= k.
     Raises BudgetExceeded once ``deadline`` (``time.monotonic()``) has
@@ -86,9 +86,7 @@ def check_isoregular(g: Graph, k: int, deadline: float | None = None,
     field, which no count reaches, so its first member is read off.
     Each A is the representative of an orbit of the generators of ``g``
     (``symmetry``): the sets A + {c} of one orbit have the same values.
-    The pair orbits are read off ``bases`` (see ``pair_orbits``), so a
-    caller that has searched them already passes its own.  Counter rows
-    are spread when a sum first needs them."""
+    Counter rows are spread when a sum first needs them."""
     if not 1 <= k <= 3:
         raise ParameterError("isoregularity level must be 1..3")
     table: dict[CanonicalCode, int] = {}
@@ -103,7 +101,7 @@ def check_isoregular(g: Graph, k: int, deadline: float | None = None,
     marker = spread(1 << g.n)
     total = counter_row(degrees, width)  # the sum of every counter row
     anchors = ([()], ((v,) for v, _ in vertex_orbits(g.n, g.generators)),
-               (pair for pair, _ in pair_orbits(g, False, deadline, bases)))
+               (pair for pair, _ in pair_orbits(g, False, deadline)))
     summed = 0
     for size in range(1, k + 1):
         vals = [unseen] * 4  # value of each class by its edge count

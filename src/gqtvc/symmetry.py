@@ -19,12 +19,12 @@ stabiliser of a root r in O on y (Seress, *Permutation Group
 Algorithms*, 2003): one search per vertex orbit keeps a Schreier
 vector of O and a label row per x in O, each step a permutation of a
 row, with no table of the n^2 pairs.  ``Stabilisers`` holds the
-searches, and every orbit question reads from it: the pair orbits and
-their members, the key of a pair's orbit, and the automorphisms fixing
-a pair, Schreier generators drawn at those two levels from fixed
-seeds; a count that weights by their orbits holds for any subgroup of
-the pair stabiliser.  The unordered orbits are read off the ordered
-ones.  Without generators every pair is its own orbit.
+searches, one per graph (``Graph.stabilisers``), and every orbit
+question reads from it: the pair orbits, the key of a pair's orbit, and
+the automorphisms fixing a pair, Schreier generators drawn at those two
+levels from fixed seeds; a count that weights by their orbits holds for
+any subgroup of the pair stabiliser.  The unordered orbits are read off
+the ordered ones.  Without generators every pair is its own orbit.
 """
 
 from __future__ import annotations
@@ -142,23 +142,22 @@ def _inverse(perm) -> list[int]:
     return inverse
 
 
-def _stabiliser(g: Graph, r: int, deadline=None):
-    """``(rows, via)`` for the orbit O of ``r``.  ``via``, a Schreier
-    vector, gives each x in O (in search order) the u and the inverse of
-    the generator s with s(u) = x that first reached it, and so a
-    product w[x] = w[u] s^-1 mapping x to ``r``.  ``rows[x]`` is lab
-    w[x], the labels of the pairs (x, .), where ``lab = rows[r]`` labels
-    each v by the least vertex of its orbit under the stabiliser of
-    ``r``.  The stabiliser is generated by the Schreier generators
+def _stabiliser(n: int, gens, r: int, deadline=None):
+    """``(rows, via)`` for the orbit O of ``r`` under the permutations
+    ``gens`` of 0..n-1.  ``via``, a Schreier vector, gives each x in O
+    (in search order) the u and the inverse of the generator s with
+    s(u) = x that first reached it, and so a product w[x] = w[u] s^-1
+    mapping x to ``r``.  ``rows[x]`` is lab w[x], the labels of the
+    pairs (x, .), where ``lab = rows[r]`` labels each v by the least
+    vertex of its orbit under the stabiliser of ``r``.  The stabiliser is generated by the Schreier generators
     w[s(x)] s w[x]^-1 (Sims, 1970), which fix ``lab`` exactly when
     rows[s(x)] s = rows[x].  ``lab`` starts discrete; where the two rows
     differ, their labels are merged and every row is relabelled.
     Merging keeps every generator checked before fixed, so one pass over
     the (x, s) suffices, and the pairs of the spanning tree, whose
     generator is the identity, are skipped."""
-    moves = [(s, itemgetter(*s), itemgetter(*_inverse(s)))
-             for s in g.generators]
-    up = list(range(g.n))
+    moves = [(s, itemgetter(*s), itemgetter(*_inverse(s))) for s in gens]
+    up = list(range(n))
     rows, via, order = {r: tuple(up)}, {r: None}, [r]
     for x in order:
         _check_deadline(deadline)
@@ -175,19 +174,19 @@ def _stabiliser(g: Graph, r: int, deadline=None):
                         a, b = _root(up, a), _root(up, b)
                         up[max(a, b)] = min(a, b)
                 # a label is a member of its class, so its root relabels it
-                lab = [_root(up, c) for c in range(g.n)]
+                lab = [_root(up, c) for c in range(n)]
                 rows = {z: itemgetter(*row)(lab) for z, row in rows.items()}
     return rows, via
 
 
-def pair_orbits(g: Graph, ordered: bool = True, deadline=None, bases=None):
+def pair_orbits(g: Graph, ordered: bool = True, deadline=None):
     """Yield ``(pair, size)`` for each orbit of the generators of ``g``
     on its ordered pairs, or on its unordered pairs (a, b) with a < b,
-    at the orbit's least member in scan order.  The stabilisers come
-    from ``bases`` (a ``Stabilisers`` of ``g``, new if None).  Raises
-    BudgetExceeded once ``deadline`` (``time.monotonic()``) has passed."""
+    at the orbit's least member in scan order, from ``g.stabilisers``.
+    Raises BudgetExceeded once ``deadline`` (``time.monotonic()``) has
+    passed."""
     if not ordered:
-        yield from unordered_orbits(pair_orbits(g, True, deadline, bases))
+        yield from unordered_orbits(pair_orbits(g, True, deadline))
         return
     if not g.generators or g.n < 2:
         for pair in scan_pairs(g):
@@ -198,11 +197,10 @@ def pair_orbits(g: Graph, ordered: bool = True, deadline=None, bases=None):
         x, y = pair
         return not g.has_edge(x, y), min(pair), max(pair), x > y
 
-    bases = bases if bases is not None else Stabilisers(g, deadline)
     reps = [r for r, _ in vertex_orbits(g.n, g.generators)]
     found = []
     for r in reps:
-        _, rows, _ = bases[r]
+        _, rows, _ = g.stabilisers.search(r, deadline)
         # the least vertex of an orbit's least member is the least of a
         # vertex orbit: the member is (r, c), c the least of its class, or
         # (x, r2), r2 in reps and x least; a class's vertices are in the
@@ -219,18 +217,6 @@ def pair_orbits(g: Graph, ordered: bool = True, deadline=None, bases=None):
             found.append((key(pair), pair, len(rows) * size))
     for _, pair, size in sorted(found):
         yield pair, size
-
-
-def orbit_of(g: Graph, pair, bases=None) -> list[tuple[int, int]]:
-    """The ordered pairs in the orbit of ``pair``, from ``bases`` (a
-    ``Stabilisers`` of ``g``, new if None)."""
-    x, y = pair
-    if not g.generators:
-        return [(x, y)]
-    _, rows, _ = (bases if bases is not None else Stabilisers(g))[x]
-    same = rows[x][y].__eq__  # the pairs (u, v) with lab w[u] (v) the same
-    return [(u, v) for u, row in rows.items()
-            for v in itertools.compress(range(g.n), map(same, row))]
 
 
 # Schreier generators drawn at each level of ``Stabilisers.fixers``.  On
@@ -252,23 +238,29 @@ def _schreier(points, w, gens, seed: int) -> list[tuple[int, ...]]:
 
 
 class Stabilisers(dict):
-    """``self[x]``: ``(r, rows, via)`` from ``_stabiliser(g, r)``, r the
-    first vertex of x's orbit looked up; each orbit is searched once, and
-    every orbit question reads from it."""
+    """``self[x]``: ``(r, rows, via)`` from ``_stabiliser`` on the
+    permutations ``generators`` of 0..n-1, r the first vertex of x's
+    orbit searched; each orbit is searched once, and every orbit
+    question reads from it.  It keeps no graph, so a graph holding one
+    is freed as soon as it is dropped."""
 
-    def __init__(self, g: Graph, deadline=None):
+    def __init__(self, n: int, generators):
         super().__init__()
-        self.g, self.deadline = g, deadline
+        self.n, self.generators = n, generators
         self.moves = {}  # by r: Schreier generators of its stabiliser
 
-    def __missing__(self, x):
-        rows, via = _stabiliser(self.g, x, self.deadline)
-        self.update(dict.fromkeys(rows, (x, rows, via)))
+    def search(self, x, deadline=None):
+        """``self[x]``, searching x's orbit if no search has reached it;
+        a search cut short at ``deadline`` stores nothing."""
+        if x not in self:
+            rows, via = _stabiliser(self.n, self.generators, x, deadline)
+            self.update(dict.fromkeys(rows, (x, rows, via)))
         return self[x]
 
     def key(self, x, y):
-        """The same for two ordered pairs exactly when they share an orbit."""
-        r, rows, _ = self[x]
+        """The same for two ordered pairs exactly when they share an orbit;
+        ``(x, y)`` without generators, each vertex its own orbit."""
+        r, rows, _ = self.search(x)
         return r, rows[x][y]
 
     def w(self, x) -> tuple[int, ...]:
@@ -279,7 +271,7 @@ class Stabilisers(dict):
         while via[x]:
             x, undo = via[x]
             path.append(undo)
-        w = tuple(range(self.g.n))
+        w = tuple(range(self.n))
         for undo in reversed(path):
             w = undo(w)
         return w
@@ -290,13 +282,13 @@ class Stabilisers(dict):
         vector (drawn once per r), then of their stabiliser of
         c = w[x](y), conjugated by w[x].  They generate a subgroup of the
         pair's stabiliser, as large as draws from fixed seeds make it."""
-        if not self.g.generators:
+        if not self.generators:
             return ()
-        r, rows, _ = self[x]
+        r, rows, _ = self.search(x)
         if r not in self.moves:
             self.moves[r] = [(s, itemgetter(*_inverse(s))) for s in _schreier(
-                list(rows), self.w, self.g.generators, 0)]
-        wx, one = self.w(x), tuple(range(self.g.n))
+                list(rows), self.w, self.generators, 0)]
+        wx, one = self.w(x), tuple(range(self.n))
         t, order = {wx[y]: one}, [wx[y]]  # the orbit of c, as in _stabiliser
         for z in order:
             for s, inverse in self.moves[r]:

@@ -12,12 +12,12 @@ from functools import lru_cache
 from math import factorial, prod
 
 from .graph import (BudgetExceeded, CanonicalCode, Graph, ParameterError,
-                    _bit_positions, _check_deadline, bits_of, pair_codes,
-                    rows_from_bits)
+                    _bit_positions, _check_deadline, bits_of, check_pair,
+                    pair_codes, rows_from_bits)
 from .gtypes import (K44_TYPE, MAX_TYPE_ORDER, GraphType, enumerate_types,
                      pair_fixing_aut_order)
 from .regularity import check_isoregular, check_regular
-from .symmetry import Stabilisers, automorphisms, pair_orbits, vertex_orbits
+from .symmetry import automorphisms, pair_orbits, vertex_orbits
 
 
 # largest t of the exhaustive scan and of pair_fingerprint
@@ -146,20 +146,10 @@ def _pair_census(g: Graph, t: int, x: int, y: int, codes: dict,
     return fwd, bwd
 
 
-def _check_pair(g: Graph, pair: tuple[int, int]) -> tuple[int, int]:
-    x, y = pair
-    if g.n < 2:
-        raise ParameterError(f"graph has {g.n} vertices, fewer than a pair")
-    if x == y or not (0 <= x < g.n and 0 <= y < g.n):
-        raise ParameterError(
-            f"pair must be two distinct vertices in 0..{g.n - 1}")
-    return x, y
-
-
 def pair_fingerprint(g: Graph, t: int, pair: tuple[int, int]) -> Fingerprint:
     """Exhaustive census of induced order-t subgraphs containing the
     ordered pair, classified by type."""
-    x, y = _check_pair(g, pair)
+    x, y = check_pair(g.n, pair)
     if not 3 <= t <= MAX_EXHAUSTIVE_ORDER:
         raise ParameterError("exhaustive fingerprints support "
                              f"3 <= t <= {MAX_EXHAUSTIVE_ORDER}")
@@ -327,7 +317,7 @@ def count_type_anchored(g: Graph, ty: GraphType, pair: tuple[int, int],
     those members only, each weighted by its orbit's size; the other
     twins of its class do not rise above it, so completions are counted
     as sets, which the automorphisms permute."""
-    x, y = _check_pair(g, pair)
+    x, y = check_pair(g.n, pair)
     adj = g.has_edge(x, y)
     if ty.pair_adjacent is not None and ty.pair_adjacent != adj:
         raise ParameterError("pair adjacency does not match the type")
@@ -400,10 +390,10 @@ def count_type_anchored(g: Graph, ty: GraphType, pair: tuple[int, int],
     return total // residual
 
 
-def _fixer_orbits(bases: Stabilisers, x: int, y: int):
+def _fixer_orbits(g: Graph, x: int, y: int):
     """``count_type_anchored``'s orbits for the pair (x, y), or None."""
-    fixers = bases.fixers(x, y)
-    return dict(vertex_orbits(bases.g.n, fixers)) if fixers else None
+    fixers = g.stabilisers.fixers(x, y)
+    return dict(vertex_orbits(g.n, fixers)) if fixers else None
 
 
 def _scan_types_for_mismatch(g: Graph, types, reps, deadline,
@@ -426,10 +416,9 @@ def _scan_types_for_mismatch(g: Graph, types, reps, deadline,
 def _check_tvc_reduced(g: Graph, t: int, k: int, deadline) -> TvcVerdict:
     # ordered pair orbit representatives by adjacency, for every type
     reps: dict[bool, list] = {True: [], False: []}
-    bases = Stabilisers(g, deadline)  # one search per vertex orbit
-    for pair, _ in pair_orbits(g, deadline=deadline, bases=bases):
+    for pair, _ in pair_orbits(g, deadline=deadline):
         reps[g.has_edge(*pair)].append(pair)
-    if not check_isoregular(g, k, deadline, bases).ok:
+    if not check_isoregular(g, k, deadline).ok:
         raise ParameterError(f"graph is not {k}-isoregular")
     # rank 3: the pairs of a class form one orbit, so every type has one
     # count per class and the condition holds for all t (Hestenes &
@@ -437,7 +426,7 @@ def _check_tvc_reduced(g: Graph, t: int, k: int, deadline) -> TvcVerdict:
     # the one below it holds; below level 4 the condition is strong
     # regularity, which k-isoregularity covers
     rank3 = len(reps[True]) <= 1 and len(reps[False]) <= 1
-    orbits = lru_cache(maxsize=None)(lambda pair: _fixer_orbits(bases, *pair))
+    orbits = lru_cache(maxsize=None)(lambda pair: _fixer_orbits(g, *pair))
     witness = None
     for level in range(4, 4 if rank3 else t + 1):
         witness = _scan_types_for_mismatch(g, enumerate_types(level, k + 1),
@@ -482,16 +471,16 @@ def count_k44_per_edge(g: Graph, stop_after_values: int | None = None,
     an orbit not yet searched has been keyed.
     """
     out, values = K44Census(), set()
-    made, bases = {}, Stabilisers(g)  # count by key
+    made, bases = {}, g.stabilisers  # count by key
     for x, y in itertools.islice(g.edges(), max_edges):
-        key = bases.key(x, y) if g.generators else (x, y)
+        key = bases.key(x, y)
         if key not in made:
             back = bases.key(y, x) if y in bases else None
             if back in made:
                 made[key] = made[back]
             else:
                 made[key] = count_type_anchored(
-                    g, K44_TYPE, (x, y), None, _fixer_orbits(bases, x, y))
+                    g, K44_TYPE, (x, y), None, _fixer_orbits(g, x, y))
                 out.counts_made += 1
         out[x, y] = count = made[key]
         values.add(count)

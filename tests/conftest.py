@@ -21,6 +21,11 @@ def unreduced(g):
     return Graph(g.n, g.rows)
 
 
+def fresh(g):
+    """A copy of ``g`` whose orbits no search has reached yet."""
+    return Graph(g.n, g.rows, g.generators, checked=True)
+
+
 def random_graph(n, p, rng):
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
              if rng.random() < p]

@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from gqtvc.algebra import AlgebraError, Matrix2, field_make
-from gqtvc.geometry import (GeometryError, PartialLinearSpace, QClan,
+from gqtvc.geometry import (CONSTRUCTIONS, GeometryError,
+                            PartialLinearSpace, QClan,
                             _field_for, _least_irreducible_quadratic,
                             _normalize, _scale, _span_line, _vadd,
                             build_elliptic_gq, build_flock_gq,
@@ -93,6 +94,21 @@ def test_dual_swaps_order():
     res = validate_pls(d)
     assert res.order == (1, 2)
     assert d.num_points == 6 and len(d.lines) == 9
+
+
+@pytest.mark.parametrize("name", [*CONSTRUCTIONS, "two-lines"])
+def test_recorded_validation_is_that_of_a_fresh_copy(name):
+    # two disjoint lines have t = 0, so their dual's lines have one point
+    pls = PartialLinearSpace.make(4, [(0, 1), (2, 3)]) \
+        if name == "two-lines" else geometry(name)
+    dual = dualize(pls)
+    assert ("validation" in vars(dual)) == (pls.validation.order[1] >= 1)
+    for p in (pls, dual):
+        got = p.validation
+        want = validate_pls(PartialLinearSpace(p.num_points, p.lines,
+                                               p.order, p.generators))
+        assert (got.ok, got.order, got.witness, got.pencils) \
+            == (want.ok, want.order, want.witness, want.pencils)
 
 
 def test_incidence_roundtrip():

@@ -1,9 +1,11 @@
 """Orbit reduction: the checks on candidate generators, the orbits, and
 scans that must give what the same scans give without generators."""
 
+import gc
 import itertools
 import random
 import time
+import weakref
 
 import pytest
 
@@ -19,13 +21,13 @@ from gqtvc.graph import (BudgetExceeded, Graph, GraphError, ParameterError,
                          from_graph6, graph_from_edges, to_graph6)
 from gqtvc.regularity import check_isoregular, srg_parameters
 from gqtvc.gtypes import enumerate_types
-from gqtvc.symmetry import (Stabilisers, automorphisms, check_automorphisms,
-                            line_action, orbit_of, pair_orbits, scan_pairs,
-                            unordered_orbits, vertex_orbits)
+from gqtvc.symmetry import (automorphisms, check_automorphisms, line_action,
+                            pair_orbits, scan_pairs, unordered_orbits,
+                            vertex_orbits)
 from gqtvc.tvc import check_tvc, count_k44_per_edge, count_type_anchored
 
-from conftest import (chang, geometry, graph_of, permuted, random_graph,
-                      shrikhande, unreduced)
+from conftest import (chang, fresh, geometry, graph_of, permuted,
+                      random_graph, shrikhande, unreduced)
 
 CONSTRUCTIONS = [("w2", False), ("w3", False), ("q5_2", False),
                  ("q5_3", False), ("t2star", False), ("t2star", True),
@@ -48,7 +50,7 @@ def test_orbit_sizes_cover_every_vertex_and_pair(name, dual):
         == g.n * (g.n - 1) // 2
     # each representative is the least member of its orbit in scan order
     x, y = ordered[-1][0]
-    orbit = orbit_of(g, (x, y))
+    orbit = orbit_by_key(g, (x, y))
     assert len(orbit) == len(set(orbit)) == ordered[-1][1]
     assert all(g.has_edge(*p) == g.has_edge(x, y) for p in orbit)
     assert min(orbit, key=scan_position(g)) == (x, y)
@@ -57,6 +59,25 @@ def test_orbit_sizes_cover_every_vertex_and_pair(name, dual):
 def scan_position(g):
     """The key that sorts ordered pairs into scan order."""
     return lambda p: (not g.has_edge(*p), min(p), max(p), p[0] > p[1])
+
+
+def orbit_by_key(g, pair):
+    """The ordered pairs with the ``Stabilisers.key`` of ``pair``; a key
+    names the root of its first vertex's orbit, so they start there."""
+    key = g.stabilisers.key
+    want = key(*pair)
+    starts = gqtvc.symmetry._orbit([pair[0]], g.generators, bytearray(g.n))
+    return [(u, v) for u in starts for v in range(g.n)
+            if u != v and key(u, v) == want]
+
+
+def orbits_by_key(g):
+    """The ordered pairs grouped by ``Stabilisers.key``, each group in
+    scan order, the groups in the order of their first pairs."""
+    groups = {}
+    for p in scan_pairs(g):
+        groups.setdefault(g.stabilisers.key(*p), []).append(p)
+    return list(groups.values())
 
 
 def search_over_pairs(g):
@@ -169,9 +190,9 @@ def test_stabiliser_orbits_of_hand_made_generators(seed):
     assert len({size for _, size in vertex_orbits(g.n, g.generators)}) > 1
     assert list(pair_orbits(g)) == list(search_over_pairs(g))
     assert list(pair_orbits(g, False)) == list(unordered_search(g))
-    # orbit_of gives each orbit whole: its least member, its size, and
-    # together every pair once
-    orbits = [orbit_of(g, pair) for pair, _ in pair_orbits(g)]
+    # the pairs of a key are each orbit whole: its least member, its
+    # size, and together every pair once
+    orbits = [orbit_by_key(g, pair) for pair, _ in pair_orbits(g)]
     assert [(min(o, key=scan_position(g)), len(o)) for o in orbits] \
         == list(pair_orbits(g))
     assert sorted(p for o in orbits for p in o) == sorted(scan_pairs(g))
@@ -187,17 +208,15 @@ SMALL_GRAPHS = [
 
 @pytest.mark.parametrize("seed", range(12))
 def test_pair_orbits_read_stabilisers_at_any_root(seed):
-    # a shared Stabilisers whose orbits were searched from their last
-    # vertex gives the same orbits, and the same members of each
+    # a graph whose orbits were searched from their last vertex gives the
+    # same orbits, and the same members of each
     g = random_generated(6 + seed, seed)
-    bases = Stabilisers(g)
-    for x in reversed(range(g.n)):
-        bases[x]
-    assert list(pair_orbits(g, bases=bases)) == list(pair_orbits(g))
-    assert list(pair_orbits(g, False, bases=bases)) \
-        == list(unordered_search(g))
-    assert all(sorted(orbit_of(g, pair, bases)) == sorted(orbit_of(g, pair))
-               for pair, _ in pair_orbits(g))
+    h = fresh(g)
+    for x in reversed(range(h.n)):
+        h.stabilisers.search(x)
+    assert list(pair_orbits(h)) == list(pair_orbits(g))
+    assert list(pair_orbits(h, False)) == list(unordered_search(g))
+    assert orbits_by_key(h) == orbits_by_key(g)
 
 
 @pytest.mark.parametrize("g", SMALL_GRAPHS, ids=[
@@ -215,14 +234,11 @@ def test_stabiliser_keys_are_the_pair_orbits(g):
     # and the keys' least members and sizes are those of the orbits, so
     # there are as many keys as orbits.  Dual T2*(O)'s searches merge
     # labels after rows were made
-    bases = Stabilisers(g)
-    keys = {p: bases.key(*p) for p in scan_pairs(g)}
+    g = fresh(g)
+    keys = {p: g.stabilisers.key(*p) for p in scan_pairs(g)}
     assert all(keys[s[x], s[y]] == key for (x, y), key in keys.items()
                for s in g.generators)
-    pairs = {}  # by key, in scan order
-    for p in scan_pairs(g):
-        pairs.setdefault(keys[p], []).append(p)
-    assert [(ps[0], len(ps)) for ps in pairs.values()] \
+    assert [(ps[0], len(ps)) for ps in orbits_by_key(g)] \
         == list(search_over_pairs(g))
 
 
@@ -428,17 +444,18 @@ def test_fixers_fix_the_pair_and_keep_counts(name, dual):
     # the automorphisms Stabilisers.fixers draws for a pair fix it, and
     # counting with their orbits gives the plain count, on sampled types
     # of order 4 to 8 at the first edge and non-edge, a seeded random edge
-    # and non-edge, and their reverses
-    g = graph_of(name, dual)
+    # and non-edge, and their reverses; the draws depend on the roots of
+    # the searches, so no earlier test may have searched
+    g = fresh(graph_of(name, dual))
     rng = random.Random(16)
-    bases, moved = Stabilisers(g), 0
+    moved = 0
     pairs = [next(g.edges()), next(g.non_edges())]
     while len(pairs) < 4:
         x, y = rng.sample(range(g.n), 2)
         if g.has_edge(x, y) == (len(pairs) == 2):
             pairs.append((x, y))
     for x, y in pairs + [p[::-1] for p in pairs]:
-        fixers = bases.fixers(x, y)
+        fixers = g.stabilisers.fixers(x, y)
         check_automorphisms(g.rows, fixers)
         assert all(s[x] == x and s[y] == y for s in fixers)
         orbits = dict(vertex_orbits(g.n, fixers))
@@ -515,39 +532,68 @@ def test_k44_census_cut_short_matches_unreduced():
     assert len(same_census(g, max_edges=3)) == 3
 
 
-def test_reduced_check_searches_the_pair_orbits_once(monkeypatch):
-    import gqtvc.symmetry as symmetry
-    searched = []
-    search = symmetry._stabiliser
-    monkeypatch.setattr(symmetry, "_stabiliser",
-                        lambda g, r, *rest: searched.append(r)
-                        or search(g, r, *rest))
-    # Q-(5,2) at k = 3: isoregularity sums over its unordered pair orbits,
-    # read off the one search for the stabiliser of its one vertex orbit
-    assert check_tvc(graph_of("q5_2"), 6, mode="reduced", k=3).rank3
-    assert searched == [0]
-
-
-def test_each_vertex_orbit_is_searched_once(monkeypatch):
-    # the pair orbits, the pair fixers of the counts and the orbits of
-    # mismatching pairs all read one search per vertex orbit
-    g = graph_of("t2star", True)
-    roots = [r for r, _ in vertex_orbits(g.n, g.generators)]
-    assert len(roots) == 6
+@pytest.fixture
+def searched_roots(monkeypatch):
+    """The roots ``symmetry._stabiliser`` searches from, as it runs."""
     searched, search = [], gqtvc.symmetry._stabiliser
     monkeypatch.setattr(gqtvc.symmetry, "_stabiliser",
-                        lambda g, r, *rest: searched.append(r)
-                        or search(g, r, *rest))
+                        lambda n, gens, r, *rest: searched.append(r)
+                        or search(n, gens, r, *rest))
+    return searched
+
+
+def test_reduced_check_searches_the_pair_orbits_once(searched_roots):
+    # Q-(5,2) at k = 3: isoregularity sums over its unordered pair orbits,
+    # read off the one search for the stabiliser of its one vertex orbit
+    assert check_tvc(fresh(graph_of("q5_2")), 6, mode="reduced", k=3).rank3
+    assert searched_roots == [0]
+
+
+def test_each_vertex_orbit_is_searched_once(searched_roots, monkeypatch):
+    # the pair orbits, the pair fixers of the counts and the orbits of
+    # mismatching pairs all read one search per vertex orbit
+    g = fresh(graph_of("t2star", True))
+    roots = [r for r, _ in vertex_orbits(g.n, g.generators)]
+    assert len(roots) == 6
     check_tvc(g, 5, mode="reduced", k=2)
-    assert searched == roots
+    assert searched_roots == roots
     import gqtvc.formulas as formulas
     right = formulas.expected_count
     monkeypatch.setattr(formulas, "expected_count",
                         lambda fid, s, t, adj: right(fid, s, t, adj) + adj)
-    searched.clear()
+    searched_roots.clear()
     report = verify_formula(geometry("t2star", True), FormulaId("type3a"))
     assert len(report.mismatches) == 2 * g.edge_count()
-    assert searched == roots
+    assert searched_roots == roots
+
+
+def test_a_second_orbit_question_makes_no_search(searched_roots):
+    # the graph keeps its searches: the orbits, isoregularity, a reduced
+    # check, the pair fixers and the K4,4 census search each vertex orbit
+    # once in all
+    g = fresh(graph_of("t2star", True))
+    want = check_tvc(fresh(g), 5, mode="reduced", k=2)
+    searched_roots.clear()
+    list(pair_orbits(g))
+    check_isoregular(g, 3)
+    assert check_tvc(g, 5, mode="reduced", k=2) == want
+    count_k44_per_edge(g, max_edges=3)
+    assert searched_roots == [r for r, _ in vertex_orbits(g.n, g.generators)]
+
+
+def test_a_searched_graph_is_freed_when_dropped():
+    # the searches hold no reference to their graph, so no cycle keeps it
+    g = fresh(graph_of("t2star", True))
+    check_tvc(g, 5, mode="reduced", k=2)
+    count_k44_per_edge(g, max_edges=3)
+    assert len(g.stabilisers) == g.n and g.stabilisers.moves
+    ref = weakref.ref(g)
+    gc.disable()
+    try:
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_rank_three_short_cut_makes_no_count(monkeypatch):
@@ -713,21 +759,35 @@ def test_reduced_path_stops_at_deadline_in_orbit_search(monkeypatch):
     # at each vertex it reaches, not only before it starts: on the Payne
     # graph its first vertex orbit takes seconds, on dual Payne (74
     # ordered pair orbits, 756 vertices) the reads are counted
-    payne = graph_of("payne")
+    payne = fresh(graph_of("payne"))
     start = time.monotonic()
     verdict = check_tvc(payne, 4, mode="reduced", k=3, budget_seconds=0.1)
     assert verdict.status == "inconclusive"
     assert time.monotonic() - start < 0.6
-    g = graph_of("payne", dual=True)
+    g = fresh(graph_of("payne", dual=True))
     with pytest.raises(BudgetExceeded):
         next(pair_orbits(g, deadline=time.monotonic() - 1))
     reads = []
 
-    def passed_at_read_100(deadline):
-        reads.append(deadline)
-        if len(reads) == 100:
-            raise BudgetExceeded()
+    def passed_at_read(last):
+        def check(deadline):
+            reads.append(deadline)
+            if len(reads) == last:
+                raise BudgetExceeded()
+        return check
 
-    monkeypatch.setattr(gqtvc.symmetry, "_check_deadline", passed_at_read_100)
-    verdict = check_tvc(g, 4, mode="reduced", k=3, budget_seconds=60)
+    with monkeypatch.context() as m:
+        m.setattr(gqtvc.symmetry, "_check_deadline", passed_at_read(100))
+        verdict = check_tvc(g, 4, mode="reduced", k=3, budget_seconds=60)
     assert verdict.status == "inconclusive" and len(reads) == 100
+    # a search cut short stores nothing; one run in full is kept (the
+    # first vertex orbit has 125 vertices, one read each)
+    assert not g.stabilisers
+    reads.clear()
+    with monkeypatch.context() as m:
+        m.setattr(gqtvc.symmetry, "_check_deadline", passed_at_read(130))
+        check_tvc(g, 4, mode="reduced", k=3, budget_seconds=60)
+    assert len(g.stabilisers) == 125
+    # and the verdict after either is that of a graph never searched
+    assert check_tvc(g, 4, mode="reduced", k=3) \
+        == check_tvc(fresh(g), 4, mode="reduced", k=3)
