@@ -58,6 +58,14 @@ class PartialLinearSpace:
         """``validate_pls(self)``, run once."""
         return validate_pls(self)
 
+    @cached_property
+    def graph(self) -> Graph:
+        """The point graph, built once (see ``point_graph``), so every
+        caller shares its orbit searches."""
+        rows, _ = _collinearity(self.num_points, self.lines)
+        return Graph(self.num_points, tuple(rows), self.collineations[0],
+                     checked=True)
+
 
 @dataclass(frozen=True)
 class PlsResult:
@@ -162,11 +170,10 @@ def _pencils_meet_once(pls: PartialLinearSpace, pencils) -> bool:
 
 
 def point_graph(pls: PartialLinearSpace) -> Graph:
-    """Collinearity graph on the points.  A collineation is an
-    automorphism of it, so it gets the checked generators."""
-    rows, _ = _collinearity(pls.num_points, pls.lines)
-    return Graph(pls.num_points, tuple(rows), pls.collineations[0],
-                 checked=True)
+    """Collinearity graph on the points, the one ``pls.graph`` keeps.  A
+    collineation is an automorphism of it, so it gets the checked
+    generators."""
+    return pls.graph
 
 
 def check_gq_axiom(pls: PartialLinearSpace) -> PlsResult:

@@ -93,6 +93,14 @@ class Graph:
         return Stabilisers(self.n, self.generators)
 
     @cached_property
+    def searched(self) -> dict:
+        """Automorphism searches of the rows, kept while the graph lives:
+        by work bound, the generators ``symmetry.automorphisms`` found,
+        and under ``"graph"`` the copy of the graph with generators that
+        ``check_tvc`` scanned last."""
+        return {}
+
+    @cached_property
     def upper_rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """``non_rows`` and ``rows`` with each row i cut to the vertices
         above i."""

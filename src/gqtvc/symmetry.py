@@ -374,10 +374,15 @@ def automorphisms(g: Graph, deadline=None) -> tuple[tuple[int, ...], ...]:
     and keeps the first leaf that the first leaf maps onto by an
     automorphism.  After ``SEARCH_WORK * n * n`` units of refinement
     work (see ``_refine``), or at ``deadline``, it returns what it has:
-    a subgroup, whose finer orbits are still sound."""
+    a subgroup, whose finer orbits are still sound.  What a search
+    returns is kept in ``g.searched`` by its work bound, unless the
+    deadline cut it short."""
     rows, n = g.rows, g.n
+    bound = SEARCH_WORK * n * n
+    if bound in g.searched:
+        return g.searched[bound]
     found: list[tuple[int, ...]] = []
-    work = [SEARCH_WORK * n * n]
+    work = [bound]
 
     def charge(units):
         work[0] -= units
@@ -425,5 +430,7 @@ def automorphisms(g: Graph, deadline=None) -> tuple[tuple[int, ...], ...]:
                         found.append(perm)
                     _orbit(tried, found, seen := bytearray(n))
     except BudgetExceeded:
-        pass
-    return tuple(found)
+        if work[0] >= 0:  # the deadline, not the work bound
+            return tuple(found)
+    g.searched[bound] = tuple(found)
+    return g.searched[bound]

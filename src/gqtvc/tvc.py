@@ -184,7 +184,9 @@ def check_tvc(g: Graph, t: int, mode: str = "exhaustive", k: int | None = None,
     the condition holds for every t, and the verdict sets ``rank3``.  For
     t >= 4 a strongly regular graph without generators gets those that
     ``symmetry.automorphisms`` finds, each checked by ``Graph`` to map
-    every row onto a row before the scan uses it.  Any other graph
+    every row onto a row before the scan uses it; the copy of ``g``
+    with them is kept in ``g.searched`` while the search returns the
+    same generators, so its orbits are searched once.  Any other graph
     without generators fails the condition for every t >= 3 and is
     scanned pair by pair, as the search could only delay its witness:
     a census differs at the first pair whose degrees or common
@@ -212,7 +214,11 @@ def check_tvc(g: Graph, t: int, mode: str = "exhaustive", k: int | None = None,
             searched = not g.generators \
                 and check_isoregular(g, 2, deadline).ok
             if searched:
-                g = Graph(g.n, g.rows, automorphisms(g, deadline))
+                found = automorphisms(g, deadline)
+                copy = g.searched.get("graph")
+                if copy is None or copy.generators != found:
+                    copy = g.searched["graph"] = Graph(g.n, g.rows, found)
+                g = copy
             verdict = _check_tvc_exhaustive(g, t, deadline) \
                 if mode == "exhaustive" else _check_tvc_reduced(g, t, k,
                                                                  deadline)
@@ -468,8 +474,13 @@ def count_k44_per_edge(g: Graph, stop_after_values: int | None = None,
     unordered edge orbit of the generators of ``g`` is counted once, at
     its first scanned member, with the orbits of automorphisms fixing it.
     It is keyed by the orbit of (x, y) or of (y, x); no pair starting in
-    an orbit not yet searched has been keyed.
+    an orbit not yet searched has been keyed.  ParameterError for a cap
+    below 1.
     """
+    for name, cap in (("stop_after_values", stop_after_values),
+                      ("max_edges", max_edges)):
+        if cap is not None and cap < 1:
+            raise ParameterError(f"{name} must be at least 1, got {cap}")
     out, values = K44Census(), set()
     made, bases = {}, g.stabilisers  # count by key
     for x, y in itertools.islice(g.edges(), max_edges):

@@ -1,5 +1,4 @@
 import itertools
-from functools import lru_cache
 
 import pytest
 
@@ -10,8 +9,8 @@ from gqtvc.graph import Graph, graph_from_edges
 geometry = get_construction
 
 
-@lru_cache(maxsize=None)
 def graph_of(name: str, dual: bool = False):
+    """The point graph the cached geometry keeps."""
     return point_graph(geometry(name, dual))
 
 

@@ -15,8 +15,8 @@ import gqtvc.tvc
 from gqtvc.formulas import FormulaId, verify_formula
 from gqtvc.geometry import (CONSTRUCTIONS as REGISTERED, GeometryError,
                             PartialLinearSpace, build_elliptic_gq,
-                            check_gq_axiom, dualize, point_graph,
-                            validate_pls)
+                            build_t2star_gq, check_gq_axiom, dualize,
+                            point_graph, validate_pls)
 from gqtvc.graph import (BudgetExceeded, Graph, GraphError, ParameterError,
                          from_graph6, graph_from_edges, to_graph6)
 from gqtvc.regularity import check_isoregular, srg_parameters
@@ -562,9 +562,37 @@ def test_each_vertex_orbit_is_searched_once(searched_roots, monkeypatch):
     monkeypatch.setattr(formulas, "expected_count",
                         lambda fid, s, t, adj: right(fid, s, t, adj) + adj)
     searched_roots.clear()
-    report = verify_formula(geometry("t2star", True), FormulaId("type3a"))
+    # a geometry keeps its point graph, so take one no test has searched
+    report = verify_formula(dualize(build_t2star_gq()), FormulaId("type3a"))
     assert len(report.mismatches) == 2 * g.edge_count()
     assert searched_roots == roots
+
+
+def test_a_geometry_keeps_its_point_graph(searched_roots):
+    # a second verify_formula reads the searches of the first
+    pls = dualize(build_t2star_gq())
+    g = point_graph(pls)
+    first = verify_formula(pls, FormulaId("type3a"))
+    assert searched_roots
+    searched_roots.clear()
+    assert verify_formula(pls, FormulaId("type3a")) == first
+    assert point_graph(pls) is g and not searched_roots
+
+
+def test_a_dropped_geometry_frees_its_point_graph():
+    # the graph holds no reference to its geometry, so no cycle keeps it
+    pls = dualize(build_t2star_gq())
+    verify_formula(pls, FormulaId("type0"))
+    g = point_graph(pls)
+    assert g.stabilisers
+    refs = [weakref.ref(x) for x in (pls, g, g.stabilisers)]
+    del g
+    gc.disable()
+    try:
+        del pls
+        assert [ref() for ref in refs] == [None] * 3
+    finally:
+        gc.enable()
 
 
 def test_a_second_orbit_question_makes_no_search(searched_roots):
@@ -685,6 +713,42 @@ def test_search_runs_only_without_generators(monkeypatch):
     for g in (circulant(17, 4), random_graph(12, 0.5, random.Random(5))):
         verdict = check_tvc(g, 4)
         assert (verdict.status, verdict.searched) == ("violated", False)
+
+
+def test_a_graph_keeps_its_searched_automorphisms(monkeypatch):
+    # a second check of graph6 input makes no search and scans the same
+    # searched copy
+    g = from_graph6(to_graph6(permuted(
+        graph_of("w3"), random.Random(2).sample(range(40), 40))))
+    refined, refine = [], gqtvc.symmetry._refine
+    monkeypatch.setattr(gqtvc.symmetry, "_refine",
+                        lambda *args: refined.append(1) or refine(*args))
+    first = check_tvc(g, 4)
+    assert first.searched and first.generators and refined
+    copy = g.searched["graph"]
+    refined.clear()
+    assert check_tvc(g, 4) == first and not refined
+    assert g.searched["graph"] is copy
+
+
+def test_a_search_cut_at_its_deadline_is_not_kept(monkeypatch):
+    g = unreduced(graph_of("w3"))
+    reads = []
+
+    def passed_at_third_read(deadline):
+        reads.append(deadline)
+        if len(reads) == 3:
+            raise BudgetExceeded()
+
+    with monkeypatch.context() as m:
+        m.setattr(gqtvc.symmetry, "_check_deadline", passed_at_third_read)
+        cut = check_tvc(g, 4, budget_seconds=60)
+    assert cut.searched and len(reads) >= 3
+    assert list(g.searched) == ["graph"]
+    full = check_tvc(g, 4)
+    assert full.generators == len(automorphisms(unreduced(g))) \
+        > cut.generators
+    assert (full.status, full.witness) == (cut.status, cut.witness)
 
 
 def test_search_work_is_bounded(monkeypatch):

@@ -434,3 +434,12 @@ def test_count_k44_early_stop():
     assert len(counts) < g.edge_count()
     capped = count_k44_per_edge(g, max_edges=3)
     assert len(capped) == 3
+
+
+@pytest.mark.parametrize("name, value", [
+    ("max_edges", 0), ("max_edges", -1), ("stop_after_values", 0),
+    ("stop_after_values", -2)])
+def test_count_k44_rejects_a_cap_below_one(name, value):
+    with pytest.raises(ParameterError,
+                       match=f"{name} must be at least 1, got {value}"):
+        count_k44_per_edge(graph_of("w2"), **{name: value})
