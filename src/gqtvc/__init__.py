@@ -19,6 +19,6 @@ from .regularity import (DEGENERATE, IsoregularityReport, SrgParams,
                          check_isoregular, check_regular, srg_parameters)
 from .symmetry import pair_orbits, vertex_orbits
 from .tvc import (Fingerprint, TvcVerdict, check_tvc, count_k44_per_edge,
-                  count_type_anchored, find_distinguisher, pair_fingerprint)
+                  count_type_anchored, pair_fingerprint)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

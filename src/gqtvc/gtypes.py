@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graph import (CanonicalCode, Graph, GraphError, bits_of, check_pair,
-                    graph_from_edges, min_bits_free, pair_codes,
-                    pair_relabellings)
+from .graph import (Graph, GraphError, bits_of, check_pair, graph_from_edges,
+                    min_bits_free, pair_codes, pair_relabellings)
 
 MIN_TYPE_ORDER = 2
 MAX_TYPE_ORDER = 8
@@ -41,27 +40,8 @@ class GraphType:
         if (self.rows[0] >> 1) & 1:
             raise GraphError("pair edge must not appear in type rows")
 
-    @property
-    def code(self) -> CanonicalCode:
-        bits = min(pair_codes(self.rows, self.order))
-        return CanonicalCode(self.order, bits, self.pair_adjacent)
-
     def concrete(self, adjacent: bool) -> "GraphType":
         return GraphType(self.order, self.rows, adjacent)
-
-    def effective_rows(self, adjacent: bool | None = None) -> tuple[int, ...]:
-        """Adjacency rows with the pair edge resolved."""
-        adj = self.pair_adjacent if adjacent is None else adjacent
-        if adj is None:
-            raise GraphError("pair adjacency unresolved")
-        rows = list(self.rows)
-        if adj:
-            rows[0] |= 2
-            rows[1] |= 1
-        return tuple(rows)
-
-    def graph(self, adjacent: bool | None = None) -> Graph:
-        return Graph(self.order, self.effective_rows(adjacent))
 
     def additional_valencies(self) -> list[int]:
         return [self.rows[v].bit_count() for v in range(2, self.order)]

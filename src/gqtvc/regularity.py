@@ -101,7 +101,8 @@ def check_isoregular(g: Graph, k: int,
     marker = spread(1 << g.n)
     total = counter_row(degrees, width)  # the sum of every counter row
     anchors = ([()], ((v,) for v, _ in vertex_orbits(g.n, g.generators)),
-               (pair for pair, _ in pair_orbits(g, False, deadline)))
+               ((x, y) for (x, y), _ in pair_orbits(g, deadline=deadline)
+                if x < y))
     summed = 0
     for size in range(1, k + 1):
         vals = [unseen] * 4  # value of each class by its edge count

@@ -23,8 +23,9 @@ searches, one per graph (``Graph.stabilisers``), and every orbit
 question reads from it: the pair orbits, the key of a pair's orbit, and
 the automorphisms fixing a pair, Schreier generators drawn at those two
 levels from fixed seeds; a count that weights by their orbits holds for
-any subgroup of the pair stabiliser.  The unordered orbits are read off
-the ordered ones.  Without generators every pair is its own orbit.
+any subgroup of the pair stabiliser.  The orbits on unordered pairs are
+read off the ordered ones, at their members (a, b) with a < b.  Without
+generators every pair is its own orbit.
 """
 
 from __future__ import annotations
@@ -108,25 +109,6 @@ def scan_pairs(g: Graph):
         yield b, a
 
 
-def unordered_orbits(ordered):
-    """``(pair, size)`` for the orbits on unordered pairs (a, b), a < b,
-    from the orbits on ordered pairs in scan order.  The reverses of an
-    orbit O are an orbit with the same unordered pairs; it is O itself,
-    or the orbit whose least member (b, a) is scanned right after O's
-    (a, b).  Either way the unordered orbit holds half the ordered pairs
-    of the orbits it merges."""
-    pair = size = None
-    for (x, y), count in ordered:
-        if x > y:  # the reverses of the orbit before
-            size += count
-            continue
-        if pair is not None:
-            yield pair, size // 2
-        pair, size = (x, y), count
-    if pair is not None:
-        yield pair, size // 2
-
-
 def _root(up: list[int], a: int) -> int:
     """The root of ``a`` in the forest ``up``, halving the path to it."""
     while up[a] != a:
@@ -179,15 +161,19 @@ def _stabiliser(n: int, gens, r: int, deadline=None):
     return rows, via
 
 
-def pair_orbits(g: Graph, ordered: bool = True, deadline=None):
+def pair_orbits(g: Graph, deadline=None):
     """Yield ``(pair, size)`` for each orbit of the generators of ``g``
-    on its ordered pairs, or on its unordered pairs (a, b) with a < b,
-    at the orbit's least member in scan order, from ``g.stabilisers``.
-    Raises BudgetExceeded once ``deadline`` (``time.monotonic()``) has
-    passed."""
-    if not ordered:
-        yield from unordered_orbits(pair_orbits(g, True, deadline))
-        return
+    on its ordered pairs, at the orbit's least member in scan order, from
+    ``g.stabilisers``.  Raises BudgetExceeded once ``deadline``
+    (``time.monotonic()``) has passed.
+
+    The members (a, b) with a < b are the least members of the orbits on
+    unordered pairs, in scan order.  An orbit O and its reverse hold the
+    same unordered pairs; their least, {a, b}, is (a, b) in one of them
+    and (b, a) in the other, and (a, b), scanned first, is the least
+    member of its orbit.  The other orbit's least member is (b, a), as
+    each of its other members has a larger {min, max}; when O is its own
+    reverse, its least member is (a, b)."""
     if not g.generators or g.n < 2:
         for pair in scan_pairs(g):
             yield pair, 1

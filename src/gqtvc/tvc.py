@@ -1,6 +1,6 @@
 """The t-vertex condition: exhaustive pair fingerprinting, anchored
-type counting with backtracking, reduced-mode checking, distinguisher
-search, and the K4,4 per-edge invariant.
+type counting with backtracking, reduced-mode checking with its
+distinguishing type as the witness, and the K4,4 per-edge invariant.
 """
 
 from __future__ import annotations
@@ -234,7 +234,9 @@ def _check_tvc_exhaustive(g: Graph, t: int, deadline) -> TvcVerdict:
     codes: dict = {}
     refs: dict = {}
     scanned = 0
-    for (x, y), _ in pair_orbits(g, False, deadline):
+    for (x, y), _ in pair_orbits(g, deadline=deadline):
+        if x > y:  # the census of (y, x) gave both orientations
+            continue
         scanned += 1
         adj = g.has_edge(x, y)
         fwd, bwd = _pair_census(g, t, x, y, codes, deadline)
@@ -443,18 +445,6 @@ def _check_tvc_reduced(g: Graph, t: int, k: int, deadline) -> TvcVerdict:
                       witness,
                       representatives=len(reps[True]) + len(reps[False]),
                       rank3=rank3)
-
-
-def find_distinguisher(g: Graph, t: int, k: int) -> GraphType | None:
-    """The witness type of reduced ``check_tvc``: the first type (in
-    enumeration order, lowest order first) with additional valency
-    >= k+1 whose anchored counts are non-constant on edges or
-    non-edges.  Its order is below t when a lower level already fails.
-    None if the t-vertex condition holds; for t <= 3, where the
-    condition is (strong) regularity and has no witness type, always
-    None."""
-    witness = check_tvc(g, t, mode="reduced", k=k).witness
-    return None if witness is None else witness.graph_type
 
 
 # -- the K4,4 edge invariant ----------------------------------------------

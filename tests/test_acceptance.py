@@ -16,9 +16,9 @@ from gqtvc.gtypes import (GraphType, enumerate_order5_complements,
                           enumerate_s_candidates, enumerate_types)
 from gqtvc.regularity import SrgParams, check_isoregular, srg_parameters
 from gqtvc.tvc import (check_tvc, count_k44_per_edge, count_type_anchored,
-                       find_distinguisher, pair_fingerprint)
+                       pair_fingerprint)
 
-from conftest import geometry, graph_of
+from conftest import geometry, graph_of, unreduced
 
 
 def report(n, message):
@@ -114,9 +114,20 @@ def test_criterion_5_six_and_seven_vertex_condition():
               f"GQ(3,9) at 6 (budgeted): {stretch.status}")
 
 
+def test_criterion_5_exhaustive_cross_check_compares_counts(unsearched_tvc):
+    # with its generators GQ(2,4) is rank 3: one census per class, and no
+    # two are compared.  Without them every unordered pair is counted
+    g = graph_of("q5_2")
+    assert check_tvc(g, 6).representatives == 2
+    verdict = unsearched_tvc(unreduced(g), 6)
+    assert (verdict.status, verdict.representatives, verdict.generators) \
+        == ("satisfied", 27 * 26 // 2, 0)
+    report(5, "GQ(2,4) at 6: 351 exhaustive censuses agree")
+
+
 def test_criterion_6_distinguisher_at_six():
     g = graph_of("t2star", True)
-    ty = find_distinguisher(g, 6, 2)
+    ty = check_tvc(g, 6, mode="reduced", k=2).witness.graph_type
     assert ty is not None and ty.order == 6
     # confirm two pairs of the same adjacency class with unequal counts
     pairs = g.edges() if ty.pair_adjacent else g.non_edges()
@@ -240,3 +251,17 @@ def test_criterion_10_property_suites():
 
     report(10, "monotonicity, complement closure, conservation, census "
                "agreement, graph6 round trips, and double duals all hold")
+
+
+def test_criterion_11_theorem_on_its_own_example():
+    # the paper's example is not rank 3: the dual Payne GQ(5, 25) is
+    # 3-isoregular and satisfies the 7-vertex condition at every one of
+    # its 74 ordered pair orbits
+    g = graph_of("payne", True)
+    iso = check_isoregular(g, 3)
+    assert (iso.ok, iso.representatives) == (True, 1 + 6 + 47)
+    verdict = check_tvc(g, 7, mode="reduced", k=3)
+    assert (verdict.status, verdict.representatives, verdict.generators,
+            verdict.rank3) == ("satisfied", 74, 7, False)
+    report(11, "dual Payne GQ(5,25) is 3-isoregular and satisfies the "
+               "7-vertex condition over all 74 pair orbits")

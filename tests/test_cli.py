@@ -1,8 +1,10 @@
+import itertools
 import json
 
 import pytest
 
 from gqtvc.cli import main
+from gqtvc.graph import graph_from_edges, write_graph6_file
 
 
 def test_construct(capsys):
@@ -126,6 +128,42 @@ def test_k44_census_counts_one_edge_per_orbit(tmp_path):
     doc = json.loads(report.read_text())
     assert (doc["edges_scanned"], doc["counts_made"],
             doc["distinct_values"]) == (4, 2, [7896])
+
+
+def test_k44_census_differs_on_dual_payne(tmp_path, capsys):
+    # the paper's 8-vertex failure: two K4,4 counts on the edges at 0
+    report = tmp_path / "k.json"
+    assert main(["k44-census", "--construct", "payne", "--dual",
+                 "--stop-after-values", "2", "--json-out", str(report)]) == 1
+    assert "the 8-vertex condition fails" in capsys.readouterr().out
+    doc = json.loads(report.read_text())
+    assert (doc["edges_scanned"], doc["counts_made"],
+            doc["distinct_values"]) == (126, 3, [7896, 8000])
+    assert doc["witness_edges"] == {"7896": [0, 1], "8000": [0, 126]}
+
+
+def test_find_distinguisher_reports_its_type(tmp_path, capsys):
+    report = tmp_path / "d.json"
+    assert main(["find-distinguisher", "--construct", "t2star", "--dual",
+                 "--t", "6", "--k", "2", "--json-out", str(report)]) == 1
+    assert "distinguishing type of order 6" in capsys.readouterr().out
+    doc = json.loads(report.read_text())
+    ty = doc["distinguisher"]
+    assert (doc["status"], ty["order"], ty["pair_adjacent"]) \
+        == ("violated", 6, False)
+    assert ty["rows"] == doc["witness"]["type_rows"]
+
+
+@pytest.mark.parametrize("n, edges, code, srg", [
+    (6, [(i, (i + 1) % 6) for i in range(6)], 1, False),
+    (4, list(itertools.combinations(range(4), 2)), 0, "degenerate")],
+    ids=["6-cycle", "K4"])
+def test_check_srg_graph6_verdicts(n, edges, code, srg, tmp_path):
+    g6, report = tmp_path / "g.g6", tmp_path / "r.json"
+    write_graph6_file(g6, [graph_from_edges(n, edges)])
+    assert main(["check-srg", "--input", str(g6), "--json-out",
+                 str(report)]) == code
+    assert json.loads(report.read_text())["srg"] == srg
 
 
 def test_export_and_read_back(tmp_path):

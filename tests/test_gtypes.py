@@ -3,7 +3,8 @@ from math import comb
 
 import pytest
 
-from gqtvc.graph import GraphError, canonical_code, graph_from_edges
+from gqtvc.graph import (GraphError, canonical_code, graph_from_edges,
+                         pair_codes)
 from gqtvc.gtypes import (GraphType, ORDER5_COMPLEMENTS, ORDER5_DISCARDED,
                           enumerate_order5_complements,
                           enumerate_s_candidates, enumerate_types,
@@ -22,10 +23,6 @@ def test_graph_type_basics():
     ty = GraphType(3, (4, 4, 3), None)
     assert ty.additional_valencies() == [2]
     assert ty.edge_count_structure() == 2
-    eff = ty.effective_rows(True)
-    assert eff[0] & 2  # pair edge materialised
-    g = ty.graph(False)
-    assert g.edge_count() == 2
 
 
 def test_graph_type_rejects_pair_bit_in_rows():
@@ -110,8 +107,10 @@ def test_enumerate_types_valency_bound_holds():
 
 
 def test_named_types_match_enumeration():
-    enum_codes = {ty.code for ty in enumerate_types(5, 3)}
-    named_codes = {order5_type(name).code for name in ORDER5_COMPLEMENTS}
+    enum_codes = {min(pair_codes(ty.rows, ty.order))
+                  for ty in enumerate_types(5, 3)}
+    named_codes = {min(pair_codes(ty.rows, ty.order))
+                   for ty in map(order5_type, ORDER5_COMPLEMENTS)}
     assert enum_codes == named_codes
     assert len(named_codes) == 8
     assert set(ORDER5_DISCARDED) < set(ORDER5_COMPLEMENTS)

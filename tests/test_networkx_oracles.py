@@ -122,7 +122,7 @@ def test_graph6_matches_networkx(seed, n):
 def test_pair_fixing_aut_order_matches_networkx():
     types = [ty for t in range(2, 7) for ty in enumerate_types(t, 0)]
     for ty in types + [K44_TYPE]:
-        h = to_nx(ty.graph(False), (0, 1))
+        h = to_nx(Graph(ty.order, ty.rows), (0, 1))
         assert pair_fixing_aut_order(ty.order, ty.rows) \
             == automorphism_count(h, same_slots), ty
     assert pair_fixing_aut_order(K44_TYPE.order, K44_TYPE.rows) == 36

@@ -22,8 +22,7 @@ from gqtvc.graph import (BudgetExceeded, Graph, GraphError, ParameterError,
 from gqtvc.regularity import check_isoregular, srg_parameters
 from gqtvc.gtypes import enumerate_types
 from gqtvc.symmetry import (automorphisms, check_automorphisms, line_action,
-                            pair_orbits, scan_pairs, unordered_orbits,
-                            vertex_orbits)
+                            pair_orbits, scan_pairs, vertex_orbits)
 from gqtvc.tvc import check_tvc, count_k44_per_edge, count_type_anchored
 
 from conftest import (chang, fresh, geometry, graph_of, permuted,
@@ -45,9 +44,6 @@ def test_orbit_sizes_cover_every_vertex_and_pair(name, dual):
     assert sum(size for _, size in vertex_orbits(g.n, g.generators)) == g.n
     ordered = list(pair_orbits(g))
     assert sum(size for _, size in ordered) == g.n * (g.n - 1)
-    # the unordered orbits of pair_orbits(g, False), without a second search
-    assert sum(size for _, size in unordered_orbits(ordered)) \
-        == g.n * (g.n - 1) // 2
     # each representative is the least member of its orbit in scan order
     x, y = ordered[-1][0]
     orbit = orbit_by_key(g, (x, y))
@@ -99,10 +95,17 @@ def search_over_pairs(g):
         yield (x, y), len(members)
 
 
+def unordered_reps(g):
+    """The least members of the orbits on unordered pairs: the ordered
+    orbits' least members (a, b) with a < b (see ``pair_orbits``)."""
+    return [(x, y) for (x, y), _ in pair_orbits(g) if x < y]
+
+
 def unordered_search(g):
-    """The search on unordered pairs that the orbits derived from the
-    ordered search replaced: each orbit closed under the generators and
-    under reversal, with both orientations marked."""
+    """The least members of the orbits on unordered pairs, found by the
+    search that reading them off the ordered orbits replaced: each orbit
+    closed under the generators and under reversal, with both
+    orientations marked."""
     n, seen = g.n, bytearray(g.n * g.n)
     for x, y in itertools.chain(g.edges(), g.non_edges()):
         if seen[x * n + y]:
@@ -115,7 +118,7 @@ def unordered_search(g):
                 if not seen[image]:
                     seen[image] = 1
                     members.append(image)
-        yield (x, y), len(members) // 2
+        yield x, y
 
 
 @pytest.mark.parametrize("name, dual", [(name, dual) for name in REGISTERED
@@ -124,11 +127,11 @@ def test_unordered_orbits_come_from_the_ordered_search(name, dual):
     g = graph_of(name, dual)
     # the Payne graph's 10.7 million ordered pairs: its first 50 orbits
     limit = 50 if g.n > 1000 else None
-    assert list(itertools.islice(pair_orbits(g, False), limit)) \
+    assert unordered_reps(g)[:limit] \
         == list(itertools.islice(unordered_search(g), limit))
     if g.n < 100:
-        assert list(pair_orbits(unreduced(g), False)) \
-            == [(p, 1) for p in itertools.chain(g.edges(), g.non_edges())]
+        assert unordered_reps(unreduced(g)) \
+            == list(itertools.chain(g.edges(), g.non_edges()))
 
 
 @pytest.mark.parametrize("name, dual", [
@@ -138,7 +141,7 @@ def test_stabiliser_orbits_match_the_search_over_pairs(name, dual):
         else graph_of(name, dual)
     want = list(search_over_pairs(g))
     assert list(pair_orbits(g)) == want
-    assert list(pair_orbits(g, False)) == list(unordered_orbits(want))
+    assert unordered_reps(g) == list(unordered_search(g))
 
 
 def test_payne_stabiliser_orbits_start_like_the_search_over_pairs():
@@ -189,7 +192,7 @@ def test_stabiliser_orbits_of_hand_made_generators(seed):
     g = random_generated(6 + seed, seed)
     assert len({size for _, size in vertex_orbits(g.n, g.generators)}) > 1
     assert list(pair_orbits(g)) == list(search_over_pairs(g))
-    assert list(pair_orbits(g, False)) == list(unordered_search(g))
+    assert unordered_reps(g) == list(unordered_search(g))
     # the pairs of a key are each orbit whole: its least member, its
     # size, and together every pair once
     orbits = [orbit_by_key(g, pair) for pair, _ in pair_orbits(g)]
@@ -215,7 +218,7 @@ def test_pair_orbits_read_stabilisers_at_any_root(seed):
     for x in reversed(range(h.n)):
         h.stabilisers.search(x)
     assert list(pair_orbits(h)) == list(pair_orbits(g))
-    assert list(pair_orbits(h, False)) == list(unordered_search(g))
+    assert unordered_reps(h) == list(unordered_search(g))
     assert orbits_by_key(h) == orbits_by_key(g)
 
 
@@ -223,7 +226,7 @@ def test_pair_orbits_read_stabilisers_at_any_root(seed):
     "K1-identity", "K2-swap", "empty-2-swap", "empty-2-identity"])
 def test_stabiliser_orbits_of_small_graphs(g):
     assert list(pair_orbits(g)) == list(search_over_pairs(g))
-    assert list(pair_orbits(g, False)) == list(unordered_search(g))
+    assert unordered_reps(g) == list(unordered_search(g))
 
 
 @pytest.mark.parametrize("g", [random_generated(6 + seed, seed)

@@ -7,15 +7,14 @@ from math import comb
 import pytest
 
 from gqtvc.cli import main
-from gqtvc.graph import (Graph, ParameterError, canonical_code,
-                         graph_from_edges, induced_subgraph, rows_from_bits,
-                         write_graph6_file)
+from gqtvc.graph import (CanonicalCode, Graph, ParameterError,
+                         canonical_code, graph_from_edges, induced_subgraph,
+                         pair_codes, rows_from_bits, write_graph6_file)
 from gqtvc import tvc
 from gqtvc.gtypes import K44_TYPE, GraphType, enumerate_types, order5_type
 from gqtvc.symmetry import check_automorphisms, vertex_orbits
 from gqtvc.tvc import (_pair_census, check_tvc, count_k44_per_edge,
-                       count_type_anchored, find_distinguisher,
-                       pair_fingerprint)
+                       count_type_anchored, pair_fingerprint)
 
 from conftest import graph_of, random_graph, shrikhande, unreduced
 
@@ -303,7 +302,6 @@ def test_lower_level_failure_is_violated(tmp_path):
     assert count_type_anchored(g, w.graph_type, w.pair_a) == w.count_a
     assert count_type_anchored(g, w.graph_type, w.pair_b) == w.count_b
     assert w.count_a != w.count_b
-    assert find_distinguisher(g, 5, 2) == w.graph_type
     g6 = tmp_path / "shrikhande.g6"
     write_graph6_file(g6, [g])
     for mode in ("exhaustive", "reduced"):
@@ -346,8 +344,26 @@ def test_count_type_anchored_adjacency_guard(w2_graph):
             count_type_anchored(w3, order5_type("0", False), pair)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_types_of_order_two_and_three_count_without_placement(seed):
+    # an order-3 type places its one slot by a popcount and an order-2
+    # type places none: 3 types at each of 50 seeded pairs
+    rng = random.Random(seed)
+    (pair_type,) = enumerate_types(2, 0)
+    for _ in range(50):
+        g = random_graph(rng.randrange(3, 16), rng.random(), rng)
+        x, y = rng.sample(range(g.n), 2)
+        adj = g.has_edge(x, y)
+        census = dict(pair_fingerprint(g, 3, (x, y)).counts)
+        for ty in enumerate_types(3, 0):
+            code = CanonicalCode(3, pair_codes(ty.rows, 3)[0], adj)
+            assert count_type_anchored(g, ty.concrete(adj), (x, y)) \
+                == census.get(code, 0)
+        assert count_type_anchored(g, pair_type.concrete(adj), (x, y)) == 1
+
+
 def test_find_distinguisher_none_for_rank3(w2_graph):
-    assert find_distinguisher(w2_graph, 5, 2) is None
+    assert check_tvc(w2_graph, 5, mode="reduced", k=2).witness is None
 
 
 def test_count_k44_per_edge_known_graphs():
