@@ -80,7 +80,7 @@ def _verdict_result(verdict: TvcVerdict) -> Result:
     report = {"t": verdict.t, "status": verdict.status,
               "representatives": verdict.representatives,
               "rank3": verdict.rank3, "generators": verdict.generators,
-              "searched": verdict.searched}
+              "searched": verdict.searched, "k": verdict.k}
     lines = [f"{verdict.t}-vertex condition: {verdict.status} "
              f"({verdict.mode} mode{', rank 3' if verdict.rank3 else ''})"]
     w = verdict.witness
@@ -162,13 +162,12 @@ def run_check_isoregular(args) -> Result:
 
 
 def run_check_tvc(args) -> Result:
-    return _verdict_result(check_tvc(
-        _load_graph(args), args.t, mode=args.mode, k=args.k,
-        budget_seconds=args.budget_seconds))
+    return _verdict_result(check_tvc(_load_graph(args), args.t, mode=args.mode,
+                                     budget_seconds=args.budget_seconds))
 
 
 def run_find_distinguisher(args) -> Result:
-    verdict = check_tvc(_load_graph(args), args.t, mode="reduced", k=args.k,
+    verdict = check_tvc(_load_graph(args), args.t, mode="reduced",
                         budget_seconds=args.budget_seconds)
     code, report, lines = _verdict_result(verdict)
     report["distinguisher"] = None
@@ -270,8 +269,6 @@ GEOMETRY = (_opt("--construct", required=True, choices=NAMES), DUAL)
 GRAPH = (_opt("--construct", choices=NAMES), DUAL,
          _opt("--input", help="graph6 file"))
 T = _opt("--t", type=int, required=True)
-K2 = _opt("--k", type=int, default=2,
-          help="isoregularity level for reduced mode")
 BUDGET = _opt("--budget-seconds", dest="budget_seconds", type=seconds)
 JSON_OUT = _opt("--json-out", dest="json_out")
 
@@ -292,10 +289,8 @@ COMMANDS = (
         _opt("--k", type=int, default=3), BUDGET)),
     Command("check-tvc", run_check_tvc, GRAPH + (
         T, _opt("--mode", choices=["exhaustive", "reduced"],
-                default="exhaustive"),
-        K2, BUDGET)),
-    Command("find-distinguisher", run_find_distinguisher,
-            GRAPH + (T, K2, BUDGET)),
+                default="exhaustive"), BUDGET)),
+    Command("find-distinguisher", run_find_distinguisher, GRAPH + (T, BUDGET)),
     Command("count-type", run_count_type, GRAPH + (
         _opt("--type", required=True, choices=list(ORDER5_COMPLEMENTS)),
         _opt("--x", type=int, required=True),

@@ -62,6 +62,7 @@ class TvcVerdict:
     # from ``symmetry.automorphisms`` (the graph had none of its own)
     generators: int = 0
     searched: bool = False
+    k: int | None = None  # isoregularity level reduced mode counted by
 
 
 # -- exhaustive fingerprinting --------------------------------------------
@@ -168,15 +169,16 @@ def _mismatch_witness(t, adj, ref_counts, ref_pair, counts, pair):
                       ref_pair, ref_counts.get(key, 0), pair, counts.get(key, 0))
 
 
-def check_tvc(g: Graph, t: int, mode: str = "exhaustive", k: int | None = None,
+def check_tvc(g: Graph, t: int, mode: str = "exhaustive", k: int = 3,
               budget_seconds: float | None = None) -> TvcVerdict:
     """Decide the t-vertex condition.
 
     ``mode='exhaustive'`` scans every (t-2)-subset through every pair,
-    for 2 <= t <= 7, in one process.  ``mode='reduced'`` requires the
-    graph to be k-isoregular and uses only types whose additional
-    vertices have valency >= k+1, for 2 <= t <= 8; the levels below t
-    are checked first, and a failure there is reported as the
+    for 2 <= t <= 7, in one process.  ``mode='reduced'`` finds the
+    greatest j <= k (2 or 3) with ``g`` j-isoregular, records it as the
+    verdict's ``k``, and uses only types whose additional vertices have
+    valency >= j+1, for 2 <= t <= 8; the levels below t are checked
+    first (order 3 if j < 2), and a failure there is reported as the
     violation, since the t-vertex condition implies the (t-1)-vertex
     condition.  Both modes count at one pair per orbit of the
     generators of ``g`` (see ``symmetry``).  In reduced mode one orbit
@@ -197,13 +199,13 @@ def check_tvc(g: Graph, t: int, mode: str = "exhaustive", k: int | None = None,
         raise ParameterError(f"unknown mode {mode!r}")
     if not 2 <= t <= top[mode]:
         raise ParameterError(f"{mode} mode needs 2 <= t <= {top[mode]}, got {t}")
+    if mode == "reduced" and k not in (2, 3):
+        raise ParameterError(f"reduced mode needs k = 2 or 3, got {k}")
     if budget_seconds is not None and not budget_seconds >= 0:
         raise ParameterError(
             f"budget_seconds must be at least 0, got {budget_seconds}")
     deadline = None if budget_seconds is None \
         else time.monotonic() + budget_seconds
-    if mode == "reduced" and k is None and t >= 4:
-        raise ParameterError("reduced mode needs an isoregularity level")
     searched = False
     try:
         if t < 4:
@@ -426,25 +428,27 @@ def _check_tvc_reduced(g: Graph, t: int, k: int, deadline) -> TvcVerdict:
     reps: dict[bool, list] = {True: [], False: []}
     for pair, _ in pair_orbits(g, deadline=deadline):
         reps[g.has_edge(*pair)].append(pair)
-    if not check_isoregular(g, k, deadline).ok:
-        raise ParameterError(f"graph is not {k}-isoregular")
+    scanned = len(reps[True]) + len(reps[False])
     # rank 3: the pairs of a class form one orbit, so every type has one
     # count per class and the condition holds for all t (Hestenes &
-    # Higman, 1971), and no count is made.  Otherwise each level assumes
-    # the one below it holds; below level 4 the condition is strong
-    # regularity, which k-isoregularity covers
-    rank3 = len(reps[True]) <= 1 and len(reps[False]) <= 1
+    # Higman, 1971), and no count is made
+    if len(reps[True]) <= 1 and len(reps[False]) <= 1:
+        return TvcVerdict(t, "satisfied", representatives=scanned, rank3=True)
+    # the level is k, or one below the size of the first set whose valency
+    # differs from an isomorphic set's.  Each order assumes the one below
+    # it holds; below order 4 that is strong regularity, which level 2 gives
+    report = check_isoregular(g, k, deadline)
+    k = k if report.ok else len(report.witness[1]) - 1
+    orders = [(3, 0)] if k < 2 else [(n, k + 1) for n in range(4, t + 1)]
     orbits = lru_cache(maxsize=None)(lambda pair: _fixer_orbits(g, *pair))
     witness = None
-    for level in range(4, 4 if rank3 else t + 1):
-        witness = _scan_types_for_mismatch(g, enumerate_types(level, k + 1),
+    for order, valency in orders:
+        witness = _scan_types_for_mismatch(g, enumerate_types(order, valency),
                                            reps, deadline, orbits)
         if witness is not None:
             break
     return TvcVerdict(t, "satisfied" if witness is None else "violated",
-                      witness,
-                      representatives=len(reps[True]) + len(reps[False]),
-                      rank3=rank3)
+                      witness, representatives=scanned, k=k)
 
 
 # -- the K4,4 edge invariant ----------------------------------------------

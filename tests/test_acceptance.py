@@ -255,13 +255,14 @@ def test_criterion_10_property_suites():
 
 def test_criterion_11_theorem_on_its_own_example():
     # the paper's example is not rank 3: the dual Payne GQ(5, 25) is
-    # 3-isoregular and satisfies the 7-vertex condition at every one of
-    # its 74 ordered pair orbits
+    # 3-isoregular, the level reduced mode finds and counts by, and it
+    # satisfies the 7-vertex condition at every one of its 74 ordered
+    # pair orbits
     g = graph_of("payne", True)
     iso = check_isoregular(g, 3)
     assert (iso.ok, iso.representatives) == (True, 1 + 6 + 47)
-    verdict = check_tvc(g, 7, mode="reduced", k=3)
+    verdict = check_tvc(g, 7, mode="reduced")
     assert (verdict.status, verdict.representatives, verdict.generators,
-            verdict.rank3) == ("satisfied", 74, 7, False)
+            verdict.rank3, verdict.k) == ("satisfied", 74, 7, False, 3)
     report(11, "dual Payne GQ(5,25) is 3-isoregular and satisfies the "
                "7-vertex condition over all 74 pair orbits")

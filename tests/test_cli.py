@@ -1,9 +1,12 @@
+import argparse
 import itertools
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from gqtvc.cli import main
+from gqtvc.cli import build_parser, main
 from gqtvc.graph import graph_from_edges, write_graph6_file
 
 
@@ -54,7 +57,7 @@ def test_reports_count_representatives(tmp_path):
     doc = json.loads(report.read_text())
     assert (doc["status"], doc["representatives"]) == ("satisfied", 4)
     assert main(["check-tvc", "--construct", "q5_2", "--t", "6", "--mode",
-                 "reduced", "--k", "3", "--json-out", str(report)]) == 0
+                 "reduced", "--json-out", str(report)]) == 0
     doc = json.loads(report.read_text())
     assert (doc["representatives"], doc["rank3"]) == (2, True)
     assert main(["check-tvc", "--construct", "q5_2", "--t", "4",
@@ -72,7 +75,7 @@ def test_reports_count_searched_generators(tmp_path):
     assert main(["export-graph6", "--construct", "q5_2", "--out",
                  str(g6)]) == 0
     for argv in (["check-tvc", "--mode", "reduced"], ["find-distinguisher"]):
-        assert main(argv + ["--input", str(g6), "--t", "6", "--k", "3",
+        assert main(argv + ["--input", str(g6), "--t", "6",
                             "--json-out", str(report)]) == 0
         doc = json.loads(report.read_text())
         assert (doc["searched"], doc["rank3"]) == (True, True)
@@ -145,13 +148,32 @@ def test_k44_census_differs_on_dual_payne(tmp_path, capsys):
 def test_find_distinguisher_reports_its_type(tmp_path, capsys):
     report = tmp_path / "d.json"
     assert main(["find-distinguisher", "--construct", "t2star", "--dual",
-                 "--t", "6", "--k", "2", "--json-out", str(report)]) == 1
+                 "--t", "6", "--json-out", str(report)]) == 1
     assert "distinguishing type of order 6" in capsys.readouterr().out
     doc = json.loads(report.read_text())
     ty = doc["distinguisher"]
     assert (doc["status"], ty["order"], ty["pair_adjacent"]) \
         == ("violated", 6, False)
     assert ty["rows"] == doc["witness"]["type_rows"]
+
+
+def test_reduced_reports_give_the_level_they_counted_by(tmp_path):
+    # dual Payne is 3-isoregular: 14 order-6 types where level 2 needs 91
+    report = tmp_path / "d.json"
+    assert main(["find-distinguisher", "--construct", "payne", "--dual",
+                 "--t", "6", "--json-out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert (doc["status"], doc["k"], doc["distinguisher"]) \
+        == ("satisfied", 3, None)
+    # W(3) is rank 3 but not 3-isoregular, and no level is used
+    assert main(["check-tvc", "--construct", "w3", "--t", "6", "--mode",
+                 "reduced", "--json-out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert (doc["rank3"], doc["k"]) == (True, None)
+    # exhaustive mode reduces by no level
+    assert main(["check-tvc", "--construct", "w2", "--t", "4",
+                 "--json-out", str(report)]) == 0
+    assert json.loads(report.read_text())["k"] is None
 
 
 @pytest.mark.parametrize("n, edges, code, srg", [
@@ -228,6 +250,10 @@ def test_usage_errors():
       "--y", "1", "--budget-seconds", "1"], "unrecognized arguments"),
     (["check-isoregular", "--construct", "w2", "--k", "5"],
      "isoregularity level must be 1..3"),
+    (["check-tvc", "--construct", "w2", "--t", "4", "--mode", "reduced",
+      "--k", "3"], "unrecognized arguments"),
+    (["find-distinguisher", "--construct", "w2", "--t", "4", "--k", "2"],
+     "unrecognized arguments"),
     (["verify-formula", "--construct", "q5_2", "--family", "completeS",
       "--dx", "one", "--dy", "0", "--size", "3"], "unknown completeS case"),
     (["k44-census", "--construct", "w2", "--max-edges", "-1"],
@@ -262,7 +288,8 @@ def test_usage_errors():
       "nan"], "--budget-seconds: must be at least 0"),
 ], ids=["vertex-out-of-range", "vertex-repeated", "t-zero",
         "t-nine-exhaustive", "t-nine-reduced", "k44-threads", "tvc-threads",
-        "count-type-budget", "isoregular-k-five", "dx-not-a-number",
+        "count-type-budget", "isoregular-k-five", "tvc-k",
+        "distinguisher-k", "dx-not-a-number",
         "k44-negative-max-edges", "k44-zero-max-edges",
         "k44-zero-stop-after-values",
         "k44-negative-stop-after-values", "construct-and-input",
@@ -306,3 +333,23 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr("gqtvc.cli.srg_parameters", broken)
     with pytest.raises(ValueError, match="internal failure"):
         main(["check-srg", "--construct", "w2"])
+
+
+def test_readme_lists_each_subcommands_options():
+    # "graph source" stands for --construct, --dual and --input; every
+    # subcommand also takes --json-out
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    cli = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+    documented = {}
+    for name, cell in re.findall(r"^\| `([\w-]+)` \| (.*) \|$", cli, re.M):
+        options = set(re.findall(r"--[\w-]+", cell))
+        if "graph source" in cell:
+            options |= {"--construct", "--dual", "--input"}
+        documented[name] = options
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    parsed = {name: {flag for action in p._actions
+                     for flag in action.option_strings} - {"-h", "--help",
+                                                           "--json-out"}
+              for name, p in sub.choices.items()}
+    assert documented == parsed

@@ -17,8 +17,8 @@ from gqtvc.geometry import (CONSTRUCTIONS as REGISTERED, GeometryError,
                             PartialLinearSpace, build_elliptic_gq,
                             build_t2star_gq, check_gq_axiom, dualize,
                             point_graph, validate_pls)
-from gqtvc.graph import (BudgetExceeded, Graph, GraphError, ParameterError,
-                         from_graph6, graph_from_edges, to_graph6)
+from gqtvc.graph import (BudgetExceeded, Graph, GraphError, from_graph6,
+                         graph_from_edges, to_graph6)
 from gqtvc.regularity import check_isoregular, srg_parameters
 from gqtvc.gtypes import enumerate_types
 from gqtvc.symmetry import (automorphisms, check_automorphisms, line_action,
@@ -546,9 +546,9 @@ def searched_roots(monkeypatch):
 
 
 def test_reduced_check_searches_the_pair_orbits_once(searched_roots):
-    # Q-(5,2) at k = 3: isoregularity sums over its unordered pair orbits,
-    # read off the one search for the stabiliser of its one vertex orbit
-    assert check_tvc(fresh(graph_of("q5_2")), 6, mode="reduced", k=3).rank3
+    # Q-(5,2) is rank 3: its pair orbits are read off the one search for
+    # the stabiliser of its one vertex orbit
+    assert check_tvc(fresh(graph_of("q5_2")), 6, mode="reduced").rank3
     assert searched_roots == [0]
 
 
@@ -639,6 +639,23 @@ def test_rank_three_short_cut_makes_no_count(monkeypatch):
         check_tvc(graph_of("t2star", True), 4, mode="reduced", k=2)
 
 
+@pytest.mark.parametrize("name, dual", [
+    ("w2", False), ("w3", False), ("q5_2", True), ("q5_3", True)])
+def test_rank_three_short_cut_scans_no_isoregularity(name, dual,
+                                                     monkeypatch):
+    # these rank-3 graphs are not 3-isoregular, and the condition holds
+    # on them for every t all the same (Hestenes & Higman, 1971)
+    g = graph_of(name, dual)
+    assert not check_isoregular(g, 3).ok
+    calls = []
+    monkeypatch.setattr(gqtvc.tvc, "check_isoregular",
+                        lambda *args: calls.append(args)
+                        or check_isoregular(*args))
+    verdict = check_tvc(g, 8, mode="reduced")
+    assert (verdict.status, verdict.rank3, verdict.k, calls) \
+        == ("satisfied", True, None, [])
+
+
 def test_tvc_representatives(unsearched_tvc):
     w2 = graph_of("w2")
     assert check_tvc(w2, 5).representatives == 2
@@ -664,20 +681,15 @@ def circulant(n, seed):
     (permuted(graph_of("q5_2"), random.Random(3).sample(range(27), 27)), 6, 3),
     (shrikhande(), 5, 2),
     (chang(), 5, 2),
-    (circulant(17, 4), 5, 1),
-    (random_graph(12, 0.5, random.Random(5)), 5, 1),
+    (circulant(17, 4), 5, 2),
+    (random_graph(12, 0.5, random.Random(5)), 5, 2),
 ], ids=["w2", "w3", "q5_2", "shrikhande", "chang", "circulant", "random"])
 @pytest.mark.parametrize("mode", ["exhaustive", "reduced"])
 def test_search_matches_no_search(g, t, k, mode, unsearched_tvc):
     # the searched generators change which pairs are counted, never the
     # verdict or the witness
     assert not g.generators
-    try:
-        off = unsearched_tvc(g, t, mode=mode, k=k)
-    except ParameterError:  # the random graph is not regular
-        with pytest.raises(ParameterError, match="isoregular"):
-            check_tvc(g, t, mode=mode, k=k)
-        return
+    off = unsearched_tvc(g, t, mode=mode, k=k)
     on = check_tvc(g, t, mode=mode, k=k)
     assert (on.status, on.witness) == (off.status, off.witness)
     srg = srg_parameters(g) is not None

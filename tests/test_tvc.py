@@ -287,6 +287,14 @@ def test_negative_budget_is_a_parameter_error(mode, budget):
         check_tvc(graph_of("w2"), 4, mode=mode, k=2, budget_seconds=budget)
 
 
+@pytest.mark.parametrize("t", [3, 4])
+@pytest.mark.parametrize("k", [1, 4, 7, None])
+def test_reduced_level_cap_out_of_range_is_a_parameter_error(t, k):
+    # checked before any scan, at every t
+    with pytest.raises(ParameterError, match=f"needs k = 2 or 3, got {k}"):
+        check_tvc(graph_of("w2"), t, mode="reduced", k=k)
+
+
 def test_lower_level_failure_is_violated(tmp_path):
     g = shrikhande()
     verdict = check_tvc(g, 5)
@@ -306,7 +314,7 @@ def test_lower_level_failure_is_violated(tmp_path):
     write_graph6_file(g6, [g])
     for mode in ("exhaustive", "reduced"):
         assert main(["check-tvc", "--input", str(g6), "--t", "5",
-                     "--mode", mode, "--k", "2"]) == 1
+                     "--mode", mode]) == 1
 
 
 def test_reduced_mode_matches_exhaustive(q5_2_graph):
@@ -317,11 +325,33 @@ def test_reduced_mode_matches_exhaustive(q5_2_graph):
     assert check_tvc(q5_2_graph, 6).status == "satisfied"
 
 
-def test_reduced_mode_preconditions():
-    rng = random.Random(1)
-    g = random_graph(12, 0.5, rng)
-    with pytest.raises(ParameterError):
-        check_tvc(g, 5, mode="reduced", k=2)
+@pytest.mark.parametrize("g, level", [
+    (random_graph(12, 0.5, random.Random(1)), 0),
+    (graph_from_edges(6, [(i, (i + 1) % 6) for i in range(6)]), 1)],
+    ids=["random", "6-cycle"])
+@pytest.mark.parametrize("t", [4, 8])
+def test_reduced_mode_on_a_graph_that_is_not_strongly_regular(g, level, t):
+    # a graph that is not 2-isoregular fails the 3-vertex condition: an
+    # order-3 type, recounted, tells two pairs of one class apart
+    verdict = check_tvc(g, t, mode="reduced")
+    assert (verdict.status, verdict.t, verdict.k) == ("violated", t, level)
+    w = verdict.witness
+    assert w.graph_type.order == 3 and w.count_a != w.count_b
+    assert g.has_edge(*w.pair_a) == g.has_edge(*w.pair_b)
+    assert count_type_anchored(g, w.graph_type, w.pair_a) == w.count_a
+    assert count_type_anchored(g, w.graph_type, w.pair_b) == w.count_b
+
+
+@pytest.mark.parametrize("name, dual, level", [
+    ("t2star", False, 2), ("t2star", True, 2), ("payne", True, 3)])
+def test_reduced_mode_finds_its_isoregularity_level(name, dual, level):
+    g = graph_of(name, dual)
+    verdict = check_tvc(g, 5, mode="reduced")
+    assert (verdict.status, verdict.k, verdict.rank3) \
+        == ("satisfied", level, False)
+    # a cap of 2 gives the same verdict, on dual Payne from more types
+    capped = check_tvc(g, 5, mode="reduced", k=2)
+    assert (capped.status, capped.k) == (verdict.status, 2)
 
 
 def test_count_type_anchored_formula_values(w2_graph):
