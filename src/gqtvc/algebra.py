@@ -87,7 +87,6 @@ class Field:
 
     p: int
     e: int
-    modulus: tuple[int, ...]
     add: tuple[tuple[int, ...], ...]
     mul: tuple[tuple[int, ...], ...]
     neg: tuple[int, ...]
@@ -125,7 +124,8 @@ def _idx(vec: list[int], p: int) -> int:
     return out
 
 
-def field_make(p: int, e: int = 1, modulus=None) -> Field:
+def field_make(p: int, e: int = 1) -> Field:
+    """GF(p^e) modulo ``default_modulus(p, e)``."""
     if not is_prime(p):
         raise AlgebraError(f"{p} is not prime")
     if not 1 <= e <= 4:
@@ -133,13 +133,7 @@ def field_make(p: int, e: int = 1, modulus=None) -> Field:
     q = p ** e
     if q > 256:
         raise AlgebraError("field size limited to 256")
-    if modulus is None:
-        modulus = default_modulus(p, e)
-    modulus = [c % p for c in modulus]
-    if len(modulus) != e + 1 or modulus[-1] != 1:
-        raise AlgebraError("modulus must be monic of degree e")
-    if not _is_irreducible(modulus, p):
-        raise AlgebraError("modulus is reducible")
+    modulus = default_modulus(p, e)
 
     vecs = [_vec(i, p, e) for i in range(q)]
     add = tuple(
@@ -155,15 +149,9 @@ def field_make(p: int, e: int = 1, modulus=None) -> Field:
         mul_rows.append(tuple(row))
     mul = tuple(mul_rows)
     neg = tuple(_idx([(-x) % p for x in v], p) for v in vecs)
-    inv = [0] * q
-    for a in range(1, q):
-        for b in range(1, q):
-            if mul[a][b] == 1:
-                inv[a] = b
-                break
-        else:
-            raise AlgebraError("element without inverse; modulus not irreducible")
-    return Field(p, e, tuple(modulus), add, mul, neg, tuple(inv))
+    # the modulus is irreducible, so every nonzero row holds a 1
+    inv = (0,) + tuple(row.index(1) for row in mul[1:])
+    return Field(p, e, add, mul, neg, inv)
 
 
 @dataclass(frozen=True)

@@ -152,8 +152,8 @@ def run_check_isoregular(args) -> Result:
     report = {"isoregular": rep.ok,
               "status": "satisfied" if rep.ok else "violated",
               "representatives": rep.representatives,
-              "table": {f"order{c.order}_edges{c.bits.bit_count()}": v
-                        for c, v in sorted(rep.table.items())}}
+              "table": {f"order{o}_edges{e}": v
+                        for (o, e), v in sorted(rep.table.items())}}
     lines = [f"{args.k}-isoregular: {'yes' if rep.ok else 'no'}"]
     if not rep.ok:
         report["witness"] = [list(rep.witness[0]), list(rep.witness[1])]
@@ -193,10 +193,6 @@ def run_count_type(args) -> Result:
 
 
 def run_k44_census(args) -> Result:
-    if args.max_edges is not None and args.max_edges < 1:
-        raise UsageError("--max-edges must be at least 1")
-    if args.stop_after_values is not None and args.stop_after_values < 1:
-        raise UsageError("--stop-after-values must be at least 1")
     counts = count_k44_per_edge(_load_graph(args),
                                 stop_after_values=args.stop_after_values,
                                 max_edges=args.max_edges)

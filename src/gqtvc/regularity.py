@@ -7,9 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .graph import (CanonicalCode, Graph, ParameterError, _check_deadline,
-                    bits_of, canonical_code, counter_row,
-                    counter_spreader, graph_from_edges)
+from .graph import (Graph, ParameterError, _check_deadline, bits_of,
+                    counter_row, counter_spreader)
 from .symmetry import pair_orbits, vertex_orbits
 
 
@@ -49,24 +48,16 @@ def srg_parameters(g: Graph):
     rep = check_isoregular(g, 2)
     if not rep.ok:
         return None
-    k = rep.table.get(_SMALL_CODES[1, 0], 0)
+    k = rep.table.get((1, 0), 0)
     if k in (0, g.n - 1):
         return DEGENERATE
-    return SrgParams(g.n, k, rep.table[_SMALL_CODES[2, 1]],
-                     rep.table[_SMALL_CODES[2, 0]])
-
-
-# canonical codes of the order-<=3 classes; for these sizes the edge
-# count determines the isomorphism class
-_SMALL_CODES = {(n, e): canonical_code(graph_from_edges(
-    n, [(0, 1), (1, 2), (0, 2)][:e])) for n in range(1, 4)
-    for e in range(n * (n - 1) // 2 + 1)}
+    return SrgParams(g.n, k, rep.table[2, 1], rep.table[2, 0])
 
 
 @dataclass
 class IsoregularityReport:
-    k: int
-    table: dict[CanonicalCode, int]
+    level: int  # the greatest level that passed
+    table: dict[tuple[int, int], int]  # val by (order, edges)
     ok: bool
     witness: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     representatives: int = 0  # anchors summed
@@ -76,6 +67,9 @@ def check_isoregular(g: Graph, k: int,
                      deadline: float | None = None) -> IsoregularityReport:
     """Exhaustively check that val(S) depends only on the isomorphism
     class of the induced subgraph, over all vertex sets of size <= k.
+    A set of at most three vertices is classified by its size and edge
+    count, so ``table`` maps (order, edges) to val.  ``level`` is k if
+    the check passes, else one less than the size of the witness sets.
     Raises BudgetExceeded once ``deadline`` (``time.monotonic()``) has
     passed.
 
@@ -89,8 +83,8 @@ def check_isoregular(g: Graph, k: int,
     Counter rows are spread when a sum first needs them."""
     if not 1 <= k <= 3:
         raise ParameterError("isoregularity level must be 1..3")
-    table: dict[CanonicalCode, int] = {}
-    rep: dict[CanonicalCode, tuple[int, ...]] = {}
+    table: dict[tuple[int, int], int] = {}
+    rep: dict[tuple[int, int], tuple[int, ...]] = {}
     # spare field n (set in the anchor row, taken back by ``marker``) keeps
     # every temporary row-long, so the freed rows go back to the system
     degrees = list(map(int.bit_count, g.rows))
@@ -132,10 +126,9 @@ def check_isoregular(g: Graph, k: int,
                 c = ((diff & -diff).bit_length() - 1) // width
                 subset = tuple(sorted(anchor + (c,)))
                 edges = inner + (near >> width * c & unseen)
-                code = _SMALL_CODES[size, edges]
-                if code in table:
-                    return IsoregularityReport(k, table, False,
-                                               (rep[code], subset), summed)
-                table[code] = vals[edges] = (got >> width * c) & unseen
-                rep[code] = subset
+                if (size, edges) in table:
+                    return IsoregularityReport(size - 1, table, False, (
+                        rep[size, edges], subset), summed)
+                table[size, edges] = vals[edges] = (got >> width * c) & unseen
+                rep[size, edges] = subset
     return IsoregularityReport(k, table, True, representatives=summed)

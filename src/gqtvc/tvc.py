@@ -173,6 +173,12 @@ def check_tvc(g: Graph, t: int, mode: str = "exhaustive", k: int = 3,
               budget_seconds: float | None = None) -> TvcVerdict:
     """Decide the t-vertex condition.
 
+    At t = 2 it is regularity, and that verdict alone carries no
+    witness, since a failure of regularity names no pair.  At t = 3 it
+    is strong regularity (Hestenes & Higman, 1971): a graph that passes
+    level 2 of ``check_isoregular`` is satisfied, and any other graph is
+    scanned as at t >= 4 for its witness.
+
     ``mode='exhaustive'`` scans every (t-2)-subset through every pair,
     for 2 <= t <= 7, in one process.  ``mode='reduced'`` finds the
     greatest j <= k (2 or 3) with ``g`` j-isoregular, records it as the
@@ -208,12 +214,13 @@ def check_tvc(g: Graph, t: int, mode: str = "exhaustive", k: int = 3,
         else time.monotonic() + budget_seconds
     searched = False
     try:
-        if t < 4:
-            ok = check_regular(g) is not None if t == 2 \
-                else check_isoregular(g, 2, deadline).ok
-            verdict = TvcVerdict(t, "satisfied" if ok else "violated")
-        else:
-            searched = not g.generators \
+        if t == 2:
+            verdict = TvcVerdict(t, "satisfied" if check_regular(g) is not None
+                                 else "violated")
+        elif t == 3 and check_isoregular(g, 2, deadline).ok:
+            verdict = TvcVerdict(t, "satisfied")
+        else:  # at t = 3 the graph is not strongly regular: no search
+            searched = t > 3 and not g.generators \
                 and check_isoregular(g, 2, deadline).ok
             if searched:
                 found = automorphisms(g, deadline)
@@ -434,11 +441,9 @@ def _check_tvc_reduced(g: Graph, t: int, k: int, deadline) -> TvcVerdict:
     # Higman, 1971), and no count is made
     if len(reps[True]) <= 1 and len(reps[False]) <= 1:
         return TvcVerdict(t, "satisfied", representatives=scanned, rank3=True)
-    # the level is k, or one below the size of the first set whose valency
-    # differs from an isomorphic set's.  Each order assumes the one below
-    # it holds; below order 4 that is strong regularity, which level 2 gives
-    report = check_isoregular(g, k, deadline)
-    k = k if report.ok else len(report.witness[1]) - 1
+    # each order assumes the one below it holds; below order 4 that is
+    # strong regularity, which level 2 gives
+    k = check_isoregular(g, k, deadline).level
     orders = [(3, 0)] if k < 2 else [(n, k + 1) for n in range(4, t + 1)]
     orbits = lru_cache(maxsize=None)(lambda pair: _fixer_orbits(g, *pair))
     witness = None

@@ -15,8 +15,6 @@ def test_field_construction_errors():
         field_make(4)
     with pytest.raises(AlgebraError):
         field_make(2, 9)  # 512 > cap
-    with pytest.raises(AlgebraError):
-        field_make(2, 2, modulus=[0, 0, 1])  # x^2 is reducible
 
 
 def test_default_moduli():

@@ -38,6 +38,17 @@ def test_check_isoregular_exit_codes():
     assert main(["check-isoregular", "--construct", "w2", "--k", "3"]) == 1
 
 
+def test_check_isoregular_reports_its_table(tmp_path):
+    # GQ(2,4) is SRG(27, 10, 1, 5); triads have s + 1 = 3 centres
+    report = tmp_path / "r.json"
+    assert main(["check-isoregular", "--construct", "q5_2", "--k", "3",
+                 "--json-out", str(report)]) == 0
+    assert json.loads(report.read_text())["table"] == {
+        "order1_edges0": 10, "order2_edges0": 5, "order2_edges1": 1,
+        "order3_edges0": 3, "order3_edges1": 1, "order3_edges2": 0,
+        "order3_edges3": 0}
+
+
 def test_check_isoregular_budget_inconclusive(tmp_path, capsys):
     report = tmp_path / "r.json"
     code = main(["check-isoregular", "--construct", "payne", "--dual",
@@ -106,6 +117,19 @@ def test_check_tvc_budget_inconclusive_at_t3(tmp_path):
                  str(g6)]) == 0
     assert main(["check-tvc", "--input", str(g6), "--t", "3",
                  "--budget-seconds", "0"]) == 2
+
+
+def test_check_tvc_t3_reports_a_witness(tmp_path):
+    # the 6-cycle is not strongly regular
+    g6, report = tmp_path / "c6.g6", tmp_path / "r.json"
+    write_graph6_file(g6, [graph_from_edges(
+        6, [(i, (i + 1) % 6) for i in range(6)])])
+    assert main(["check-tvc", "--input", str(g6), "--t", "3",
+                 "--json-out", str(report)]) == 1
+    doc = json.loads(report.read_text())
+    assert doc["status"] == "violated"
+    assert doc["witness"]["type_order"] == 3
+    assert doc["witness"]["count_a"] != doc["witness"]["count_b"]
 
 
 def test_count_type(capsys, tmp_path):
@@ -257,13 +281,13 @@ def test_usage_errors():
     (["verify-formula", "--construct", "q5_2", "--family", "completeS",
       "--dx", "one", "--dy", "0", "--size", "3"], "unknown completeS case"),
     (["k44-census", "--construct", "w2", "--max-edges", "-1"],
-     "--max-edges must be at least 1"),
+     "max_edges must be at least 1, got -1"),
     (["k44-census", "--construct", "w2", "--max-edges", "0"],
-     "--max-edges must be at least 1"),
+     "max_edges must be at least 1, got 0"),
     (["k44-census", "--construct", "w2", "--stop-after-values", "0"],
-     "--stop-after-values must be at least 1"),
+     "stop_after_values must be at least 1, got 0"),
     (["k44-census", "--construct", "w2", "--stop-after-values", "-3"],
-     "--stop-after-values must be at least 1"),
+     "stop_after_values must be at least 1, got -3"),
     (["check-srg", "--construct", "w3", "--input", "w2.g6"],
      "give --construct or --input, not both"),
     (["verify-formula", "--construct", "q5_2", "--family", "type0",

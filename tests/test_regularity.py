@@ -77,11 +77,15 @@ def test_isoregular_complement_closure(q5_2_graph):
 def test_isoregular_table_values(q5_2_graph):
     # GQ(2, 4): triads have s + 1 = 3 centres, collinear triples s - 2 = 0
     rep = check_isoregular(q5_2_graph, 3)
-    by_edges = {}
-    for code, val in rep.table.items():
-        if code.order == 3:
-            by_edges[bin(code.bits).count("1")] = val
+    by_edges = {e: val for (o, e), val in rep.table.items() if o == 3}
     assert by_edges == {0: 3, 1: 1, 2: 0, 3: 0}
+
+
+def test_isoregular_report_states_its_level(q5_2_graph, w2_graph):
+    # the greatest level that passed: all of k, or one below the witness
+    c6 = graph_from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+    assert [check_isoregular(g, 3).level for g in (q5_2_graph, w2_graph, c6)] \
+        == [3, 2, 1]
 
 
 # -- oracle: the scans before the counter-row kernel ---------------------
@@ -122,7 +126,10 @@ def common_count(g, subset):
 
 
 def subset_class(g, subset):
-    return canonical_code(induced_subgraph(g, subset))
+    """(order, edges) of the subset's canonical code: the kernel's key,
+    reached through the canonical-code search instead of an edge count."""
+    code = canonical_code(induced_subgraph(g, subset))
+    return code.order, code.bits.bit_count()
 
 
 def reference_isoregular(g, k):
@@ -274,7 +281,7 @@ def test_kernel_two_byte_fields():
         assert rep.ok
         by_class = {subset_class(g, s): common_count(g, s)
                     for s in (same, two, three)}
-        assert {c: v for c, v in rep.table.items() if c.order == 3} == by_class
+        assert {c: v for c, v in rep.table.items() if c[0] == 3} == by_class
 
 
 def test_dual_payne_is_3_isoregular():
@@ -282,8 +289,7 @@ def test_dual_payne_is_3_isoregular():
     # centres, collinear triples s - 2 = 3 common neighbours
     rep = check_isoregular(graph_of("payne", dual=True), 3)
     assert rep.ok
-    by_edges = {bin(code.bits).count("1"): val
-                for code, val in rep.table.items() if code.order == 3}
+    by_edges = {e: val for (o, e), val in rep.table.items() if o == 3}
     assert by_edges == {0: 6, 1: 1, 2: 0, 3: 3}
 
 

@@ -24,3 +24,25 @@ def test_runtime_imports_are_stdlib_only():
         tree = ast.parse(path.read_text(), filename=str(path))
         foreign = set(imported_modules(tree)) - sys.stdlib_module_names
         assert not foreign, f"{path.name} imports {sorted(foreign)}"
+
+
+def unused_imports(tree):
+    """Names bound by the imports of ``tree`` that no expression reads;
+    ``from __future__`` imports bind no name the module means to read."""
+    bound = {(alias.asname or alias.name).split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_modules_use_every_name_they_import():
+    # __init__.py imports to re-export
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        unused = unused_imports(tree)
+        assert not unused, f"{path.name} never uses {unused}"

@@ -207,6 +207,51 @@ def test_check_tvc_small_levels():
     assert check_tvc(c6, 3).status == "violated"  # not an SRG
 
 
+C6 = graph_from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+
+
+@pytest.mark.parametrize("g", [
+    C6, graph_from_edges(4, [(0, 1), (1, 2)]),
+    random_graph(12, 0.5, random.Random(1))],
+    ids=["6-cycle", "path-and-point", "random"])
+@pytest.mark.parametrize("mode", ["exhaustive", "reduced"])
+def test_t3_violation_carries_a_witness(g, mode):
+    # a graph that is not strongly regular is scanned for its witness, an
+    # order-3 type counted differently at two pairs of one class
+    verdict = check_tvc(g, 3, mode=mode)
+    assert verdict.status == "violated"
+    w = verdict.witness
+    assert w.graph_type.order == 3 and w.count_a != w.count_b
+    assert g.has_edge(*w.pair_a) == g.has_edge(*w.pair_b) \
+        == w.graph_type.pair_adjacent
+    assert count_type_anchored(g, w.graph_type, w.pair_a) == w.count_a
+    assert count_type_anchored(g, w.graph_type, w.pair_b) == w.count_b
+
+
+@pytest.mark.parametrize("mode, representatives", [
+    ("exhaustive", 8), ("reduced", 30)])
+def test_t3_witness_on_the_6_cycle(mode, representatives):
+    # (0, 2) has one common neighbour, (0, 3) none
+    verdict = check_tvc(C6, 3, mode=mode)
+    w = verdict.witness
+    assert (w.pair_a, w.count_a, w.pair_b, w.count_b) == ((0, 2), 1, (0, 3), 0)
+    assert verdict.representatives == representatives
+
+
+def test_t3_exhaustive_witness_on_a_path():
+    # the ends of edge (0, 1) have degrees 1 and 2
+    g = graph_from_edges(4, [(0, 1), (1, 2)])
+    w = check_tvc(g, 3).witness
+    assert (w.pair_a, w.pair_b) == ((0, 1), (1, 0))
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "reduced"])
+def test_t3_strongly_regular_is_satisfied_without_a_scan(w2_graph, mode):
+    verdict = check_tvc(w2_graph, 3, mode=mode)
+    assert (verdict.status, verdict.witness, verdict.representatives) \
+        == ("satisfied", None, None)
+
+
 def test_check_tvc_monotone_on_w2(w2_graph):
     # rank 3 graph: every level holds
     for t in (4, 5, 6):
