@@ -3,8 +3,8 @@
 Provides validation of the PLS and GQ axioms, point/line duality, point
 graphs, and four construction families: the symplectic quadrangle W(q)
 and the elliptic quadric quadrangle Q-(5,q), both from one polar-space
-builder, the hyperoval quadrangle T2*(O) over GF(4), and flock
-quadrangles built from q-clans.
+builder that closes found lines under isometries, the hyperoval
+quadrangle T2*(O) over GF(4), and flock quadrangles from q-clans.
 """
 
 from __future__ import annotations
@@ -236,12 +236,12 @@ def export_incidence(pls: PartialLinearSpace) -> str:
 def _projective_points(field: Field, dim: int) -> list[tuple[int, ...]]:
     """Projective points of PG(dim-1, q), normalized so the first
     nonzero coordinate is 1, in lexicographic order."""
-    return [v for v in itertools.product(field.elements(), repeat=dim)
-            if next(filter(None, v), 0) == 1]
+    return [(0,) * i + (1,) + v for i in reversed(range(dim))
+            for v in itertools.product(field.elements(), repeat=dim - 1 - i)]
 
 
 def _scale(field: Field, v, c):
-    return tuple(field.mul[x][c] for x in v)
+    return tuple(map(field.mul[c].__getitem__, v))
 
 
 def _vadd(field: Field, u, v):
@@ -251,44 +251,59 @@ def _vadd(field: Field, u, v):
 def _normalize(field: Field, v):
     for x in v:
         if x:
-            return _scale(field, v, field.inv[x])
+            return tuple(v) if x == 1 else _scale(field, v, field.inv[x])
     raise GeometryError("zero vector has no projective class")
 
 
 def _span_line(field: Field, p, r) -> frozenset:
-    pts = {p, r}
-    for lam in field.elements():
-        if lam:
-            pts.add(_normalize(field, _vadd(field, p, _scale(field, r, lam))))
-    return frozenset(pts)
+    """The line through the normalized points p != r: its point a whose
+    leading 1 comes last, and b + c a for another point b and each c."""
+    if p.index(1) == r.index(1):
+        p = _normalize(field, _vadd(field, p, _scale(field, r, field.neg[1])))
+    a, b = (p, r) if p.index(1) > r.index(1) else (r, p)
+    return frozenset([a, *zip(*[map(field.add[x].__getitem__, field.mul[y])
+                                for x, y in zip(b, a)])])
 
 
 def _polar_gq(field: Field, points, orthogonal, maps,
               order) -> PartialLinearSpace:
-    """The polar space on ``points`` (normalized, in order): its lines
-    are the spans of the pairs that ``orthogonal`` accepts, each spanned
-    once, and its generators the point permutations of the isometries
-    ``maps``.  Row i of ``seen`` holds the points that already share a
-    found line with point i, so no pair on a found line is tested."""
+    """The polar space of order (s, t) on ``points`` (normalized, in
+    order): lines the spans of pairs ``orthogonal`` accepts, generators
+    the isometries ``maps`` on points.  A found line brings in its orbit,
+    each image checked as the span of its two least points, orthogonal
+    (else GeometryError).  A point is tested only while fewer than t + 1
+    lines pass through it, so the line count must be (t+1)(st+1)."""
+    s, t = order
     index = {p: i for i, p in enumerate(points)}
-    seen = [0] * len(points)
-    later = (1 << len(points)) - 1
-    lines = []
-    for i, p in enumerate(points):
-        later ^= 1 << i
-        cand = later & ~seen[i]
-        while cand:
-            j = (cand & -cand).bit_length() - 1
-            cand ^= 1 << j
-            if orthogonal(p, points[j]):
-                line = [index[x] for x in _span_line(field, p, points[j])]
-                m = sum(1 << x for x in line)
-                for x in line:
-                    seen[x] |= m
-                cand &= ~m
-                lines.append(line)
     generators = [tuple(index[_normalize(field, m(p))] for p in points)
                   for m in maps]
+    lines, pencils = set(), [[] for _ in points]
+
+    def close(line):
+        lines.add(line)
+        orbit = [line]
+        for line in orbit:
+            for x in line:
+                pencils[x].append(line)
+            for k, g in enumerate(generators):
+                image = tuple(sorted(map(g.__getitem__, line)))
+                if image in lines:
+                    continue
+                a, b = points[image[0]], points[image[1]]
+                if not (orthogonal(a, b) and _span_line(field, a, b)
+                        == {points[x] for x in image}):
+                    raise GeometryError(f"map {k} maps line {line} to a non-line")
+                lines.add(image)
+                orbit.append(image)
+
+    for i, p in enumerate(points):
+        for j in range(i + 1, len(points)):
+            if len(pencils[i]) > t:
+                break
+            if all(j not in line for line in pencils[i]) and orthogonal(p, points[j]):
+                close(tuple(sorted(index[x] for x in _span_line(field, p, points[j]))))
+    if len(lines) != (t + 1) * (s * t + 1):
+        raise GeometryError(f"{len(lines)} lines, not (t+1)(st+1) for {order}")
     return PartialLinearSpace.make(len(points), lines, order, generators)
 
 
@@ -334,14 +349,6 @@ def build_elliptic_gq(q: int) -> PartialLinearSpace:
     when the line through p and r is totally singular."""
     field = _field_for(q)
     alpha, beta = _least_irreducible_quadratic(field)
-
-    def quad(v):
-        f = field
-        t = f.add[f.mul[v[0]][v[1]]][f.mul[v[2]][v[3]]]
-        t = f.add[t][f.mul[v[4]][v[4]]]
-        t = f.add[t][f.mul[f.mul[alpha][v[4]]][v[5]]]
-        return f.add[t][f.mul[f.mul[beta][v[5]]][v[5]]]
-
     add, mul, sub = field.add, field.mul, field.sub
     two = add[1][1]
 
@@ -350,6 +357,10 @@ def build_elliptic_gq(q: int) -> PartialLinearSpace:
         for c, v in zip(coeffs, x):
             out = add[out][mul[c][v]]
         return out
+
+    def quad(v):  # x0 x1 + x2 x3 + x4^2 + alpha x4 x5 + beta x5^2
+        return dot((v[1], v[3], v[4], mul[alpha][v[4]], mul[beta][v[5]]),
+                   (v[0], v[2], v[4], v[5], v[5]))
 
     # isometries of quad: two swaps, a map fixing x0 x1 + x2 x3, and two
     # that add x1 to x4 or x5 and correct x0
@@ -402,8 +413,7 @@ def build_t2star_gq() -> PartialLinearSpace:
             for d in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
     maps.append(lambda p: _scale(field, p, 2))
     generators = tuple(tuple(index[m(p)] for p in points) for m in maps)
-    return PartialLinearSpace.make(len(points), [tuple(sorted(l)) for l in lines],
-                                   (3, 5), generators)
+    return PartialLinearSpace.make(len(points), lines, (3, 5), generators)
 
 
 # -- flock quadrangles from q-clans ---------------------------------------
@@ -543,6 +553,8 @@ CONSTRUCTIONS = {
     "w3": Construction(lambda: build_symplectic_gq(3), 3),
     "q5_2": Construction(lambda: build_elliptic_gq(2), 2),
     "q5_3": Construction(lambda: build_elliptic_gq(3), 3),
+    "q5_4": Construction(lambda: build_elliptic_gq(4), 4),
+    "q5_5": Construction(lambda: build_elliptic_gq(5), 5),
     "t2star": Construction(build_t2star_gq, 4),
     "payne": Construction(lambda: build_flock_gq(payne_qclan()), 5),
 }

@@ -6,12 +6,13 @@ from gqtvc.algebra import AlgebraError, Matrix2, field_make
 from gqtvc.geometry import (CONSTRUCTIONS, GeometryError,
                             PartialLinearSpace, QClan,
                             _field_for, _least_irreducible_quadratic,
-                            _normalize, _scale, _span_line, _vadd,
-                            build_elliptic_gq, build_flock_gq,
+                            _normalize, _polar_gq, _scale, _span_line,
+                            _vadd, build_elliptic_gq, build_flock_gq,
                             build_symplectic_gq, check_gq_axiom, dualize,
                             export_incidence, payne_qclan, point_graph,
                             validate_pls)
 from gqtvc.regularity import srg_parameters
+from gqtvc.symmetry import vertex_orbits
 
 from conftest import geometry, graph_of
 
@@ -126,6 +127,8 @@ def test_incidence_roundtrip():
     ("q5_3", False, (3, 9), 112, 280),
     ("t2star", False, (3, 5), 64, 96),
     ("t2star", True, (5, 3), 96, 64),
+    ("q5_4", False, (4, 16), 325, 1105),
+    ("q5_5", False, (5, 25), 756, 3276),
 ])
 def test_constructions_validate(name, dual, order, points, lines):
     pls = geometry(name, dual)
@@ -332,6 +335,70 @@ def test_polar_builder_matches_all_pairs_spans(build, oracle, q):
     assert got == want and got.generators == want.generators
 
 
+@pytest.mark.parametrize("build, q, orbits", [
+    *((build_symplectic_gq, q, 1) for q in (2, 3, 5)),
+    (build_symplectic_gq, 4, 3), (build_symplectic_gq, 8, 4),
+    *((build_elliptic_gq, q, 1) for q in (2, 3, 4, 5)),
+], ids=["w2", "w3", "w5", "w4", "w8", "q5_2", "q5_3", "q5_4", "q5_5"])
+def test_polar_line_orbits(build, q, orbits):
+    # one orbit: the builder's first line brings in every line; more
+    # (W(4)'s and W(8)'s transvections lie in Sp(4, 2)): the pencil scan
+    # finds the others, pinned against all pairs on w4 above
+    pls = build(q)
+    assert len(vertex_orbits(len(pls.lines), pls.collineations[1])) == orbits
+
+
+def symplectic_w3_points():
+    field = _field_for(3)
+    f = field
+
+    def orthogonal(u, v):
+        return f.add[f.sub(f.mul[u[0]][v[1]], f.mul[u[1]][v[0]])][
+            f.sub(f.mul[u[2]][v[3]], f.mul[u[3]][v[2]])] == 0
+
+    return field, sorted_projective_points(field, 4), orthogonal
+
+
+@pytest.mark.parametrize("bad", ["coordinates", "points"])
+def test_polar_builder_rejects_a_map_that_is_no_isometry(bad):
+    field, points, orthogonal = symplectic_w3_points()
+    # swapping x1 and x2 turns the form into x0 y2 - x2 y0 + x1 y3 - x3 y1,
+    # so some image has two least points that are not orthogonal; swapping
+    # the last two points keeps the least two of a line through one of
+    # them, but the image is not their span
+    x, y = points[-2:]
+    swap = {"coordinates": lambda v: (v[0], v[2], v[1], v[3]),
+            "points": lambda v: {x: y, y: x}.get(v, v)}[bad]
+    with pytest.raises(GeometryError,
+                       match=r"map 1 maps line \(.*\) to a non-line"):
+        _polar_gq(field, points, orthogonal, [lambda v: v, swap], (3, 3))
+
+
+@pytest.mark.parametrize("order", [(3, 2), (3, 4), (2, 3)])
+@pytest.mark.parametrize("maps", ["transvections", "none"])
+def test_polar_builder_checks_the_declared_order(order, maps):
+    # W(3) has 40 lines; these orders ask for 21, 65 and 28, and the
+    # orbit and the pencil scan find 40, or fewer where pencils stop at 3
+    field, points, orthogonal = symplectic_w3_points()
+    w3 = build_symplectic_gq(3)
+    isometries = [lambda x, g=g: points[g[points.index(x)]]
+                  for g in w3.generators] if maps == "transvections" else []
+    assert _polar_gq(field, points, orthogonal, isometries, (3, 3)) == w3
+    with pytest.raises(GeometryError, match=r"lines, not \(t\+1\)\(st\+1\)"):
+        _polar_gq(field, points, orthogonal, isometries, order)
+
+
+@pytest.mark.parametrize("q, dim", [(2, 4), (3, 4), (4, 4), (5, 3), (8, 3)])
+def test_span_line_is_every_normalized_combination(q, dim):
+    # the definition: r and p + c r normalized, for every c
+    field = _field_for(q)
+    pts = sorted_projective_points(field, dim)
+    for p, r in itertools.permutations(pts, 2):
+        want = {r} | {_normalize(field, _vadd(field, p, _scale(field, r, c)))
+                      for c in field.elements()}
+        assert _span_line(field, p, r) == want
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25])
 def test_field_for_prime_powers(q):
     assert _field_for(q).q == q
@@ -345,7 +412,7 @@ def test_field_for_rejects_non_prime_powers(q):
 
 def test_elliptic_quadric_q5_5():
     # the classical GQ(5, 25), rank-3 twin of dual Payne
-    pls = build_elliptic_gq(5)
+    pls = geometry("q5_5")
     assert pls.num_points == 756 and len(pls.lines) == 3276
     res = check_gq_axiom(pls)
     assert res and res.order == (5, 25)
