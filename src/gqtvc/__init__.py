@@ -16,7 +16,7 @@ from .gtypes import (GraphType, enumerate_order5_complements,
                      enumerate_s_candidates, enumerate_types, order5_type,
                      type_from_graph)
 from .regularity import (DEGENERATE, IsoregularityReport, SrgParams,
-                         check_isoregular, check_regular, srg_parameters)
+                         check_isoregular, srg_parameters)
 from .symmetry import pair_orbits, vertex_orbits
 from .tvc import (Fingerprint, TvcVerdict, check_tvc, count_k44_per_edge,
                   count_type_anchored, pair_fingerprint)

@@ -38,8 +38,6 @@ def _poly_mod(poly: list[int], modulus: list[int], p: int) -> list[int]:
             for i, c in enumerate(modulus):
                 poly[shift + i] = (poly[shift + i] - lead * c) % p
         poly.pop()
-    while len(poly) < e:
-        poly.append(0)
     return poly
 
 
@@ -60,8 +58,6 @@ def _monic_polys(p: int, deg: int):
 def _is_irreducible(modulus: list[int], p: int) -> bool:
     """Trial division by all monic polynomials of degree <= deg/2."""
     deg = len(modulus) - 1
-    if deg == 1:
-        return True
     for d in range(1, deg // 2 + 1):
         for div in _monic_polys(p, d):
             # long division remainder check

@@ -85,12 +85,15 @@ def _verdict_result(verdict: TvcVerdict) -> Result:
              f"({verdict.mode} mode{', rank 3' if verdict.rank3 else ''})"]
     w = verdict.witness
     if w is not None:
+        ty = w.graph_type
         report["witness"] = {
-            "type_order": w.graph_type.order,
-            "type_rows": list(w.graph_type.rows),
+            "type_order": ty.order, "type_rows": list(ty.rows),
+            "pair_adjacent": ty.pair_adjacent,
             "pair_a": list(w.pair_a), "count_a": w.count_a,
             "pair_b": list(w.pair_b), "count_b": w.count_b,
         }
+        lines.append(f"distinguishing type of order {ty.order}: rows "
+                     f"{ty.rows}, pair adjacent: {ty.pair_adjacent}")
         lines.append(f"pair {w.pair_a} has count {w.count_a}, "
                      f"pair {w.pair_b} has count {w.count_b}")
     return EXIT_BY_STATUS[verdict.status], report, lines
@@ -162,22 +165,10 @@ def run_check_isoregular(args) -> Result:
 
 
 def run_check_tvc(args) -> Result:
-    return _verdict_result(check_tvc(_load_graph(args), args.t, mode=args.mode,
-                                     budget_seconds=args.budget_seconds))
-
-
-def run_find_distinguisher(args) -> Result:
-    verdict = check_tvc(_load_graph(args), args.t, mode="reduced",
-                        budget_seconds=args.budget_seconds)
-    code, report, lines = _verdict_result(verdict)
-    report["distinguisher"] = None
-    if verdict.witness is not None:
-        ty = verdict.witness.graph_type
-        report["distinguisher"] = {"order": ty.order, "rows": list(ty.rows),
-                                   "pair_adjacent": ty.pair_adjacent}
-        lines.append(f"distinguishing type of order {ty.order}: rows "
-                     f"{ty.rows}, pair adjacent: {ty.pair_adjacent}")
-    return code, report, lines
+    """Also ``find-distinguisher``, which has no ``--mode``: reduced."""
+    return _verdict_result(check_tvc(
+        _load_graph(args), args.t, mode=getattr(args, "mode", "reduced"),
+        budget_seconds=args.budget_seconds))
 
 
 def run_count_type(args) -> Result:
@@ -286,7 +277,7 @@ COMMANDS = (
     Command("check-tvc", run_check_tvc, GRAPH + (
         T, _opt("--mode", choices=["exhaustive", "reduced"],
                 default="exhaustive"), BUDGET)),
-    Command("find-distinguisher", run_find_distinguisher, GRAPH + (T, BUDGET)),
+    Command("find-distinguisher", run_check_tvc, GRAPH + (T, BUDGET)),
     Command("count-type", run_count_type, GRAPH + (
         _opt("--type", required=True, choices=list(ORDER5_COMPLEMENTS)),
         _opt("--x", type=int, required=True),

@@ -143,8 +143,6 @@ def validate_pls(pls: PartialLinearSpace) -> PlsResult:
         return PlsResult(False, witness=("point degrees differ", lo, hi))
     s = line_sizes.pop() - 1
     t = point_deg[0] - 1
-    if t < 0:
-        return PlsResult(False, witness=("isolated points",))
     if pls.order is not None and pls.order != (s, t):
         return PlsResult(False, witness=("declared order mismatch", pls.order, (s, t)))
     return PlsResult(True, order=(s, t), pencils=pencils)

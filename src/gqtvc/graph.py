@@ -110,9 +110,6 @@ class Graph:
     def has_edge(self, i: int, j: int) -> bool:
         return bool((self.rows[i] >> j) & 1) and i != j
 
-    def degree(self, i: int) -> int:
-        return self.rows[i].bit_count()
-
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
 
@@ -250,9 +247,11 @@ def _bit_positions(t: int, skip01: bool) -> dict[tuple[int, int], int]:
     return pos
 
 
-def rows_from_bits(bits: int, t: int, skip01: bool = False) -> tuple[int, ...]:
+def rows_from_bits(bits: int, t: int) -> tuple[int, ...]:
+    """Rows of the order-t type whose non-pair upper-triangle bits are
+    ``bits`` (the bit layout of ``pair_codes``), without the 0-1 edge."""
     rows = [0] * t
-    for (i, j), p in _bit_positions(t, skip01).items():
+    for (i, j), p in _bit_positions(t, True).items():
         if (bits >> p) & 1:
             rows[i] |= 1 << j
             rows[j] |= 1 << i

@@ -43,13 +43,6 @@ class GraphType:
     def concrete(self, adjacent: bool) -> "GraphType":
         return GraphType(self.order, self.rows, adjacent)
 
-    def additional_valencies(self) -> list[int]:
-        return [self.rows[v].bit_count() for v in range(2, self.order)]
-
-    def edge_count_structure(self) -> int:
-        """Edges excluding the optional pair edge."""
-        return sum(r.bit_count() for r in self.rows) // 2
-
 
 def type_from_graph(g: Graph, pair: tuple[int, int],
                     pair_adjacent: bool | None = "auto") -> GraphType:

@@ -1,5 +1,5 @@
-"""Regularity hierarchy checks: regular, strongly regular and
-k-isoregular.
+"""Regularity hierarchy checks: k-isoregularity, whose levels 1 and 2
+are regularity and strong regularity.
 """
 
 from __future__ import annotations
@@ -33,13 +33,6 @@ class SrgParams:
     def feasible(self) -> bool:
         """The basic counting identity k(k - lam - 1) = (v - k - 1) mu."""
         return self.k * (self.k - self.lam - 1) == (self.v - self.k - 1) * self.mu
-
-
-def check_regular(g: Graph) -> int | None:
-    if g.n == 0:
-        return 0
-    degs = {r.bit_count() for r in g.rows}
-    return degs.pop() if len(degs) == 1 else None
 
 
 def srg_parameters(g: Graph):

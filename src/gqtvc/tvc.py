@@ -16,7 +16,7 @@ from .graph import (BudgetExceeded, CanonicalCode, Graph, ParameterError,
                     pair_codes, rows_from_bits)
 from .gtypes import (K44_TYPE, MAX_TYPE_ORDER, GraphType, enumerate_types,
                      pair_fixing_aut_order)
-from .regularity import check_isoregular, check_regular
+from .regularity import check_isoregular
 from .symmetry import automorphisms, pair_orbits, vertex_orbits
 
 
@@ -31,9 +31,6 @@ class Fingerprint:
 
     pair_class: str  # "edge" or "non-edge"
     counts: tuple  # sorted ((CanonicalCode, count), ...)
-
-    def total(self) -> int:
-        return sum(c for _, c in self.counts)
 
 
 @dataclass
@@ -140,7 +137,7 @@ def _pair_census(g: Graph, t: int, x: int, y: int, codes: dict,
         got = codes.get(bits)
         if got is None:
             got = codes[bits] = pair_codes(
-                rows_from_bits(bits, t, skip01=True), t)
+                rows_from_bits(bits, t), t)
         f, b = got
         fwd[f] = fwd.get(f, 0) + cnt
         bwd[b] = bwd.get(b, 0) + cnt
@@ -165,7 +162,7 @@ def _mismatch_witness(t, adj, ref_counts, ref_pair, counts, pair):
     """Witness for the least code counted differently through two pairs."""
     key = min(c for c in ref_counts.keys() | counts.keys()
               if ref_counts.get(c, 0) != counts.get(c, 0))
-    return TvcWitness(GraphType(t, rows_from_bits(key, t, skip01=True), adj),
+    return TvcWitness(GraphType(t, rows_from_bits(key, t), adj),
                       ref_pair, ref_counts.get(key, 0), pair, counts.get(key, 0))
 
 
@@ -173,11 +170,13 @@ def check_tvc(g: Graph, t: int, mode: str = "exhaustive", k: int = 3,
               budget_seconds: float | None = None) -> TvcVerdict:
     """Decide the t-vertex condition.
 
-    At t = 2 it is regularity, and that verdict alone carries no
-    witness, since a failure of regularity names no pair.  At t = 3 it
-    is strong regularity (Hestenes & Higman, 1971): a graph that passes
-    level 2 of ``check_isoregular`` is satisfied, and any other graph is
-    scanned as at t >= 4 for its witness.
+    On n < t vertices no order-t type embeds, so the condition is
+    decided at order min(t, n) (2 below two vertices) and reported for
+    the t asked for.  Order 2 is regularity, level 1 of
+    ``check_isoregular``, whose failure names no pair and so carries no
+    witness.  Order 3 is strong regularity (Hestenes & Higman, 1971): a
+    graph that passes level 2 is satisfied, and any other graph is
+    scanned as at order 4 and above for its witness.
 
     ``mode='exhaustive'`` scans every (t-2)-subset through every pair,
     for 2 <= t <= 7, in one process.  ``mode='reduced'`` finds the
@@ -212,15 +211,15 @@ def check_tvc(g: Graph, t: int, mode: str = "exhaustive", k: int = 3,
             f"budget_seconds must be at least 0, got {budget_seconds}")
     deadline = None if budget_seconds is None \
         else time.monotonic() + budget_seconds
+    order = min(t, max(g.n, 2))
     searched = False
     try:
-        if t == 2:
-            verdict = TvcVerdict(t, "satisfied" if check_regular(g) is not None
-                                 else "violated")
-        elif t == 3 and check_isoregular(g, 2, deadline).ok:
+        if order <= 3 and check_isoregular(g, order - 1, deadline).ok:
             verdict = TvcVerdict(t, "satisfied")
-        else:  # at t = 3 the graph is not strongly regular: no search
-            searched = t > 3 and not g.generators \
+        elif order == 2:
+            verdict = TvcVerdict(t, "violated")
+        else:  # at order 3 the graph is not strongly regular: no search
+            searched = order > 3 and not g.generators \
                 and check_isoregular(g, 2, deadline).ok
             if searched:
                 found = automorphisms(g, deadline)
@@ -228,12 +227,12 @@ def check_tvc(g: Graph, t: int, mode: str = "exhaustive", k: int = 3,
                 if copy is None or copy.generators != found:
                     copy = g.searched["graph"] = Graph(g.n, g.rows, found)
                 g = copy
-            verdict = _check_tvc_exhaustive(g, t, deadline) \
-                if mode == "exhaustive" else _check_tvc_reduced(g, t, k,
+            verdict = _check_tvc_exhaustive(g, order, deadline) \
+                if mode == "exhaustive" else _check_tvc_reduced(g, order, k,
                                                                  deadline)
     except BudgetExceeded:
         verdict = TvcVerdict(t, "inconclusive")
-    return replace(verdict, mode=mode, generators=len(g.generators),
+    return replace(verdict, t=t, mode=mode, generators=len(g.generators),
                    searched=searched)
 
 

@@ -91,3 +91,16 @@ def test_anisotropic_difference_check():
     good = [Matrix2(f, 0, 0, 0, 0), Matrix2(f, 1, 1, 0, 1)]
     assert anisotropic_difference_check(good)
     assert anisotropic_difference_check([])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: field_make(17, 2), "field size limited to 256"),
+    (lambda: Matrix2(field_make(5), 0, 0, 0, 0).sub(
+        Matrix2(field_make(3), 0, 0, 0, 0)), "matrices over different fields"),
+    (lambda: anisotropic_difference_check([
+        Matrix2(field_make(5), 0, 0, 0, 0), Matrix2(field_make(3), 0, 0, 0, 0)]),
+     "matrices over different fields"),
+], ids=["field-289", "sub-across-fields", "anisotropic-across-fields"])
+def test_bad_arguments_raise_with_message(call, message):
+    with pytest.raises(AlgebraError, match=message):
+        call()

@@ -115,8 +115,9 @@ def test_check_tvc_budget_inconclusive_at_t3(tmp_path):
     g6 = tmp_path / "q.g6"
     assert main(["export-graph6", "--construct", "q5_2", "--out",
                  str(g6)]) == 0
-    assert main(["check-tvc", "--input", str(g6), "--t", "3",
-                 "--budget-seconds", "0"]) == 2
+    for t in ("2", "3"):  # t = 2 is level 1 of the isoregularity scan
+        assert main(["check-tvc", "--input", str(g6), "--t", t,
+                     "--budget-seconds", "0"]) == 2
 
 
 def test_check_tvc_t3_reports_a_witness(tmp_path):
@@ -129,6 +130,7 @@ def test_check_tvc_t3_reports_a_witness(tmp_path):
     doc = json.loads(report.read_text())
     assert doc["status"] == "violated"
     assert doc["witness"]["type_order"] == 3
+    assert doc["witness"]["pair_adjacent"] is False
     assert doc["witness"]["count_a"] != doc["witness"]["count_b"]
 
 
@@ -175,10 +177,26 @@ def test_find_distinguisher_reports_its_type(tmp_path, capsys):
                  "--t", "6", "--json-out", str(report)]) == 1
     assert "distinguishing type of order 6" in capsys.readouterr().out
     doc = json.loads(report.read_text())
-    ty = doc["distinguisher"]
-    assert (doc["status"], ty["order"], ty["pair_adjacent"]) \
+    ty = doc["witness"]
+    assert (doc["status"], ty["type_order"], ty["pair_adjacent"]) \
         == ("violated", 6, False)
-    assert ty["rows"] == doc["witness"]["type_rows"]
+
+
+@pytest.mark.parametrize("construct, status", [
+    ("t2star", "violated"), ("payne", "satisfied")])
+def test_find_distinguisher_is_reduced_check_tvc(construct, status, tmp_path):
+    docs = []
+    for command, mode in (("find-distinguisher", []),
+                          ("check-tvc", ["--mode", "reduced"])):
+        report = tmp_path / f"{command}.json"
+        assert main([command, "--construct", construct, "--dual", "--t", "6",
+                     "--json-out", str(report)] + mode) \
+            == (status == "violated")
+        docs.append(json.loads(report.read_text()))
+    for doc in docs:
+        del doc["timestamp"]
+    assert docs[1].pop("mode") == "reduced"
+    assert docs[0] == docs[1] and docs[0]["status"] == status
 
 
 def test_reduced_reports_give_the_level_they_counted_by(tmp_path):
@@ -187,7 +205,7 @@ def test_reduced_reports_give_the_level_they_counted_by(tmp_path):
     assert main(["find-distinguisher", "--construct", "payne", "--dual",
                  "--t", "6", "--json-out", str(report)]) == 0
     doc = json.loads(report.read_text())
-    assert (doc["status"], doc["k"], doc["distinguisher"]) \
+    assert (doc["status"], doc["k"], doc.get("witness")) \
         == ("satisfied", 3, None)
     # W(3) is rank 3 but not 3-isoregular, and no level is used
     assert main(["check-tvc", "--construct", "w3", "--t", "6", "--mode",
@@ -310,6 +328,8 @@ def test_usage_errors():
      "--budget-seconds: must be at least 0"),
     (["check-tvc", "--construct", "w2", "--t", "4", "--budget-seconds",
       "nan"], "--budget-seconds: must be at least 0"),
+    (["verify-formula", "--construct", "q5_2", "--family", "completeS",
+      "--dy", "0", "--size", "3"], "completeS needs --dx, --dy and --size"),
 ], ids=["vertex-out-of-range", "vertex-repeated", "t-zero",
         "t-nine-exhaustive", "t-nine-reduced", "k44-threads", "tvc-threads",
         "count-type-budget", "isoregular-k-five", "tvc-k",
@@ -320,7 +340,8 @@ def test_usage_errors():
         "order5-with-size", "order5-with-dx", "order5-with-zx-flag",
         "zx-flag-off-case-1-1", "case-1-1-without-zx-flag",
         "tvc-negative-budget", "distinguisher-negative-budget",
-        "isoregular-negative-budget", "tvc-nan-budget"])
+        "isoregular-negative-budget", "tvc-nan-budget",
+        "complete-s-without-dx"])
 def test_bad_input_exits_3_with_message(argv, message, capsys):
     assert main(argv) == 3
     assert message in capsys.readouterr().err
@@ -377,3 +398,20 @@ def test_readme_lists_each_subcommands_options():
                                                            "--json-out"}
               for name, p in sub.choices.items()}
     assert documented == parsed
+
+
+def test_readme_cli_examples_run():
+    # each command of the README's example block, a backslash joining a
+    # line to the next; "# exit N" gives the code it must return
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    cli = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+    (block,) = re.findall(r"^```\n(gqtvc .*?)^```$", cli, re.M | re.S)
+    examples = block.replace("\\\n", " ").splitlines()
+    assert examples
+    for line in examples:
+        command, _, comment = line.partition("#")
+        program, *argv = command.split()
+        assert program == "gqtvc"
+        want = re.fullmatch(r" exit (\d)\s*", comment)
+        code = main(argv)
+        assert code == int(want[1]) if want else code in (0, 1, 2), line

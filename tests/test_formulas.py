@@ -88,3 +88,8 @@ def test_verify_complete_s_on_q5_2(case, z):
     fid = FormulaId("completeS", case, z, 3)
     rep = verify_formula(geometry("q5_2"), fid)
     assert rep.ok, rep.mismatches[:3]
+
+
+def test_expected_count_rejects_an_order_below_one():
+    with pytest.raises(FormulaError, match="orders must be at least 1"):
+        expected_count(FormulaId("type0"), 0, 4, True)

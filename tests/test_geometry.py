@@ -79,7 +79,7 @@ def test_gq_axiom_witness_is_a_direct_count(pls):
 
 def test_point_graph_grid():
     g = point_graph(grid_3x3())
-    assert g.n == 9 and all(g.degree(v) == 4 for v in range(9))
+    assert g.n == 9 and all(r.bit_count() == 4 for r in g.rows)
 
 
 def test_dualize_double_dual_identity():
@@ -465,3 +465,20 @@ def test_line_counts_match_order_formula():
         s, t = check_gq_axiom(pls).order
         assert len(pls.lines) == (t + 1) * (s * t + 1)
         assert pls.num_points == (s + 1) * (s * t + 1)
+
+
+def _polar_w3_with_a_zero_map():
+    field, points, orthogonal = symplectic_w3_points()
+    return _polar_gq(field, points, orthogonal, [lambda v: (0,) * 4], (3, 3))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (_polar_w3_with_a_zero_map, GeometryError,
+     "zero vector has no projective class"),
+    (lambda: geometry("nope"), GeometryError, "unknown construction 'nope'"),
+    (lambda: QClan(payne_qclan().field, payne_qclan().matrices[:-1]),
+     AlgebraError, "need one matrix per field element"),
+], ids=["map-to-zero-vector", "unknown-construction", "qclan-too-few"])
+def test_bad_arguments_raise_with_message(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

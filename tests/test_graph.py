@@ -26,7 +26,7 @@ def test_basics():
     g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert g.edge_count() == 3
     assert g.has_edge(1, 2) and not g.has_edge(0, 2)
-    assert g.degree(1) == 2
+    assert g.rows[1].bit_count() == 2
     assert sorted(g.edges()) == [(0, 1), (1, 2), (2, 3)]
     assert sorted(g.non_edges()) == [(0, 2), (0, 3), (1, 3)]
     h = complement(g)
@@ -104,3 +104,19 @@ def test_graph6_rejects_garbage():
         from_graph6("\x01\x02")
     with pytest.raises(GraphError):
         from_graph6("D")  # truncated
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: from_graph6(">>graph6<<\n"), "empty graph6 string"),
+    (lambda: from_graph6("~AB"), "truncated graph6 header"),
+    (lambda: graph_from_edges(3, [(1, 1)]), r"loop pair \(1,1\)"),
+    (lambda: graph_from_edges(3, [(0, 3)]), r"endpoint out of range in \(0,3\)"),
+    (lambda: induced_subgraph(graph_from_edges(3, [(0, 1)]), [0, 1, 0]),
+     "duplicate vertex in induced subgraph"),
+    (lambda: canonical_code(graph_from_edges(11, [])),
+     "canonical form limited to order 10"),
+], ids=["graph6-header-only", "graph6-truncated-header", "loop",
+        "endpoint-out-of-range", "duplicate-vertex", "canonical-order-11"])
+def test_bad_arguments_raise_with_message(call, message):
+    with pytest.raises(GraphError, match=message):
+        call()

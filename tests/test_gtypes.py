@@ -21,8 +21,8 @@ TYPES_DIGEST = \
 def test_graph_type_basics():
     # pair plus one vertex adjacent to both; pair edge optional
     ty = GraphType(3, (4, 4, 3), None)
-    assert ty.additional_valencies() == [2]
-    assert ty.edge_count_structure() == 2
+    assert [r.bit_count() for r in ty.rows[2:]] == [2]
+    assert sum(r.bit_count() for r in ty.rows) // 2 == 2
 
 
 def test_graph_type_rejects_pair_bit_in_rows():
@@ -46,7 +46,7 @@ def test_type_from_graph_roundtrip():
     g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     ty = type_from_graph(g, (0, 2))
     assert ty.order == 4 and ty.pair_adjacent is False
-    assert ty.additional_valencies() == [2, 2]
+    assert [r.bit_count() for r in ty.rows[2:]] == [2, 2]
 
 
 def test_order5_complement_checksums():
@@ -101,9 +101,9 @@ def test_enumerate_types_digest():
 
 def test_enumerate_types_valency_bound_holds():
     for ty in enumerate_types(5, 3):
-        assert min(ty.additional_valencies()) >= 3
+        assert min(r.bit_count() for r in ty.rows[2:]) >= 3
     for ty in enumerate_types(6, 4):
-        assert min(ty.additional_valencies()) >= 4
+        assert min(r.bit_count() for r in ty.rows[2:]) >= 4
 
 
 def test_named_types_match_enumeration():
@@ -118,10 +118,10 @@ def test_named_types_match_enumeration():
 
 def test_order5_type_structures():
     # type 0 is complete apart from the optional pair edge
-    assert order5_type("0").edge_count_structure() == 9
+    assert sum(r.bit_count() for r in order5_type("0").rows) // 2 == 9
     # type 3a: x isolated from the additional triangle around y
     ty = order5_type("3a")
-    assert sorted(ty.additional_valencies()) == [3, 3, 3]
+    assert sorted([r.bit_count() for r in ty.rows[2:]]) == [3, 3, 3]
     assert ty.rows[0] == 0
 
 
@@ -152,3 +152,15 @@ def test_s_candidates_at_eight():
     want = {canonical_code(g) for g in (k33, k33_e, k42, prism, prism_e)}
     got = {canonical_code(g) for g in cands}
     assert got == want
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GraphType(9, (0,) * 9), "type order must be between 2 and 8"),
+    (lambda: enumerate_types(9, 0), "type order must be between 2 and 8"),
+    (lambda: enumerate_types(5, -1), "valency bound out of range"),
+    (lambda: enumerate_s_candidates(5), "supported core searches: 6 <= t0 <= 8"),
+], ids=["type-order-9", "enumerate-order-9", "enumerate-valency-below-0",
+        "s-candidates-order-5"])
+def test_bad_arguments_raise_with_message(call, message):
+    with pytest.raises(GraphError, match=message):
+        call()

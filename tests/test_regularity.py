@@ -7,7 +7,7 @@ import pytest
 from gqtvc.graph import (BudgetExceeded, canonical_code, complement,
                          graph_from_edges, induced_subgraph)
 from gqtvc.regularity import (DEGENERATE, SrgParams, check_isoregular,
-                              check_regular, srg_parameters)
+                              srg_parameters)
 
 from conftest import graph_of, unreduced
 
@@ -19,10 +19,11 @@ def petersen():
     return graph_from_edges(10, outer + spokes + inner)
 
 
-def test_check_regular():
-    assert check_regular(petersen()) == 3
-    assert check_regular(graph_from_edges(3, [(0, 1)])) is None
-    assert check_regular(graph_from_edges(0, [])) == 0
+def test_regularity_is_level_1():
+    rep = check_isoregular(petersen(), 1)
+    assert rep.ok and rep.table == {(1, 0): 3}
+    assert not check_isoregular(graph_from_edges(3, [(0, 1)]), 1).ok
+    assert check_isoregular(graph_from_edges(0, []), 1).ok
 
 
 def test_srg_parameters_petersen():
@@ -95,9 +96,10 @@ def test_isoregular_report_states_its_level(q5_2_graph, w2_graph):
 # per pair or subset.
 
 def reference_srg_parameters(g):
-    k = check_regular(g)
-    if k is None:
+    degrees = {r.bit_count() for r in g.rows} or {0}
+    if len(degrees) != 1:
         return None
+    k = degrees.pop()
     if k == 0 or k == g.n - 1:
         return DEGENERATE
     lam = mu = None

@@ -22,7 +22,7 @@ from conftest import graph_of, random_graph, shrikhande, unreduced
 def test_fingerprint_conservation(w2_graph):
     for t in (4, 5):
         fp = pair_fingerprint(w2_graph, t, (0, 1))
-        assert fp.total() == comb(w2_graph.n - 2, t - 2)
+        assert sum(c for _, c in fp.counts) == comb(w2_graph.n - 2, t - 2)
 
 
 def test_fingerprint_pair_class(w2_graph):
@@ -70,7 +70,7 @@ def test_exhaustive_vs_anchored_agreement():
         fp = pair_fingerprint(g, t, (x, y))
         adj = g.has_edge(x, y)
         for code, cnt in fp.counts:
-            rows = rows_from_bits(code.bits, t, skip01=True)
+            rows = rows_from_bits(code.bits, t)
             ty = GraphType(t, rows, adj)
             assert count_type_anchored(g, ty, (x, y)) == cnt
 
@@ -332,6 +332,16 @@ def test_negative_budget_is_a_parameter_error(mode, budget):
         check_tvc(graph_of("w2"), 4, mode=mode, k=2, budget_seconds=budget)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: check_tvc(graph_of("w2"), 4, mode="fast"), "unknown mode 'fast'"),
+    (lambda: pair_fingerprint(graph_of("w2"), 8, (0, 1)),
+     "exhaustive fingerprints support 3 <= t <= 7"),
+], ids=["unknown-mode", "fingerprint-order-8"])
+def test_bad_arguments_raise_with_message(call, message):
+    with pytest.raises(ParameterError, match=message):
+        call()
+
+
 @pytest.mark.parametrize("t", [3, 4])
 @pytest.mark.parametrize("k", [1, 4, 7, None])
 def test_reduced_level_cap_out_of_range_is_a_parameter_error(t, k):
@@ -385,6 +395,31 @@ def test_reduced_mode_on_a_graph_that_is_not_strongly_regular(g, level, t):
     assert g.has_edge(*w.pair_a) == g.has_edge(*w.pair_b)
     assert count_type_anchored(g, w.graph_type, w.pair_a) == w.count_a
     assert count_type_anchored(g, w.graph_type, w.pair_b) == w.count_b
+
+
+SMALL_GRAPHS = {
+    "P3": graph_from_edges(3, [(0, 1), (1, 2)]),
+    "K1,3": graph_from_edges(4, [(0, 1), (0, 2), (0, 3)]),
+    "P5": graph_from_edges(5, [(i, i + 1) for i in range(4)]),
+    "random": random_graph(6, 0.5, random.Random(3))}
+
+
+@pytest.mark.parametrize("name", SMALL_GRAPHS)
+@pytest.mark.parametrize("above", [1, 2])
+def test_modes_agree_above_the_order_of_the_graph(name, above):
+    # no type with more than n vertices embeds, so at t > n both modes
+    # decide the n-vertex condition and report the t asked for
+    g = SMALL_GRAPHS[name]
+    t = g.n + above
+    modes = ("exhaustive", "reduced") if t <= 7 else ("reduced",)
+    verdicts = {mode: check_tvc(g, t, mode=mode) for mode in modes}
+    assert {(v.t, v.status) for v in verdicts.values()} == {(t, "violated")}
+    for v in verdicts.values():
+        w = v.witness
+        assert count_type_anchored(g, w.graph_type, w.pair_a) == w.count_a
+        assert count_type_anchored(g, w.graph_type, w.pair_b) == w.count_b
+    if "exhaustive" in verdicts:
+        assert verdicts["exhaustive"].witness.graph_type.order == g.n
 
 
 @pytest.mark.parametrize("name, dual, level", [
