@@ -68,13 +68,9 @@ def _is_irreducible(modulus: list[int], p: int) -> bool:
 
 
 def default_modulus(p: int, e: int) -> list[int]:
-    """The first (in coefficient lex order) monic irreducible of degree e."""
-    if e == 1:
-        return [0, 1]
-    for mod in _monic_polys(p, e):
-        if _is_irreducible(mod, p):
-            return mod
-    raise AlgebraError(f"no irreducible polynomial of degree {e} over GF({p})")
+    """The first (in coefficient lex order) monic irreducible of degree
+    e; one exists for every degree over every finite field."""
+    return next(mod for mod in _monic_polys(p, e) if _is_irreducible(mod, p))
 
 
 @dataclass(frozen=True)

@@ -307,9 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_PASS
     try:

@@ -80,9 +80,8 @@ def expected_count(fid: FormulaId, s: int, t: int, adjacent: bool) -> int:
         return 0 if adjacent else (t + 1) * comb(s - 1, 2)
     if fam == "type3a":
         return t * comb(s, 3) if adjacent else (t + 1) * comb(s - 1, 3)
-    if fam == "completeS":
-        return _complete_s_count(fid, s, t, adjacent)
-    raise FormulaError(f"unknown formula family {fam!r}")
+    # FormulaId admits no other family
+    return _complete_s_count(fid, s, t, adjacent)
 
 
 def _complete_s_count(fid: FormulaId, s: int, t: int, adjacent: bool) -> int:
@@ -115,16 +114,14 @@ def _complete_s_count(fid: FormulaId, s: int, t: int, adjacent: bool) -> int:
         if adjacent:
             return s ** 5 * comb(s - 1, m - 1)
         return mu * (s - 1) * s * s * comb(s - 1, m - 1)
-    if case == (0, 0):
-        # split the lines missing x and y by their traces
-        if adjacent:
-            l2p = s * s * (s - 1)
-            l3 = l - 1 - 2 * s * s - l2p
-            return l2p * comb(s, m) + l3 * comb(s - 1, m)
-        l1 = mu * (s * s - 1)
-        l2 = l - l1 - 2 * (s * s + 1)
-        return l1 * comb(s, m) + l2 * comb(s - 1, m)
-    raise FormulaError(f"unknown completeS case {case!r}")
+    # (0, 0), the last case: split the lines missing x and y by traces
+    if adjacent:
+        l2p = s * s * (s - 1)
+        l3 = l - 1 - 2 * s * s - l2p
+        return l2p * comb(s, m) + l3 * comb(s - 1, m)
+    l1 = mu * (s * s - 1)
+    l2 = l - l1 - 2 * (s * s + 1)
+    return l1 * comb(s, m) + l2 * comb(s - 1, m)
 
 
 def graph_type_for(fid: FormulaId, adjacent: bool | None = None) -> GraphType:

@@ -378,13 +378,11 @@ def build_elliptic_gq(q: int) -> PartialLinearSpace:
 
 
 def _least_irreducible_quadratic(field: Field) -> tuple[int, int]:
-    """Least (alpha, beta) such that z^2 + alpha z + beta has no root."""
-    for alpha in field.elements():
-        for beta in field.elements():
-            if all(field.add[field.add[field.mul[z][z]][field.mul[alpha][z]]][beta] != 0
-                   for z in field.elements()):
-                return alpha, beta
-    raise GeometryError("no irreducible quadratic found")
+    """Least (alpha, beta) such that z^2 + alpha z + beta has no root;
+    one exists over every finite field."""
+    add, mul, elements = field.add, field.mul, field.elements()
+    return next((a, b) for a in elements for b in elements
+                if all(add[add[mul[z][z]][mul[a][z]]][b] for z in elements))
 
 
 @lru_cache(maxsize=None)

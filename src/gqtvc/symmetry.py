@@ -5,11 +5,11 @@ representative per orbit of any group of automorphisms; a subgroup
 only makes the orbits finer.  Candidate permutations come from the
 constructions, or, for a graph without any (graph6 input, a graph built
 by hand), from ``automorphisms``, a bounded search that ``check_tvc``
-runs; a search cut short has found a subgroup, so its orbits are still
-sound.  Every candidate is checked against the object it acts on before
-a scan uses it: a geometry's must map every line onto a line
-(``line_action``, O(incidences)), a bare graph's every row onto a row
-(``check_automorphisms``, O(edges)).
+runs; a search cut short by its work bound has found a subgroup, so
+its orbits are still sound.  Every candidate is checked against the
+object it acts on before a scan uses it: a geometry's must map every
+line onto a line (``line_action``, O(incidences)), a bare graph's
+every row onto a row (``check_automorphisms``, O(edges)).
 
 An orbit is given by its least member in scan order and its size.
 Pairs are scanned edges first, then non-edges, each (a, b) with a < b
@@ -245,7 +245,9 @@ class Stabilisers(dict):
 
     def key(self, x, y):
         """The same for two ordered pairs exactly when they share an orbit;
-        ``(x, y)`` without generators, each vertex its own orbit."""
+        ``(x, y)`` without generators, each pair its own orbit."""
+        if not self.generators:
+            return x, y
         r, rows, _ = self.search(x)
         return r, rows[x][y]
 
@@ -359,10 +361,9 @@ def automorphisms(g: Graph, deadline=None) -> tuple[tuple[int, ...], ...]:
     path's target cells, drops partitions whose cells start elsewhere,
     and keeps the first leaf that the first leaf maps onto by an
     automorphism.  After ``SEARCH_WORK * n * n`` units of refinement
-    work (see ``_refine``), or at ``deadline``, it returns what it has:
-    a subgroup, whose finer orbits are still sound.  What a search
-    returns is kept in ``g.searched`` by its work bound, unless the
-    deadline cut it short."""
+    work (see ``_refine``) it returns what it has, a subgroup, whose
+    finer orbits are still sound; it is kept in ``g.searched`` by that
+    bound.  Raises BudgetExceeded once ``deadline`` has passed."""
     rows, n = g.rows, g.n
     bound = SEARCH_WORK * n * n
     if bound in g.searched:
@@ -417,6 +418,6 @@ def automorphisms(g: Graph, deadline=None) -> tuple[tuple[int, ...], ...]:
                     _orbit(tried, found, seen := bytearray(n))
     except BudgetExceeded:
         if work[0] >= 0:  # the deadline, not the work bound
-            return tuple(found)
+            raise
     g.searched[bound] = tuple(found)
     return g.searched[bound]

@@ -52,8 +52,7 @@ class TvcVerdict:
     # census covers both orientations), ordered in reduced mode; None
     # when no pair scan ran
     representatives: int | None = None
-    # reduced mode found one orbit of ordered edges and one of ordered
-    # non-edges (or none), so it compared no counts
+    # rank 3 (see ``check_tvc``), so no count was made
     rank3: bool = False
     # verified automorphisms the scan reduced by, and whether they came
     # from ``symmetry.automorphisms`` (the graph had none of its own)
@@ -185,19 +184,20 @@ def check_tvc(g: Graph, t: int, mode: str = "exhaustive", k: int = 3,
     valency >= j+1, for 2 <= t <= 8; the levels below t are checked
     first (order 3 if j < 2), and a failure there is reported as the
     violation, since the t-vertex condition implies the (t-1)-vertex
-    condition.  Both modes count at one pair per orbit of the
-    generators of ``g`` (see ``symmetry``).  In reduced mode one orbit
-    of ordered edges and one of ordered non-edges make ``g`` rank 3:
-    the condition holds for every t, and the verdict sets ``rank3``.  For
-    t >= 4 a strongly regular graph without generators gets those that
-    ``symmetry.automorphisms`` finds, each checked by ``Graph`` to map
-    every row onto a row before the scan uses it; the copy of ``g``
-    with them is kept in ``g.searched`` while the search returns the
-    same generators, so its orbits are searched once.  Any other graph
-    without generators fails the condition for every t >= 3 and is
-    scanned pair by pair, as the search could only delay its witness:
-    a census differs at the first pair whose degrees or common
-    neighbours differ from those of the first pair of its class.
+    condition.  Both modes count at one pair per orbit of the generators
+    of ``g`` (see ``symmetry``), and neither counts on a rank-3 graph,
+    with one orbit of ordered edges and one of ordered non-edges: the
+    condition holds for every t (Hestenes & Higman, 1971), and the
+    verdict sets ``rank3``.  For t >= 4 a strongly regular graph without
+    generators gets those that ``symmetry.automorphisms`` finds, each
+    checked by ``Graph`` to map every row onto a row before the scan
+    uses it; the copy of ``g`` with them is kept in ``g.searched`` while
+    the search returns the same generators, so its orbits are searched
+    once.  Any other graph without generators fails the condition for
+    every t >= 3 and is scanned pair by pair, as the search could only
+    delay its witness: a census differs at the first pair whose degrees
+    or common neighbours differ from those of the first pair of its
+    class.
     """
     top = {"exhaustive": MAX_EXHAUSTIVE_ORDER, "reduced": MAX_TYPE_ORDER}
     if mode not in top:
@@ -227,22 +227,30 @@ def check_tvc(g: Graph, t: int, mode: str = "exhaustive", k: int = 3,
                 if copy is None or copy.generators != found:
                     copy = g.searched["graph"] = Graph(g.n, g.rows, found)
                 g = copy
-            verdict = _check_tvc_exhaustive(g, order, deadline) \
-                if mode == "exhaustive" else _check_tvc_reduced(g, order, k,
-                                                                 deadline)
+            orbits = pair_orbits(g, deadline=deadline)
+            head = list(itertools.islice(orbits, 3))
+            # edges come first: a class seen twice among three has two orbits
+            if len({g.has_edge(*pair) for pair, _ in head}) == len(head):
+                verdict = TvcVerdict(t, "satisfied", representatives=len(head),
+                                     rank3=True)
+            else:
+                orbits = itertools.chain(head, orbits)
+                verdict = _check_tvc_exhaustive(g, order, orbits, deadline) \
+                    if mode == "exhaustive" else _check_tvc_reduced(
+                        g, order, k, orbits, deadline)
     except BudgetExceeded:
         verdict = TvcVerdict(t, "inconclusive")
     return replace(verdict, t=t, mode=mode, generators=len(g.generators),
                    searched=searched)
 
 
-def _check_tvc_exhaustive(g: Graph, t: int, deadline) -> TvcVerdict:
-    """Compare both orientations of every pair orbit's representative
+def _check_tvc_exhaustive(g: Graph, t: int, orbits, deadline) -> TvcVerdict:
+    """Compare both orientations of each representative in ``orbits``
     with the forward census of the first pair of its adjacency class."""
     codes: dict = {}
     refs: dict = {}
     scanned = 0
-    for (x, y), _ in pair_orbits(g, deadline=deadline):
+    for (x, y), _ in orbits:
         if x > y:  # the census of (y, x) gave both orientations
             continue
         scanned += 1
@@ -429,17 +437,13 @@ def _scan_types_for_mismatch(g: Graph, types, reps, deadline,
     return None
 
 
-def _check_tvc_reduced(g: Graph, t: int, k: int, deadline) -> TvcVerdict:
-    # ordered pair orbit representatives by adjacency, for every type
+def _check_tvc_reduced(g: Graph, t: int, k: int, orbits,
+                       deadline) -> TvcVerdict:
+    # the representatives in ``orbits`` by adjacency, for every type
     reps: dict[bool, list] = {True: [], False: []}
-    for pair, _ in pair_orbits(g, deadline=deadline):
+    for pair, _ in orbits:
         reps[g.has_edge(*pair)].append(pair)
     scanned = len(reps[True]) + len(reps[False])
-    # rank 3: the pairs of a class form one orbit, so every type has one
-    # count per class and the condition holds for all t (Hestenes &
-    # Higman, 1971), and no count is made
-    if len(reps[True]) <= 1 and len(reps[False]) <= 1:
-        return TvcVerdict(t, "satisfied", representatives=scanned, rank3=True)
     # each order assumes the one below it holds; below order 4 that is
     # strong regularity, which level 2 gives
     k = check_isoregular(g, k, deadline).level

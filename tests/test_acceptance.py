@@ -112,8 +112,8 @@ def test_criterion_5_six_and_seven_vertex_condition():
 
 
 def test_criterion_5_exhaustive_cross_check_compares_counts(unsearched_tvc):
-    # with its generators GQ(2,4) is rank 3: one census per class, and no
-    # two are compared.  Without them every unordered pair is counted
+    # with its generators GQ(2,4) is rank 3: one representative per
+    # class and no census.  Without them every unordered pair is counted
     g = graph_of("q5_2")
     assert check_tvc(g, 6).representatives == 2
     verdict = unsearched_tvc(unreduced(g), 6)

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from gqtvc.cli import build_parser, main
+from gqtvc import formulas
+from gqtvc.cli import PARSER, main
+from gqtvc.geometry import PartialLinearSpace
 from gqtvc.graph import graph_from_edges, write_graph6_file
 
 
@@ -20,6 +22,23 @@ def test_construct_writes_incidence(tmp_path):
     out = tmp_path / "w2.txt"
     assert main(["construct", "--construct", "w2", "--out", str(out)]) == 0
     assert out.read_text().startswith("p 15 l 15")
+
+
+def test_construct_reports_a_failing_axiom(monkeypatch, tmp_path, capsys):
+    # a triangle is a partial linear space of order (1, 1), and the point
+    # off each line is collinear with both of its points: point 0 with
+    # line 2, (1, 2)
+    triangle = PartialLinearSpace.make(3, [(0, 1), (1, 2), (0, 2)])
+    monkeypatch.setattr("gqtvc.cli.get_construction",
+                        lambda name, dual: triangle)
+    report = tmp_path / "r.json"
+    assert main(["construct", "--construct", "w2",
+                 "--json-out", str(report)]) == 1
+    doc = json.loads(report.read_text())
+    assert (doc["pls_valid"], doc["gq_axiom"], doc["order"]) \
+        == (True, False, [1, 1])
+    assert doc["witness"] == "(0, 2, 2)"
+    assert "axiom fails: (0, 2, 2)" in capsys.readouterr().out
 
 
 def test_check_srg_json(tmp_path, capsys):
@@ -73,7 +92,8 @@ def test_reports_count_representatives(tmp_path):
     assert (doc["representatives"], doc["rank3"]) == (2, True)
     assert main(["check-tvc", "--construct", "q5_2", "--t", "4",
                  "--json-out", str(report)]) == 0
-    assert json.loads(report.read_text())["rank3"] is False
+    doc = json.loads(report.read_text())
+    assert (doc["representatives"], doc["rank3"]) == (2, True)
     assert main(["verify-formula", "--construct", "q5_3", "--family",
                  "type3a", "--json-out", str(report)]) == 0
     doc = json.loads(report.read_text())
@@ -105,7 +125,8 @@ def test_check_tvc(capsys):
 
 
 def test_check_tvc_budget_inconclusive():
-    code = main(["check-tvc", "--construct", "q5_2", "--t", "7",
+    # dual T2*(O) is not rank 3, so its exhaustive check makes censuses
+    code = main(["check-tvc", "--construct", "t2star", "--dual", "--t", "7",
                  "--budget-seconds", "0.01"])
     assert code == 2
 
@@ -252,6 +273,21 @@ def test_verify_formula_cli():
                  "--size", "3"]) == 0
 
 
+def test_verify_formula_reports_mismatches(monkeypatch, tmp_path, capsys):
+    # a closed form one too high: all 15 * 14 ordered pairs of W(2)
+    # mismatch, and the report lists the first 10
+    right = formulas.expected_count
+    monkeypatch.setattr(formulas, "expected_count",
+                        lambda fid, s, t, adj: right(fid, s, t, adj) + 1)
+    report = tmp_path / "r.json"
+    assert main(["verify-formula", "--construct", "w2", "--family", "type0",
+                 "--json-out", str(report)]) == 1
+    assert "type0 on GQ(2, 2): 210 mismatches" in capsys.readouterr().out
+    doc = json.loads(report.read_text())
+    assert doc["pairs_checked"] == 210 and len(doc["mismatches"]) == 10
+    assert all(got + 1 == want for _, want, got in doc["mismatches"])
+
+
 @pytest.mark.parametrize("flag, label", [("--zx-eq-zy", "z_x=z_y"),
                                          ("--no-zx-eq-zy", "z_x!=z_y")])
 def test_verify_formula_complete_s_1_1_either_flag(flag, label, tmp_path):
@@ -391,7 +427,7 @@ def test_readme_lists_each_subcommands_options():
         if "graph source" in cell:
             options |= {"--construct", "--dual", "--input"}
         documented[name] = options
-    (sub,) = [a for a in build_parser()._actions
+    (sub,) = [a for a in PARSER._actions
               if isinstance(a, argparse._SubParsersAction)]
     parsed = {name: {flag for action in p._actions
                      for flag in action.option_strings} - {"-h", "--help",

@@ -46,3 +46,36 @@ def test_modules_use_every_name_they_import():
         tree = ast.parse(path.read_text(), filename=str(path))
         unused = unused_imports(tree)
         assert not unused, f"{path.name} never uses {unused}"
+
+
+def private_definitions(tree):
+    """Private names (``_name``, not dunders) that the module body of
+    ``tree`` defines: functions, classes and assignment targets."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names = [n.id for target in targets for n in ast.walk(target)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names
+                    if name.startswith("_") and not name.endswith("__"))
+
+
+def test_every_private_name_is_read():
+    # code with no caller goes: each private module-level name is read
+    # somewhere in the package, by name or as an attribute
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in SOURCES]
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+    defined = {(path.name, name) for path, tree in zip(SOURCES, trees)
+               for name in private_definitions(tree)}
+    assert len(defined) > 40
+    unread = sorted(d for d in defined if d[1] not in read)
+    assert not unread, f"defined but never read: {unread}"

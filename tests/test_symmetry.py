@@ -20,7 +20,7 @@ from gqtvc.geometry import (CONSTRUCTIONS as REGISTERED, GeometryError,
 from gqtvc.graph import (BudgetExceeded, Graph, GraphError, from_graph6,
                          graph_from_edges, to_graph6)
 from gqtvc.regularity import check_isoregular, srg_parameters
-from gqtvc.gtypes import enumerate_types
+from gqtvc.gtypes import K44_TYPE, enumerate_types
 from gqtvc.symmetry import (automorphisms, check_automorphisms, line_action,
                             pair_orbits, scan_pairs, vertex_orbits)
 from gqtvc.tvc import check_tvc, count_k44_per_edge, count_type_anchored
@@ -418,9 +418,9 @@ def test_tvc_matches_unreduced(g, t, mode, k, unsearched_tvc):
     b = unsearched_tvc(unreduced(g), t, mode=mode, k=k)
     assert (a.status, a.witness) == (b.status, b.witness)
     assert a.representatives < b.representatives
-    # reduced mode takes the rank-3 short-cut exactly on the rank-3
-    # graphs with generators; without them it counts every type
-    assert a.rank3 == (mode == "reduced" and len(list(pair_orbits(g))) == 2)
+    # both modes take the rank-3 short-cut exactly on the rank-3 graphs
+    # with generators; without them they count
+    assert a.rank3 == (len(list(pair_orbits(g))) == 2)
     assert not b.rank3
 
 
@@ -431,6 +431,17 @@ def same_census(g, **cap):
     assert list(a.items()) == list(b.items())
     assert a.counts_made <= b.counts_made == len(b)
     return a
+
+
+def test_a_census_without_generators_searches_no_orbit():
+    # each pair is its own orbit and its own key, so every edge is
+    # counted plainly and no stabiliser is searched
+    g = unreduced(graph_of("q5_3"))
+    census = count_k44_per_edge(g, max_edges=20)
+    assert dict(census) == {e: count_type_anchored(g, K44_TYPE, e)
+                            for e in itertools.islice(g.edges(), 20)}
+    assert census.counts_made == 20
+    assert not g.stabilisers and not g.stabilisers.moves
 
 
 @pytest.mark.parametrize("name, dual", CONSTRUCTIONS)
@@ -697,7 +708,7 @@ def test_search_matches_no_search(g, t, k, mode, unsearched_tvc):
     assert on.representatives <= off.representatives
     if on.status == "satisfied" and on.generators:
         assert on.representatives < off.representatives
-    assert on.rank3 == (mode == "reduced" and len(list(pair_orbits(
+    assert on.rank3 == (len(list(pair_orbits(
         Graph(g.n, g.rows, automorphisms(g))))) == 2)
 
 
@@ -757,12 +768,34 @@ def test_a_search_cut_at_its_deadline_is_not_kept(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(gqtvc.symmetry, "_check_deadline", passed_at_third_read)
         cut = check_tvc(g, 4, budget_seconds=60)
-    assert cut.searched and len(reads) >= 3
-    assert list(g.searched) == ["graph"]
+    assert len(reads) == 3
+    # no scan ran, so none used a generator
+    assert (cut.status, cut.searched, cut.generators) \
+        == ("inconclusive", True, 0)
+    assert not g.searched
     full = check_tvc(g, 4)
-    assert full.generators == len(automorphisms(unreduced(g))) \
-        > cut.generators
-    assert (full.status, full.witness) == (cut.status, cut.witness)
+    assert full.generators == len(automorphisms(unreduced(g))) > 0
+    assert (full.status, full.rank3) == ("satisfied", True)
+
+
+@pytest.mark.parametrize("cut", [1, 2, 10, 40])
+def test_a_deadline_ends_the_search(monkeypatch, cut):
+    # at whichever read of the clock the deadline passes, the search
+    # raises and keeps nothing, and a later search finds the whole group
+    g = chang()
+    reads = []
+
+    def passed_at_read(deadline):
+        reads.append(deadline)
+        if len(reads) == cut:
+            raise BudgetExceeded()
+
+    with monkeypatch.context() as m:
+        m.setattr(gqtvc.symmetry, "_check_deadline", passed_at_read)
+        with pytest.raises(BudgetExceeded):
+            automorphisms(g, 60)
+    assert len(reads) == cut and not g.searched
+    assert automorphisms(g) == automorphisms(chang())
 
 
 def test_search_work_is_bounded(monkeypatch):
@@ -798,7 +831,8 @@ def test_search_stops_at_deadline():
     verdict = check_tvc(g, 4, mode="reduced", k=3, budget_seconds=0.2)
     assert verdict.status == "inconclusive" and verdict.searched
     assert time.monotonic() - start < 1.5
-    assert automorphisms(g, time.monotonic() - 1) == ()
+    with pytest.raises(BudgetExceeded):
+        automorphisms(g, time.monotonic() - 1)
 
 
 @pytest.mark.parametrize("name, dual", CONSTRUCTIONS[:6])

@@ -16,7 +16,8 @@ from gqtvc.symmetry import check_automorphisms, vertex_orbits
 from gqtvc.tvc import (_pair_census, check_tvc, count_k44_per_edge,
                        count_type_anchored, pair_fingerprint)
 
-from conftest import graph_of, random_graph, shrikhande, unreduced
+from conftest import (graph_of, permuted, random_graph, shrikhande,
+                      unreduced)
 
 
 def test_fingerprint_conservation(w2_graph):
@@ -380,6 +381,28 @@ def test_reduced_mode_matches_exhaustive(q5_2_graph):
     assert check_tvc(q5_2_graph, 6).status == "satisfied"
 
 
+def test_rank3_graphs_make_no_census(monkeypatch, q5_2_graph,
+                                     unsearched_tvc):
+    # one orbit of ordered edges and one of ordered non-edges decide the
+    # condition in both modes; a relabelled copy gets its orbits from the
+    # automorphism search.  Without any, every unordered pair is censused
+    censuses = []
+    census = tvc._pair_census
+    monkeypatch.setattr(tvc, "_pair_census",
+                        lambda *args: censuses.append(args) or census(*args))
+    perm = list(range(q5_2_graph.n))
+    random.Random(26).shuffle(perm)
+    for g, t in ((q5_2_graph, 6), (permuted(q5_2_graph, perm), 5)):
+        for mode in ("exhaustive", "reduced"):
+            verdict = check_tvc(g, t, mode=mode)
+            assert (verdict.status, verdict.rank3, verdict.representatives,
+                    verdict.k) == ("satisfied", True, 2, None)
+    assert not censuses
+    verdict = unsearched_tvc(unreduced(graph_of("w2")), 4)
+    assert (verdict.status, verdict.rank3) == ("satisfied", False)
+    assert len(censuses) == 15 * 14 // 2
+
+
 @pytest.mark.parametrize("g, level", [
     (random_graph(12, 0.5, random.Random(1)), 0),
     (graph_from_edges(6, [(i, (i + 1) % 6) for i in range(6)]), 1)],
@@ -445,7 +468,7 @@ def test_count_type_anchored_formula_values(w2_graph):
 
 def test_count_type_anchored_adjacency_guard(w2_graph):
     x, y = next(iter(w2_graph.edges()))
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="pair adjacency does not match"):
         count_type_anchored(w2_graph, order5_type("2a", False), (x, y))
     w3 = graph_of("w3")
     # a negative vertex would otherwise index from the end of the rows
