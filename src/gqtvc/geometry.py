@@ -270,29 +270,33 @@ def _polar_gq(field: Field, points, orthogonal, maps,
     the isometries ``maps`` on points.  A found line brings in its orbit,
     each image checked as the span of its two least points, orthogonal
     (else GeometryError).  A point is tested only while fewer than t + 1
-    lines pass through it, so the line count must be (t+1)(st+1)."""
+    lines pass through it, so the line count must be (t+1)(st+1).  The
+    checked images give the generators' line action."""
     s, t = order
     index = {p: i for i, p in enumerate(points)}
     generators = [tuple(index[_normalize(field, m(p))] for p in points)
                   for m in maps]
-    lines, pencils = set(), [[] for _ in points]
+    lines, pencils = {}, [[] for _ in points]  # lines by discovery
+    images = [[] for _ in generators]  # per generator, by discovery
 
     def close(line):
-        lines.add(line)
+        lines[line] = len(lines)
         orbit = [line]
         for line in orbit:
             for x in line:
                 pencils[x].append(line)
             for k, g in enumerate(generators):
                 image = tuple(sorted(map(g.__getitem__, line)))
-                if image in lines:
-                    continue
-                a, b = points[image[0]], points[image[1]]
-                if not (orthogonal(a, b) and _span_line(field, a, b)
-                        == {points[x] for x in image}):
-                    raise GeometryError(f"map {k} maps line {line} to a non-line")
-                lines.add(image)
-                orbit.append(image)
+                found = lines.get(image)
+                if found is None:
+                    a, b = points[image[0]], points[image[1]]
+                    if not (orthogonal(a, b) and _span_line(field, a, b)
+                            == {points[x] for x in image}):
+                        raise GeometryError(
+                            f"map {k} maps line {line} to a non-line")
+                    found = lines[image] = len(lines)
+                    orbit.append(image)
+                images[k].append(found)
 
     for i, p in enumerate(points):
         for j in range(i + 1, len(points)):
@@ -302,7 +306,13 @@ def _polar_gq(field: Field, points, orthogonal, maps,
                 close(tuple(sorted(index[x] for x in _span_line(field, p, points[j]))))
     if len(lines) != (t + 1) * (s * t + 1):
         raise GeometryError(f"{len(lines)} lines, not (t+1)(st+1) for {order}")
-    return PartialLinearSpace.make(len(points), lines, order, generators)
+    pls = PartialLinearSpace.make(len(points), lines, order, generators)
+    place = {line: i for i, line in enumerate(pls.lines)}
+    rank = [place[line] for line in lines]  # by discovery
+    pls.__dict__["collineations"] = pls.generators, tuple(
+        tuple(rank[image[lines[line]]] for line in pls.lines)
+        for image in images)
+    return pls
 
 
 @lru_cache(maxsize=None)

@@ -127,13 +127,13 @@ def _asymmetry(rows, n: int) -> tuple[int, int] | None:
     ``rows[j]`` (rows of bits 0..n-1), or None.
 
     The rows are laid end to end, row i at byte i * w on, padded to
-    ``size`` rows of w = size/8 bytes, size the least power of two
+    ``size`` rows of w = size/8 bytes, size the least multiple of 8
     >= max(n, 8).  The transpose takes byte J of row 8I + r to byte I of
     row 8J + r, one strided slice per row, then transposes each 8 x 8
     block by swapping the off-diagonal b x b corners of its 2b x 2b
     blocks, b = 4, 2, 1: three rounds of shifts and masks over the
     whole matrix (Warren, *Hacker's Delight*, 7-3)."""
-    size = max(8, 1 << (n - 1).bit_length())
+    size = max(8, -(-n // 8) * 8)
     w = size // 8
     data = b"".join(r.to_bytes(w, "little") for r in rows) + bytes(w * (size - n))
     x = int.from_bytes(b"".join(data[c % 8 * w + c // 8::8 * w]

@@ -9,7 +9,7 @@ import itertools
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import factorial, prod
+from math import comb, factorial, prod
 
 from .graph import (BudgetExceeded, CanonicalCode, Graph, ParameterError,
                     _bit_positions, _check_deadline, bits_of, check_pair,
@@ -273,7 +273,9 @@ def _placement(order: int, rows: tuple[int, ...]):
     other slot), placed in greedy order: each class's adjacency to slots
     0 and 1; per slot but the last, where the next slot's candidates come
     from (see ``count_type_anchored``); the automorphism order left when
-    twins take increasing images."""
+    twins take increasing images; and, when the last class has 2 or 3
+    twins and another class comes before it, whether they are adjacent
+    (else None), so that class can be counted as a set."""
     classes: list[list[int]] = []
     for v in range(2, order):
         for cls in classes:
@@ -304,7 +306,10 @@ def _placement(order: int, rows: tuple[int, ...]):
             steps.append((1, adjs[0], sizes[0], adjs[1:], sizes[1:]))
     starts = tuple((rows[c[0]] & 1, rows[c[0]] >> 1 & 1) for c in ordered)
     twins = prod(factorial(len(c)) for c in ordered)
-    return starts, tuple(steps), pair_fixing_aut_order(order, rows) // twins
+    last = ordered[-1] if len(ordered) > 1 else ()
+    tail = bool(rows[last[0]] >> last[1] & 1) if len(last) in (2, 3) else None
+    return (starts, tuple(steps), pair_fixing_aut_order(order, rows) // twins,
+            tail)
 
 
 def _enough_neighbours(m0: int, constraints) -> int:
@@ -330,11 +335,76 @@ def _enough_neighbours(m0: int, constraints) -> int:
     return m0
 
 
+def _tail_sets(m0: int, m1: int, s1, k: int, cross, upper) -> int | None:
+    """The k-subsets (k = 2 or 3) of ``m1 & s1[v]`` that are cocliques
+    or cliques, summed over v in ``m0``, or None where they are counted
+    slot by slot instead.  ``cross`` holds the rows that may not meet a
+    subset: the rows for cocliques, with ``upper`` the rows cut to the
+    vertices above, or the non-rows for cliques, with ``upper`` None.
+    ``s1`` must be symmetric.
+
+    If no member of ``m1`` has a ``cross`` row meeting ``m1``, every
+    k-subset counts.  The pass that tests the members also counts, as
+    ``_enough_neighbours`` does and under its condition, the neighbours
+    of ``m0``'s members in ``m1``, saturating at 3, so only candidates
+    with k or more are read.  Otherwise the cocliques of 3 in a mask of
+    n vertices number C(n, 3) - E(n - 2) + sum C(d_v, 2) - T, from its
+    E edges, degrees d_v and T triangles, and other classes give None.
+    """
+    count = m1.bit_count() * k < m0.bit_count()
+    at1 = at2 = at3 = 0
+    rest = m1
+    while rest:
+        low = rest & -rest
+        u = low.bit_length() - 1
+        if m1 & cross[u]:
+            break
+        rest ^= low
+        if count:
+            r = s1[u]
+            at3 |= at2 & r
+            at2 |= at1 & r
+            at1 |= m0 & r
+    else:
+        if count:
+            m0 = at3 if k == 3 else at2
+        total = 0
+        while m0:
+            low = m0 & -m0
+            total += comb((m1 & s1[low.bit_length() - 1]).bit_count(), k)
+            m0 ^= low
+        return total
+    if k != 3 or upper is None:
+        return None
+    total = 0
+    for v in bits_of(_enough_neighbours(m0, ((m1, s1, 3),))):
+        m = m1 & s1[v]
+        n = m.bit_count()
+        edges = paths = triangles = 0
+        for u in bits_of(m):
+            d = (m & cross[u]).bit_count()
+            paths += d * (d - 1) // 2
+            up = m & upper[u]
+            edges += up.bit_count()
+            for w in bits_of(up):
+                triangles += (up & upper[w]).bit_count()
+        total += comb(n, 3) - edges * (n - 2) + paths - triangles
+    return total
+
+
 def count_type_anchored(g: Graph, ty: GraphType, pair: tuple[int, int],
                         deadline=None, _orbits=None) -> int:
     """Number of vertex subsets containing the ordered pair whose
     induced subgraph is of the given type (fixed vertices mapped to the
     pair in order).
+
+    Slots are placed one at a time, twins in increasing order (see
+    ``_placement``).  A last class of 2 or 3 twins after another class
+    is counted as a set at the step that starts it: by the number of
+    its k-subsets among each candidate's neighbours when its candidates
+    span no edge (cocliques) or every edge (cliques), and for a coclique
+    of 3 otherwise by inclusion-exclusion (see ``_tail_sets``); any
+    other last class is placed slot by slot.
 
     ``_orbits`` maps the least member of each orbit of automorphisms
     fixing x and y to its size.  The first placed slot is then tried at
@@ -346,10 +416,12 @@ def count_type_anchored(g: Graph, ty: GraphType, pair: tuple[int, int],
     if ty.pair_adjacent is not None and ty.pair_adjacent != adj:
         raise ParameterError("pair adjacency does not match the type")
     _check_deadline(deadline)
-    starts, plan, residual = _placement(ty.order, ty.rows)
+    starts, plan, residual, tail = _placement(ty.order, ty.rows)
     # sel[a][v]: the vertices not adjacent (a = 0) or adjacent (a = 1) to
     # v, and those of them above v (a = 2, 3)
     sel = (g.non_rows, g.rows) + g.upper_rows
+    if tail is not None:  # _tail_sets' rows for a clique or a coclique
+        tail = (sel[0], None) if tail else (sel[1], sel[3])
     # per step: where the next slot's candidate mask sits among the
     # current masks, how it narrows and how many slots it must still
     # fill; then the same for each class after it
@@ -378,6 +450,11 @@ def count_type_anchored(g: Graph, ty: GraphType, pair: tuple[int, int],
         _check_deadline(deadline)
         more = tuple(zip(masks[skip + 1:], later, needs))
         if skip:
+            if tail and not later:  # the next slot starts the last class
+                sets = _tail_sets(m0, m1, s1, k1, *tail)
+                if sets is not None:
+                    total += sets
+                    return
             # the next slot starts a new class: the selectors towards
             # later classes are symmetric, so a candidate short of
             # neighbours in one of them is dropped by whole-row counts

@@ -12,7 +12,7 @@ from gqtvc.geometry import (CONSTRUCTIONS, GeometryError,
                             export_incidence, payne_qclan, point_graph,
                             validate_pls)
 from gqtvc.regularity import srg_parameters
-from gqtvc.symmetry import vertex_orbits
+from gqtvc.symmetry import line_action, vertex_orbits
 
 from conftest import geometry, graph_of
 
@@ -346,6 +346,19 @@ def test_polar_line_orbits(build, q, orbits):
     # finds the others, pinned against all pairs on w4 above
     pls = build(q)
     assert len(vertex_orbits(len(pls.lines), pls.collineations[1])) == orbits
+
+
+@pytest.mark.parametrize("name", ["w2", "w3", "q5_2", "q5_3", "q5_4", "q5_5"])
+def test_polar_line_action_is_line_action(name):
+    # the builder keeps the line images it checked as the line action;
+    # every other registered construction is built another way
+    assert set(CONSTRUCTIONS) - {"w2", "w3", "q5_2", "q5_3", "q5_4",
+                                 "q5_5"} == {"t2star", "payne"}
+    pls = CONSTRUCTIONS[name].build()
+    assert "collineations" in vars(pls)
+    points, lines = pls.collineations
+    assert points == pls.generators
+    assert lines == line_action(pls.num_points, pls.lines, pls.generators)
 
 
 def symplectic_w3_points():

@@ -200,6 +200,56 @@ def test_fixer_orbits_on_off():
     assert min(twins.values()) > 10 and len(twins) == 3, twins
 
 
+def test_last_class_counted_as_a_set(monkeypatch):
+    # types whose last placed class is a clique or coclique of 2 or 3
+    # twins, counted as a set at the step that starts it: in one sum when
+    # its candidates span no edge (coclique) or every edge (clique), by
+    # inclusion-exclusion for a coclique of 3 otherwise, else slot by
+    # slot.  Every such type met in a seeded random graph or a graph with
+    # automorphisms fixing the pair, with and without their orbits,
+    # against the count of its code over every subset through the pair
+    real = tvc._tail_sets
+    seen = Counter()
+
+    def spy(m0, m1, s1, k, cross, upper):
+        flat = not any(m1 & cross[u] for u in range(m1.bit_length())
+                       if m1 >> u & 1)
+        path = "set" if flat else "sum" if k == 3 and upper else "slots"
+        seen[path, k, upper is None] += 1
+        return real(m0, m1, s1, k, cross, upper)
+
+    monkeypatch.setattr(tvc, "_tail_sets", spy)
+    rng = random.Random(27)
+    tails = Counter()
+    for n in (10, 11, 12):
+        for p in (0.15, 0.5, 0.85):
+            fixed, pair = pair_fixing_graph(n, lambda across: p, rng)
+            orbits = dict(vertex_orbits(n, fixed.generators))
+            for g in (random_graph(n, p, rng), fixed):
+                x, y = pair if g is fixed else rng.sample(range(n), 2)
+                adj = g.has_edge(x, y)
+                rest = [v for v in range(n) if v not in (x, y)]
+                for t in (5, 6, 7, 8):
+                    census = Counter(
+                        canonical_code(induced_subgraph(g, [x, y, *more]),
+                                       (0, 1)).bits
+                        for more in itertools.combinations(rest, t - 2))
+                    for bits, want in census.items():
+                        ty = GraphType(t, rows_from_bits(bits, t), adj)
+                        tail = tvc._placement(t, ty.rows)[3]
+                        if tail is None:
+                            continue
+                        tails[tail, g is fixed] += 1
+                        assert count_type_anchored(g, ty, (x, y)) == want
+                        if g is fixed:
+                            assert count_type_anchored(
+                                g, ty, (x, y), None, orbits) == want
+    assert min(tails.values()) > 10 and len(tails) == 4, tails
+    assert {path for path, _, _ in seen} == {"set", "sum", "slots"}, seen
+    assert {clique for path, _, clique in seen if path == "set"} \
+        == {True, False}, seen
+
+
 def test_check_tvc_small_levels():
     irregular = graph_from_edges(3, [(0, 1)])
     assert check_tvc(irregular, 2).status == "violated"
@@ -299,9 +349,9 @@ def test_budget_inconclusive(q5_2_graph, unsearched_tvc):
 
 
 def test_budget_holds_at_t3():
-    # t = 3 is strong regularity, which on the 756 vertices of the dual
-    # Payne graph without generators takes longer than the budget
-    g = unreduced(graph_of("payne", dual=True))
+    # t = 3 is strong regularity, which on the 3,276 vertices of the
+    # primal Payne graph without generators takes about 20 times the budget
+    g = unreduced(graph_of("payne"))
     start = time.monotonic()
     assert check_tvc(g, 3, budget_seconds=0.05).status == "inconclusive"
     assert time.monotonic() - start < 0.5
@@ -565,13 +615,18 @@ def direct_k44(g, x, y):
 
 
 def test_k44_census_matches_direct_count_on_dual_payne():
-    # the two values of the census on the edges of vertex 0, recounted by
+    # the paper's four values, each recounted where it first appears by
     # a biclique search that shares no code with count_type_anchored
     g = graph_of("payne", dual=True)
-    counts = count_k44_per_edge(g, max_edges=126)
-    assert (counts[0, 1], counts[0, 126]) == (7896, 8000)
-    assert direct_k44(g, 0, 1) == 7896
-    assert direct_k44(g, 0, 126) == 8000
+    counts = count_k44_per_edge(g, stop_after_values=4)
+    first = {}
+    for edge, count in counts.items():
+        first.setdefault(count, edge)
+    assert first == {7896: (0, 1), 8000: (0, 126), 23000: (0, 755),
+                     75000: (750, 751)}
+    assert counts.counts_made == 13
+    for count, edge in first.items():
+        assert direct_k44(g, *edge) == count
 
 
 def test_count_k44_early_stop():

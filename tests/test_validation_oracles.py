@@ -117,7 +117,7 @@ def test_several_faults_name_the_same_first_one(n, seed):
     assert outcome(Graph, n, rows) == outcome(per_edge_graph_check, n, rows)
 
 
-@pytest.mark.parametrize("n", [7, 8, 9, 63, 64, 65])
+@pytest.mark.parametrize("n", [7, 8, 9, 63, 64, 65, 71, 72, 73, 80])
 def test_asymmetry_at_every_corner(n):
     # each (i, j) alone, near the block boundaries of the transpose
     full = (1 << n) - 1
