@@ -10,6 +10,7 @@ quadrangle T2*(O) over GF(4), and flock quadrangles from q-clans.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
@@ -276,8 +277,8 @@ def _polar_gq(field: Field, points, orthogonal, maps,
     index = {p: i for i, p in enumerate(points)}
     generators = [tuple(index[_normalize(field, m(p))] for p in points)
                   for m in maps]
-    lines, pencils = {}, [[] for _ in points]  # lines by discovery
-    images = [[] for _ in generators]  # per generator, by discovery
+    lines, pencils = {}, [[] for _ in points]  # numbered by discovery
+    images = [array("I") for _ in generators]  # line numbers, per generator
 
     def close(line):
         lines[line] = len(lines)
@@ -304,11 +305,13 @@ def _polar_gq(field: Field, points, orthogonal, maps,
                 break
             if all(j not in line for line in pencils[i]) and orthogonal(p, points[j]):
                 close(tuple(sorted(index[x] for x in _span_line(field, p, points[j]))))
+    pencils.clear()  # (t + 1) lines per point, 15 MB at q = 11
     if len(lines) != (t + 1) * (s * t + 1):
         raise GeometryError(f"{len(lines)} lines, not (t+1)(st+1) for {order}")
     pls = PartialLinearSpace.make(len(points), lines, order, generators)
-    place = {line: i for i, line in enumerate(pls.lines)}
-    rank = [place[line] for line in lines]  # by discovery
+    rank = [0] * len(lines)  # each line's place in pls.lines, by number
+    for i, line in enumerate(pls.lines):
+        rank[lines[line]] = i
     pls.__dict__["collineations"] = pls.generators, tuple(
         tuple(rank[image[lines[line]]] for line in pls.lines)
         for image in images)

@@ -273,9 +273,8 @@ def _placement(order: int, rows: tuple[int, ...]):
     other slot), placed in greedy order: each class's adjacency to slots
     0 and 1; per slot but the last, where the next slot's candidates come
     from (see ``count_type_anchored``); the automorphism order left when
-    twins take increasing images; and, when the last class has 2 or 3
-    twins and another class comes before it, whether they are adjacent
-    (else None), so that class can be counted as a set."""
+    twins take increasing images; and whether the last class is a
+    coclique of 2 or 3 twins after another class, counted as a set."""
     classes: list[list[int]] = []
     for v in range(2, order):
         for cls in classes:
@@ -307,7 +306,7 @@ def _placement(order: int, rows: tuple[int, ...]):
     starts = tuple((rows[c[0]] & 1, rows[c[0]] >> 1 & 1) for c in ordered)
     twins = prod(factorial(len(c)) for c in ordered)
     last = ordered[-1] if len(ordered) > 1 else ()
-    tail = bool(rows[last[0]] >> last[1] & 1) if len(last) in (2, 3) else None
+    tail = len(last) in (2, 3) and not rows[last[0]] >> last[1] & 1
     return (starts, tuple(steps), pair_fixing_aut_order(order, rows) // twins,
             tail)
 
@@ -316,79 +315,51 @@ def _enough_neighbours(m0: int, constraints) -> int:
     """The members of ``m0`` that have, for each constraint (m, s, k) whose
     ``m`` is small beside ``m0``, at least k members of ``m`` in their
     row of ``s``.  ``s`` must be symmetric (u in s[v] iff v in s[u]), so
-    the rows of ``m``'s members are counted instead, by a k-level
-    saturating bit-sliced counter: ``levels[j]`` holds the members of
-    ``m0`` seen in at least j of them."""
+    the rows of ``m``'s members are counted instead, by a saturating
+    bit-sliced counter: ``atj`` holds the members of ``m0`` seen in at
+    least j of them (``levels[j]`` where k > 3)."""
     for m, s, k in constraints:
         if m.bit_count() * k >= m0.bit_count():
             continue
-        levels = [m0] + [0] * k
-        while m:
-            low = m & -m
-            r = s[low.bit_length() - 1]
-            m ^= low
-            for j in range(k, 0, -1):
-                levels[j] |= levels[j - 1] & r
-        m0 = levels[k]
+        if k > 3:
+            levels = [m0] + [0] * k
+            while m:
+                low = m & -m
+                r = s[low.bit_length() - 1]
+                m ^= low
+                for j in range(k, 0, -1):
+                    levels[j] |= levels[j - 1] & r
+            m0 = levels[k]
+        else:
+            at1 = at2 = at3 = 0
+            while m:
+                low = m & -m
+                r = s[low.bit_length() - 1]
+                m ^= low
+                at3 |= at2 & r
+                at2 |= at1 & r
+                at1 |= m0 & r
+            m0 = at3 if k == 3 else at2 if k == 2 else at1
         if not m0:
             break
     return m0
 
 
-def _tail_sets(m0: int, m1: int, s1, k: int, cross, upper) -> int | None:
-    """The k-subsets (k = 2 or 3) of ``m1 & s1[v]`` that are cocliques
-    or cliques, summed over v in ``m0``, or None where they are counted
-    slot by slot instead.  ``cross`` holds the rows that may not meet a
-    subset: the rows for cocliques, with ``upper`` the rows cut to the
-    vertices above, or the non-rows for cliques, with ``upper`` None.
-    ``s1`` must be symmetric.
-
-    If no member of ``m1`` has a ``cross`` row meeting ``m1``, every
-    k-subset counts.  The pass that tests the members also counts, as
-    ``_enough_neighbours`` does and under its condition, the neighbours
-    of ``m0``'s members in ``m1``, saturating at 3, so only candidates
-    with k or more are read.  Otherwise the cocliques of 3 in a mask of
-    n vertices number C(n, 3) - E(n - 2) + sum C(d_v, 2) - T, from its
-    E edges, degrees d_v and T triangles, and other classes give None.
-    """
-    count = m1.bit_count() * k < m0.bit_count()
-    at1 = at2 = at3 = 0
+def _coclique_sets(m0: int, m1: int, s1, k: int, rows) -> int | None:
+    """The k-subsets of ``m1 & s1[v]`` summed over v in ``m0``, when
+    ``m1`` spans no edge of ``rows`` (each is then a coclique); else
+    None."""
     rest = m1
     while rest:
         low = rest & -rest
-        u = low.bit_length() - 1
-        if m1 & cross[u]:
-            break
+        if m1 & rows[low.bit_length() - 1]:
+            return None
         rest ^= low
-        if count:
-            r = s1[u]
-            at3 |= at2 & r
-            at2 |= at1 & r
-            at1 |= m0 & r
-    else:
-        if count:
-            m0 = at3 if k == 3 else at2
-        total = 0
-        while m0:
-            low = m0 & -m0
-            total += comb((m1 & s1[low.bit_length() - 1]).bit_count(), k)
-            m0 ^= low
-        return total
-    if k != 3 or upper is None:
-        return None
     total = 0
-    for v in bits_of(_enough_neighbours(m0, ((m1, s1, 3),))):
-        m = m1 & s1[v]
-        n = m.bit_count()
-        edges = paths = triangles = 0
-        for u in bits_of(m):
-            d = (m & cross[u]).bit_count()
-            paths += d * (d - 1) // 2
-            up = m & upper[u]
-            edges += up.bit_count()
-            for w in bits_of(up):
-                triangles += (up & upper[w]).bit_count()
-        total += comb(n, 3) - edges * (n - 2) + paths - triangles
+    while m0:
+        low = m0 & -m0
+        total += comb((m1 & s1[low.bit_length() - 1]).bit_count(), k)
+        m0 ^= low
     return total
 
 
@@ -399,12 +370,11 @@ def count_type_anchored(g: Graph, ty: GraphType, pair: tuple[int, int],
     pair in order).
 
     Slots are placed one at a time, twins in increasing order (see
-    ``_placement``).  A last class of 2 or 3 twins after another class
-    is counted as a set at the step that starts it: by the number of
-    its k-subsets among each candidate's neighbours when its candidates
-    span no edge (cocliques) or every edge (cliques), and for a coclique
-    of 3 otherwise by inclusion-exclusion (see ``_tail_sets``); any
-    other last class is placed slot by slot.
+    ``_placement``).  A last class that is a coclique of k = 2 or 3
+    twins after another class is counted as a set at the step that
+    starts it, when its candidates span no edge: each candidate adds
+    C(n, k) for its n neighbours among them (see ``_coclique_sets``).
+    Any other last class is placed slot by slot.
 
     ``_orbits`` maps the least member of each orbit of automorphisms
     fixing x and y to its size.  The first placed slot is then tried at
@@ -420,8 +390,7 @@ def count_type_anchored(g: Graph, ty: GraphType, pair: tuple[int, int],
     # sel[a][v]: the vertices not adjacent (a = 0) or adjacent (a = 1) to
     # v, and those of them above v (a = 2, 3)
     sel = (g.non_rows, g.rows) + g.upper_rows
-    if tail is not None:  # _tail_sets' rows for a clique or a coclique
-        tail = (sel[0], None) if tail else (sel[1], sel[3])
+    tail = g.rows if tail else None  # _coclique_sets' rows
     # per step: where the next slot's candidate mask sits among the
     # current masks, how it narrows and how many slots it must still
     # fill; then the same for each class after it
@@ -450,16 +419,16 @@ def count_type_anchored(g: Graph, ty: GraphType, pair: tuple[int, int],
         _check_deadline(deadline)
         more = tuple(zip(masks[skip + 1:], later, needs))
         if skip:
-            if tail and not later:  # the next slot starts the last class
-                sets = _tail_sets(m0, m1, s1, k1, *tail)
-                if sets is not None:
-                    total += sets
-                    return
             # the next slot starts a new class: the selectors towards
             # later classes are symmetric, so a candidate short of
             # neighbours in one of them is dropped by whole-row counts
             # before the test below
             m0 = _enough_neighbours(m0, ((m1, s1, k1),) + more)
+            if tail is not None and not later:  # it starts the last class
+                sets = _coclique_sets(m0, m1, s1, k1, tail)
+                if sets is not None:
+                    total += sets
+                    return
         while m0:
             low = m0 & -m0
             v = low.bit_length() - 1

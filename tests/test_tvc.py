@@ -7,9 +7,10 @@ from math import comb
 import pytest
 
 from gqtvc.cli import main
-from gqtvc.graph import (CanonicalCode, Graph, ParameterError,
-                         canonical_code, graph_from_edges, induced_subgraph,
-                         pair_codes, rows_from_bits, write_graph6_file)
+from gqtvc.graph import (BudgetExceeded, CanonicalCode, Graph, ParameterError,
+                         bits_of, canonical_code, graph_from_edges,
+                         induced_subgraph, pair_codes, rows_from_bits,
+                         write_graph6_file)
 from gqtvc import tvc
 from gqtvc.gtypes import K44_TYPE, GraphType, enumerate_types, order5_type
 from gqtvc.symmetry import check_automorphisms, vertex_orbits
@@ -133,6 +134,23 @@ def test_neighbour_filter_on_off(monkeypatch):
     assert sum(map(bool, on)) > len(on) // 2
 
 
+def test_enough_neighbours_is_its_definition():
+    # the members of m0 with at least k neighbours in m, for every k the
+    # kernel asks (1 to 6), where m is small beside m0
+    rng = random.Random(27)
+    for _ in range(300):
+        g = random_graph(40, rng.random(), rng)
+        m = sum(1 << v for v in rng.sample(range(40), rng.randint(0, 6)))
+        k = rng.randint(1, 6)
+        m0 = sum(1 << v for v in range(40) if v not in bits_of(m)
+                 and rng.random() < 0.9)
+        if m.bit_count() * k >= m0.bit_count():
+            continue
+        want = sum(1 << v for v in bits_of(m0)
+                   if (g.rows[v] & m).bit_count() >= k)
+        assert tvc._enough_neighbours(m0, ((m, g.rows, k),)) == want
+
+
 def pair_fixing_graph(n, keep, rng):
     """A seeded graph on n vertices with a pair (x, y) and hand-made
     automorphisms that fix it: rotations of shuffled blocks of 2 to 4 of
@@ -201,24 +219,21 @@ def test_fixer_orbits_on_off():
 
 
 def test_last_class_counted_as_a_set(monkeypatch):
-    # types whose last placed class is a clique or coclique of 2 or 3
-    # twins, counted as a set at the step that starts it: in one sum when
-    # its candidates span no edge (coclique) or every edge (clique), by
-    # inclusion-exclusion for a coclique of 3 otherwise, else slot by
-    # slot.  Every such type met in a seeded random graph or a graph with
-    # automorphisms fixing the pair, with and without their orbits,
-    # against the count of its code over every subset through the pair
-    real = tvc._tail_sets
+    # types whose last placed class is a coclique of 2 or 3 twins after
+    # another class, counted as a set at the step that starts it when its
+    # candidates span no edge, else slot by slot.  Every such type met in
+    # a seeded random graph or a graph with automorphisms fixing the pair,
+    # with and without their orbits, against the count of its code over
+    # every subset through the pair
+    real = tvc._coclique_sets
     seen = Counter()
 
-    def spy(m0, m1, s1, k, cross, upper):
-        flat = not any(m1 & cross[u] for u in range(m1.bit_length())
-                       if m1 >> u & 1)
-        path = "set" if flat else "sum" if k == 3 and upper else "slots"
-        seen[path, k, upper is None] += 1
-        return real(m0, m1, s1, k, cross, upper)
+    def spy(m0, m1, s1, k, rows):
+        sets = real(m0, m1, s1, k, rows)
+        seen[sets is None, k] += 1
+        return sets
 
-    monkeypatch.setattr(tvc, "_tail_sets", spy)
+    monkeypatch.setattr(tvc, "_coclique_sets", spy)
     rng = random.Random(27)
     tails = Counter()
     for n in (10, 11, 12):
@@ -236,18 +251,15 @@ def test_last_class_counted_as_a_set(monkeypatch):
                         for more in itertools.combinations(rest, t - 2))
                     for bits, want in census.items():
                         ty = GraphType(t, rows_from_bits(bits, t), adj)
-                        tail = tvc._placement(t, ty.rows)[3]
-                        if tail is None:
+                        if not tvc._placement(t, ty.rows)[3]:
                             continue
-                        tails[tail, g is fixed] += 1
+                        tails[g is fixed] += 1
                         assert count_type_anchored(g, ty, (x, y)) == want
                         if g is fixed:
                             assert count_type_anchored(
                                 g, ty, (x, y), None, orbits) == want
-    assert min(tails.values()) > 10 and len(tails) == 4, tails
-    assert {path for path, _, _ in seen} == {"set", "sum", "slots"}, seen
-    assert {clique for path, _, clique in seen if path == "set"} \
-        == {True, False}, seen
+    assert min(tails.values()) > 10 and len(tails) == 2, tails
+    assert set(seen) == {(False, 2), (False, 3), (True, 2), (True, 3)}, seen
 
 
 def test_check_tvc_small_levels():
@@ -355,6 +367,29 @@ def test_budget_holds_at_t3():
     start = time.monotonic()
     assert check_tvc(g, 3, budget_seconds=0.05).status == "inconclusive"
     assert time.monotonic() - start < 0.5
+
+
+def test_budget_holds_in_a_last_class_counted_as_a_set(monkeypatch):
+    # the induced K3,3s away from a non-adjacent pair of the primal Payne
+    # graph, whose last class, a coclique of 3, is counted as a set:
+    # unbudgeted, more than 600 times the budget
+    real = tvc._coclique_sets
+    seen = Counter()
+
+    def spy(*args):
+        sets = real(*args)
+        seen[sets is None] += 1
+        return sets
+
+    monkeypatch.setattr(tvc, "_coclique_sets", spy)
+    g = graph_of("payne")
+    y = next(v for v in range(1, g.n) if not g.has_edge(0, v))
+    ty = GraphType(8, (0, 0, 224, 224, 224, 28, 28, 28), False)
+    start = time.monotonic()
+    with pytest.raises(BudgetExceeded):
+        count_type_anchored(g, ty, (0, y), start + 0.05)
+    assert time.monotonic() - start < 0.5
+    assert seen[False] > 0, seen
 
 
 def test_reduced_budget_covers_isoregularity(unsearched_tvc):
