@@ -310,6 +310,14 @@ def min_bits_free(rows, t: int) -> int:
     return min(_relabelled_bits(rows, t, _block_perms(blocks), skip01=False))
 
 
+def check_ints(**values) -> None:
+    """ParameterError for the first of ``values`` that is not an int; a
+    bool is not one."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ParameterError(f"{name} must be an int, got {value!r}")
+
+
 def check_pair(n: int, pair: tuple[int, int]) -> tuple[int, int]:
     """``pair`` as two distinct vertices of 0..n-1, else ParameterError."""
     u, v = pair
@@ -353,8 +361,13 @@ def to_graph6(g: Graph) -> str:
 
 def from_graph6(line: str) -> Graph:
     """Decode one graph6 line; the optional ``>>graph6<<`` header is
-    skipped."""
-    data = [ord(c) - 63 for c in line.strip().removeprefix(">>graph6<<")]
+    skipped.  sparse6, digraph6 and the 8-byte size of n >= 258048 are
+    named in the GraphError and not read."""
+    text = line.strip().removeprefix(">>graph6<<")
+    for start, name in ((":", "sparse6"), ("&", "digraph6")):
+        if text.startswith((start, f">>{name}<<")):
+            raise GraphError(f"{name} input is not supported")
+    data = [ord(c) - 63 for c in text]
     if not data:
         raise GraphError("empty graph6 string")
     if any(c < 0 or c > 63 for c in data):
@@ -362,6 +375,9 @@ def from_graph6(line: str) -> Graph:
     if data[0] == 63:  # 126 - 63
         if len(data) < 4:
             raise GraphError("truncated graph6 header")
+        if data[1] == 63:
+            raise GraphError("graph6 input of 258048 or more vertices "
+                             "is not supported")
         n = (data[1] << 12) | (data[2] << 6) | data[3]
         data = data[4:]
     else:

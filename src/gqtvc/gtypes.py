@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graph import (Graph, GraphError, bits_of, check_pair, graph_from_edges,
-                    min_bits_free, pair_codes, pair_relabellings)
+from .graph import (Graph, GraphError, bits_of, check_ints, check_pair,
+                    graph_from_edges, min_bits_free, pair_codes,
+                    pair_relabellings)
 
 MIN_TYPE_ORDER = 2
 MAX_TYPE_ORDER = 8
@@ -97,7 +98,7 @@ def _grow(start: tuple[int, ...], order: int, first: int, min_valency: int,
     return [current[k] for k in sorted(current)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # 5.0 is not a cached 5
 def enumerate_types(t: int, min_add_valency: int) -> tuple[GraphType, ...]:
     """All type classes of order t in which every additional vertex has
     valency at least ``min_add_valency``.  The pair edge is optional and
@@ -105,6 +106,7 @@ def enumerate_types(t: int, min_add_valency: int) -> tuple[GraphType, ...]:
     Deterministic order: ascending structure edge count, then canonical
     bits.
     """
+    check_ints(t=t, min_add_valency=min_add_valency)
     if not MIN_TYPE_ORDER <= t <= MAX_TYPE_ORDER:
         raise GraphError("type order must be between 2 and 8")
     if min_add_valency < 0:

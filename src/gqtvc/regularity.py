@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .graph import (Graph, ParameterError, _check_deadline, bits_of,
-                    counter_row, counter_spreader)
+                    check_ints, counter_row, counter_spreader)
 from .symmetry import pair_orbits, vertex_orbits
 
 
@@ -74,6 +74,7 @@ def check_isoregular(g: Graph, k: int,
     Each A is the representative of an orbit of the generators of ``g``
     (``symmetry``): the sets A + {c} of one orbit have the same values.
     Counter rows are spread when a sum first needs them."""
+    check_ints(k=k)
     if not 1 <= k <= 3:
         raise ParameterError("isoregularity level must be 1..3")
     table: dict[tuple[int, int], int] = {}

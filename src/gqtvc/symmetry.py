@@ -207,20 +207,31 @@ def pair_orbits(g: Graph, deadline=None):
 
 # Schreier generators drawn at each level of ``Stabilisers.fixers``.  On
 # dual Payne's 74 pair representatives, 16 leave 3 % more vertex
-# orbits than 64 at a third of the cost, and 8 leave twice as many.
+# orbits than 64 at a quarter of the cost, and 8 leave twice as many.
 FIXERS = 16
 
 
-def _schreier(points, w, gens, seed: int) -> list[tuple[int, ...]]:
-    """``FIXERS`` Schreier generators w(s(u)) s w(u)^-1 of the stabiliser
-    of the root of the transversal ``w`` (Sims, 1970), u drawn from
-    ``points`` and s from ``gens`` by ``seed``."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(FIXERS):
-        u, s = rng.choice(points), rng.choice(gens)
-        out.append(itemgetter(*itemgetter(*_inverse(w(u)))(s))(w(s[u])))
-    return out
+def _walk(via, x, n: int) -> tuple[int, ...]:
+    """w[x], mapping x to the root of the Schreier vector ``via`` on
+    0..n-1: the inverse generators along it, applied from the root."""
+    path = []
+    while via[x]:
+        x, undo = via[x]
+        path.append(undo)
+    w = tuple(range(n))
+    for undo in reversed(path):
+        w = undo(w)
+    return w
+
+
+def _schreier(via, gens, seed: int) -> list[tuple[int, ...]]:
+    """``FIXERS`` Schreier generators w[s(u)] s w[u]^-1 of the stabiliser
+    of the root of the Schreier vector ``via`` (Sims, 1970), u drawn from
+    its points in search order and s from ``gens`` by ``seed``."""
+    rng, points, n = random.Random(seed), list(via), len(gens[0])
+    draws = [(rng.choice(points), rng.choice(gens)) for _ in range(FIXERS)]
+    return [itemgetter(*itemgetter(*_inverse(_walk(via, u, n)))(s))(
+        _walk(via, s[u], n)) for u, s in draws]
 
 
 class Stabilisers(dict):
@@ -251,42 +262,29 @@ class Stabilisers(dict):
         r, rows, _ = self.search(x)
         return r, rows[x][y]
 
-    def w(self, x) -> tuple[int, ...]:
-        """The product w[x] of generators mapping x to its root, rebuilt
-        along the Schreier vector from the root."""
-        _, _, via = self[x]
-        path = []
-        while via[x]:
-            x, undo = via[x]
-            path.append(undo)
-        w = tuple(range(self.n))
-        for undo in reversed(path):
-            w = undo(w)
-        return w
-
     def fixers(self, x, y) -> tuple[tuple[int, ...], ...]:
         """Automorphisms fixing x and y, products of the generators:
-        Schreier generators of the stabiliser of r from the Schreier
-        vector (drawn once per r), then of their stabiliser of
-        c = w[x](y), conjugated by w[x].  They generate a subgroup of the
-        pair's stabiliser, as large as draws from fixed seeds make it."""
+        Schreier generators of G_r (drawn once per r), then of their
+        stabiliser of c = w[x](y), conjugated by w[x]; each w is walked
+        along a Schreier vector, none stored.  They generate a subgroup
+        of the pair's stabiliser, as large as fixed seeds make it."""
         if not self.generators:
             return ()
-        r, rows, _ = self.search(x)
+        r, _, via = self.search(x)
         if r not in self.moves:
-            self.moves[r] = [(s, itemgetter(*_inverse(s))) for s in _schreier(
-                list(rows), self.w, self.generators, 0)]
-        wx, one = self.w(x), tuple(range(self.n))
-        t, order = {wx[y]: one}, [wx[y]]  # the orbit of c, as in _stabiliser
+            self.moves[r] = [(s, itemgetter(*_inverse(s)))
+                             for s in _schreier(via, self.generators, 0)]
+        wx = _walk(via, x, self.n)
+        tree, order = {wx[y]: None}, [wx[y]]  # c's orbit, as in _stabiliser
         for z in order:
             for s, inverse in self.moves[r]:
-                if s[z] not in t:
-                    t[s[z]] = inverse(t[z])
+                if s[z] not in tree:
+                    tree[s[z]] = z, inverse
                     order.append(s[z])
         into, back = itemgetter(*wx), _inverse(wx)
-        found = _schreier(order, t.__getitem__,
-                          [s for s, _ in self.moves[r]], 1)
-        return tuple({itemgetter(*into(h))(back) for h in found} - {one})
+        found = _schreier(tree, [s for s, _ in self.moves[r]], 1)
+        return tuple({itemgetter(*into(h))(back) for h in found}
+                     - {tuple(range(self.n))})
 
 
 def _refine(rows, cells: dict[int, int], queue: list[int],

@@ -12,8 +12,8 @@ from functools import lru_cache
 from math import comb, factorial, prod
 
 from .graph import (BudgetExceeded, CanonicalCode, Graph, ParameterError,
-                    _bit_positions, _check_deadline, bits_of, check_pair,
-                    pair_codes, rows_from_bits)
+                    _bit_positions, _check_deadline, bits_of, check_ints,
+                    check_pair, pair_codes, rows_from_bits)
 from .gtypes import (K44_TYPE, MAX_TYPE_ORDER, GraphType, enumerate_types,
                      pair_fixing_aut_order)
 from .regularity import check_isoregular
@@ -146,6 +146,7 @@ def _pair_census(g: Graph, t: int, x: int, y: int, codes: dict,
 def pair_fingerprint(g: Graph, t: int, pair: tuple[int, int]) -> Fingerprint:
     """Exhaustive census of induced order-t subgraphs containing the
     ordered pair, classified by type."""
+    check_ints(t=t)
     x, y = check_pair(g.n, pair)
     if not 3 <= t <= MAX_EXHAUSTIVE_ORDER:
         raise ParameterError("exhaustive fingerprints support "
@@ -199,13 +200,16 @@ def check_tvc(g: Graph, t: int, mode: str = "exhaustive", k: int = 3,
     or common neighbours differ from those of the first pair of its
     class.
     """
+    check_ints(t=t)
     top = {"exhaustive": MAX_EXHAUSTIVE_ORDER, "reduced": MAX_TYPE_ORDER}
     if mode not in top:
         raise ParameterError(f"unknown mode {mode!r}")
     if not 2 <= t <= top[mode]:
         raise ParameterError(f"{mode} mode needs 2 <= t <= {top[mode]}, got {t}")
-    if mode == "reduced" and k not in (2, 3):
-        raise ParameterError(f"reduced mode needs k = 2 or 3, got {k}")
+    if mode == "reduced":
+        if k not in (2, 3):
+            raise ParameterError(f"reduced mode needs k = 2 or 3, got {k}")
+        check_ints(k=k)
     if budget_seconds is not None and not budget_seconds >= 0:
         raise ParameterError(
             f"budget_seconds must be at least 0, got {budget_seconds}")
@@ -523,12 +527,14 @@ def count_k44_per_edge(g: Graph, stop_after_values: int | None = None,
     its first scanned member, with the orbits of automorphisms fixing it.
     It is keyed by the orbit of (x, y) or of (y, x); no pair starting in
     an orbit not yet searched has been keyed.  ParameterError for a cap
-    below 1.
+    that is not an int or is below 1.
     """
     for name, cap in (("stop_after_values", stop_after_values),
                       ("max_edges", max_edges)):
-        if cap is not None and cap < 1:
-            raise ParameterError(f"{name} must be at least 1, got {cap}")
+        if cap is not None:
+            check_ints(**{name: cap})
+            if cap < 1:
+                raise ParameterError(f"{name} must be at least 1, got {cap}")
     out, values = K44Census(), set()
     made, bases = {}, g.stabilisers  # count by key
     for x, y in itertools.islice(g.edges(), max_edges):

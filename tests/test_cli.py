@@ -366,6 +366,12 @@ def test_usage_errors():
       "nan"], "--budget-seconds: must be at least 0"),
     (["verify-formula", "--construct", "q5_2", "--family", "completeS",
       "--dy", "0", "--size", "3"], "completeS needs --dx, --dy and --size"),
+    (["check-srg", "--input", "sparse6.g6"], "sparse6 input is not supported"),
+    (["check-srg", "--input", "digraph6.g6"],
+     "digraph6 input is not supported"),
+    (["check-srg", "--input", "headed.g6"], "sparse6 input is not supported"),
+    (["check-srg", "--input", "huge.g6"],
+     "graph6 input of 258048 or more vertices is not supported"),
 ], ids=["vertex-out-of-range", "vertex-repeated", "t-zero",
         "t-nine-exhaustive", "t-nine-reduced", "k44-threads", "tvc-threads",
         "count-type-budget", "isoregular-k-five", "tvc-k",
@@ -377,8 +383,18 @@ def test_usage_errors():
         "zx-flag-off-case-1-1", "case-1-1-without-zx-flag",
         "tvc-negative-budget", "distinguisher-negative-budget",
         "isoregular-negative-budget", "tvc-nan-budget",
-        "complete-s-without-dx"])
-def test_bad_input_exits_3_with_message(argv, message, capsys):
+        "complete-s-without-dx", "sparse6-input", "digraph6-input",
+        "sparse6-header", "graph6-of-258048-vertices"])
+def test_bad_input_exits_3_with_message(argv, message, capsys, tmp_path,
+                                        monkeypatch):
+    # the formats that from_graph6 names and does not read: sparse6 (also
+    # behind its header) and digraph6, McKay's examples of each, and an
+    # 8-byte size, n = 63 * 2^12
+    monkeypatch.chdir(tmp_path)
+    for name, text in (("sparse6.g6", ":Fa@x^"), ("digraph6.g6", "&DI?AO?"),
+                       ("headed.g6", ">>sparse6<<:Fa@x^"),
+                       ("huge.g6", "~~???~??")):
+        (tmp_path / name).write_text(text + "\n")
     assert main(argv) == 3
     assert message in capsys.readouterr().err
 

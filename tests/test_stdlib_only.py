@@ -79,3 +79,23 @@ def test_every_private_name_is_read():
     assert len(defined) > 40
     unread = sorted(d for d in defined if d[1] not in read)
     assert not unread, f"defined but never read: {unread}"
+
+
+def test_every_method_is_read():
+    # code with no caller goes: each method and property that a class in
+    # the package defines (dunders aside) is read as an attribute
+    # somewhere in the package, its tests or its benchmark
+    root = Path(__file__).parent.parent
+    read = {node.attr for folder in ("src", "tests", "perfbench")
+            for path in (root / folder).rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)}
+    defined = {(path.name, cls.name, node.name) for path in SOURCES
+               for cls in ast.walk(ast.parse(path.read_text()))
+               if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, ast.FunctionDef)
+               and not (node.name.startswith("__")
+                        and node.name.endswith("__"))}
+    assert len(defined) > 20
+    unread = sorted(d for d in defined if d[2] not in read)
+    assert not unread, f"methods never read: {unread}"

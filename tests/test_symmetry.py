@@ -483,6 +483,66 @@ def test_fixers_fix_the_pair_and_keep_counts(name, dual):
     assert moved >= (0 if (name, dual) == ("t2star", False) else 4)
 
 
+def stored_fixers(g, x, y):
+    """What ``Stabilisers.fixers`` draws, from transversals that store a
+    permutation per orbit point: w[u] for each u of x's orbit that a
+    draw reaches, and t[z] for every z of c's orbit."""
+    n, bases = g.n, g.stabilisers
+    one = tuple(range(n))
+    r, rows, via = bases.search(x)
+    w = {r: one}
+
+    def walk(u):
+        if u not in w:
+            parent, undo = via[u]
+            w[u] = undo(walk(parent))
+        return w[u]
+
+    def draws(points, table, gens, seed):
+        rng = random.Random(seed)
+        out = []
+        for _ in range(gqtvc.symmetry.FIXERS):
+            u, s = rng.choice(points), rng.choice(gens)
+            inverse = gqtvc.symmetry._inverse(table(u))
+            out.append(tuple(table(s[u])[s[v]] for v in inverse))
+        return out
+
+    moves = draws(list(rows), walk, bases.generators, 0)
+    wx = walk(x)
+    t, order = {wx[y]: one}, [wx[y]]
+    for z in order:
+        for s in moves:
+            if s[z] not in t:
+                t[s[z]] = tuple(t[z][v] for v in gqtvc.symmetry._inverse(s))
+                order.append(s[z])
+    back = gqtvc.symmetry._inverse(wx)
+    return tuple({tuple(back[h[wx[i]]] for i in range(n))
+                  for h in draws(order, t.__getitem__, moves, 1)} - {one})
+
+
+@pytest.mark.parametrize("name, dual", [(name, dual) for name in REGISTERED
+                                        for dual in (False, True)])
+def test_fixers_equal_those_of_stored_transversals(name, dual):
+    # walking the Schreier vectors draws the automorphisms that stored
+    # transversals give, at seeded edges and non-edges and their reverses;
+    # one of each class on more than 1,000 vertices, where a table of c's
+    # orbit takes up to a second
+    g = fresh(graph_of(name, dual))
+    rng = random.Random(28)
+    pairs = [(0, 1), (0, 2), (0, 126), (0, 755), (750, 751)] \
+        if (name, dual) == ("payne", True) else []
+    per_class = 1 if g.n > 1000 else 4
+    for adjacent in (True, False):
+        while sum(g.has_edge(*p) == adjacent for p in pairs) < per_class:
+            x, y = rng.sample(range(g.n), 2)
+            if g.has_edge(x, y) == adjacent:
+                pairs.append((x, y))
+    for x, y in pairs + [p[::-1] for p in pairs]:
+        # compared outside the assert, so a failure prints no n-long tuples
+        same = g.stabilisers.fixers(x, y) == stored_fixers(g, x, y)
+        assert same, (x, y)
+
+
 def bipartite_generated(seed):
     """A seeded graph on two sides of m vertices, i and m + i, with
     hand-made generators: two rotations of complementary blocks of a

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 from collections import Counter
 from math import comb
@@ -13,11 +14,12 @@ from gqtvc.graph import (BudgetExceeded, CanonicalCode, Graph, ParameterError,
                          write_graph6_file)
 from gqtvc import tvc
 from gqtvc.gtypes import K44_TYPE, GraphType, enumerate_types, order5_type
+from gqtvc.regularity import check_isoregular
 from gqtvc.symmetry import check_automorphisms, vertex_orbits
 from gqtvc.tvc import (_pair_census, check_tvc, count_k44_per_edge,
                        count_type_anchored, pair_fingerprint)
 
-from conftest import (graph_of, permuted, random_graph, shrikhande,
+from conftest import (fresh, graph_of, permuted, random_graph, shrikhande,
                       unreduced)
 
 
@@ -426,6 +428,33 @@ def test_negative_budget_is_a_parameter_error(mode, budget):
 def test_bad_arguments_raise_with_message(call, message):
     with pytest.raises(ParameterError, match=message):
         call()
+
+
+@pytest.mark.parametrize("call, name, value", [
+    (lambda g: check_tvc(g, 5.0, "reduced"), "t", 5.0),
+    (lambda g: check_tvc(g, 4, "reduced", k=2.0), "k", 2.0),
+    (lambda g: check_tvc(g, True), "t", True),
+    (lambda g: check_tvc(fresh(graph_of("w2")), 4.0), "t", 4.0),
+    (lambda g: check_isoregular(g, 2.5), "k", 2.5),
+    (lambda g: pair_fingerprint(g, 4.0, (0, 1)), "t", 4.0),
+    (lambda g: enumerate_types(5.0, 3), "t", 5.0),
+    (lambda g: enumerate_types(5, False), "min_add_valency", False),
+    (lambda g: count_k44_per_edge(g, max_edges=2.5), "max_edges", 2.5),
+    (lambda g: count_k44_per_edge(g, stop_after_values="2"),
+     "stop_after_values", "2"),
+], ids=["tvc-t-float", "tvc-k-float", "tvc-t-bool", "rank-three-t-float",
+        "isoregular-k-float", "fingerprint-t-float", "types-t-float",
+        "types-valency-bool", "k44-max-edges-float",
+        "k44-stop-after-values-str"])
+def test_integer_parameters_must_be_ints(call, name, value):
+    # checked before any work: no orbit is searched, and a cached
+    # enumerate_types(5, 3) does not answer for 5.0
+    enumerate_types(5, 3)
+    g = fresh(graph_of("t2star", True))
+    message = re.escape(f"{name} must be an int, got {value!r}")
+    with pytest.raises(ParameterError, match=message):
+        call(g)
+    assert not g.stabilisers
 
 
 @pytest.mark.parametrize("t", [3, 4])
