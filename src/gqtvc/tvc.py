@@ -10,6 +10,7 @@ import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import comb, factorial, prod
+from numbers import Real
 
 from .graph import (BudgetExceeded, CanonicalCode, Graph, ParameterError,
                     _bit_positions, _check_deadline, bits_of, check_ints,
@@ -48,9 +49,9 @@ class TvcVerdict:
     status: str  # "satisfied" | "violated" | "inconclusive"
     witness: TvcWitness | None = None
     mode: str = "exhaustive"
-    # pairs counted at, one per orbit: unordered in exhaustive mode (one
-    # census covers both orientations), ordered in reduced mode; None
-    # when no pair scan ran
+    # pairs counted at before the verdict, one per orbit: unordered in
+    # exhaustive mode (one census covers both orientations), ordered in
+    # reduced mode; None when no pair scan ran
     representatives: int | None = None
     # rank 3 (see ``check_tvc``), so no count was made
     rank3: bool = False
@@ -196,9 +197,9 @@ def check_tvc(g: Graph, t: int, mode: str = "exhaustive", k: int = 3,
     the search returns the same generators, so its orbits are searched
     once.  Any other graph without generators fails the condition for
     every t >= 3 and is scanned pair by pair, as the search could only
-    delay its witness: a census differs at the first pair whose degrees
-    or common neighbours differ from those of the first pair of its
-    class.
+    delay its witness: in both modes some count differs at the first
+    pair whose degrees or common neighbours differ from those of the
+    first pair of its class.
     """
     check_ints(t=t)
     top = {"exhaustive": MAX_EXHAUSTIVE_ORDER, "reduced": MAX_TYPE_ORDER}
@@ -210,9 +211,14 @@ def check_tvc(g: Graph, t: int, mode: str = "exhaustive", k: int = 3,
         if k not in (2, 3):
             raise ParameterError(f"reduced mode needs k = 2 or 3, got {k}")
         check_ints(k=k)
-    if budget_seconds is not None and not budget_seconds >= 0:
-        raise ParameterError(
-            f"budget_seconds must be at least 0, got {budget_seconds}")
+    if budget_seconds is not None:
+        if isinstance(budget_seconds, bool) \
+                or not isinstance(budget_seconds, Real):
+            raise ParameterError(
+                f"budget_seconds must be a number, got {budget_seconds!r}")
+        if not budget_seconds >= 0:
+            raise ParameterError(
+                f"budget_seconds must be at least 0, got {budget_seconds}")
     deadline = None if budget_seconds is None \
         else time.monotonic() + budget_seconds
     order = min(t, max(g.n, 2))
@@ -470,43 +476,31 @@ def _fixer_orbits(g: Graph, x: int, y: int):
     return dict(vertex_orbits(g.n, fixers)) if fixers else None
 
 
-def _scan_types_for_mismatch(g: Graph, types, reps, deadline,
-                             orbits) -> TvcWitness | None:
-    for ty in types:
-        for adj in (True, False):
-            cty = ty.concrete(adj)
-            ref = None
-            ref_pair = None
-            for pair in reps[adj]:
-                c = count_type_anchored(g, cty, pair, deadline, orbits(pair))
-                if ref is None:
-                    ref = c
-                    ref_pair = pair
-                elif c != ref:
-                    return TvcWitness(cty, ref_pair, ref, pair, c)
-    return None
-
-
 def _check_tvc_reduced(g: Graph, t: int, k: int, orbits,
                        deadline) -> TvcVerdict:
-    # the representatives in ``orbits`` by adjacency, for every type
-    reps: dict[bool, list] = {True: [], False: []}
-    for pair, _ in orbits:
-        reps[g.has_edge(*pair)].append(pair)
-    scanned = len(reps[True]) + len(reps[False])
+    """Compare each type's count at each representative in ``orbits``
+    with its count at the first pair of its adjacency class.  ``orbits``
+    yields every edge before any non-edge and is read only as far as a
+    comparison needs it."""
     # each order assumes the one below it holds; below order 4 that is
     # strong regularity, which level 2 gives
     k = check_isoregular(g, k, deadline).level
     orders = [(3, 0)] if k < 2 else [(n, k + 1) for n in range(4, t + 1)]
-    orbits = lru_cache(maxsize=None)(lambda pair: _fixer_orbits(g, *pair))
-    witness = None
+    fixers = lru_cache(maxsize=None)(lambda pair: _fixer_orbits(g, *pair))
+    reps: list = []  # the representatives read so far; unread adds each
+    unread = (reps.append(pair) or pair for pair, _ in orbits)
     for order, valency in orders:
-        witness = _scan_types_for_mismatch(g, enumerate_types(order, valency),
-                                           reps, deadline, orbits)
-        if witness is not None:
-            break
-    return TvcVerdict(t, "satisfied" if witness is None else "violated",
-                      witness, representatives=scanned, k=k)
+        for ty in enumerate_types(order, valency):
+            refs: dict = {}
+            for pair in itertools.chain(reps, unread):
+                cty = ty.concrete(g.has_edge(*pair))
+                c = count_type_anchored(g, cty, pair, deadline, fixers(pair))
+                ref, ref_pair = refs.setdefault(cty.pair_adjacent, (c, pair))
+                if c != ref:
+                    return TvcVerdict(t, "violated", TvcWitness(
+                        cty, ref_pair, ref, pair, c),
+                        representatives=len(reps), k=k)
+    return TvcVerdict(t, "satisfied", representatives=len(reps), k=k)
 
 
 # -- the K4,4 edge invariant ----------------------------------------------

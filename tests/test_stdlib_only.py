@@ -48,9 +48,9 @@ def test_modules_use_every_name_they_import():
         assert not unused, f"{path.name} never uses {unused}"
 
 
-def private_definitions(tree):
-    """Private names (``_name``, not dunders) that the module body of
-    ``tree`` defines: functions, classes and assignment targets."""
+def module_definitions(tree):
+    """Names that the module body of ``tree`` defines: functions, classes
+    and assignment targets."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -61,8 +61,14 @@ def private_definitions(tree):
                      if isinstance(n, ast.Name)]
         else:
             continue
-        yield from (name for name in names
-                    if name.startswith("_") and not name.endswith("__"))
+        yield from names
+
+
+def private_definitions(tree):
+    """Private names (``_name``, not dunders) that the module body of
+    ``tree`` defines."""
+    return (name for name in module_definitions(tree)
+            if name.startswith("_") and not name.endswith("__"))
 
 
 def test_every_private_name_is_read():
@@ -99,3 +105,22 @@ def test_every_method_is_read():
     assert len(defined) > 20
     unread = sorted(d for d in defined if d[2] not in read)
     assert not unread, f"methods never read: {unread}"
+
+
+def test_every_public_name_is_read():
+    # code with no caller goes: each public module-level function, class
+    # and assigned name is read, by name or as an attribute, somewhere in
+    # the package, its tests or its benchmark; an import is not a read
+    root = Path(__file__).parent.parent
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for folder in ("src", "tests", "perfbench")
+            for path in (root / folder).rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+    defined = {(path.name, name) for path in SOURCES
+               for name in module_definitions(ast.parse(path.read_text()))
+               if not name.startswith("_")}
+    assert len(defined) > 100
+    unread = sorted(d for d in defined if d[1] not in read)
+    assert not unread, f"defined but never read: {unread}"

@@ -294,13 +294,28 @@ def test_t3_violation_carries_a_witness(g, mode):
 
 
 @pytest.mark.parametrize("mode, representatives", [
-    ("exhaustive", 8), ("reduced", 30)])
+    ("exhaustive", 8), ("reduced", 15)])
 def test_t3_witness_on_the_6_cycle(mode, representatives):
-    # (0, 2) has one common neighbour, (0, 3) none
+    # (0, 2) has one common neighbour, (0, 3) none; reduced mode reads the
+    # 12 ordered edges, then (0, 2), (2, 0) and (0, 3)
     verdict = check_tvc(C6, 3, mode=mode)
     w = verdict.witness
     assert (w.pair_a, w.count_a, w.pair_b, w.count_b) == ((0, 2), 1, (0, 3), 0)
     assert verdict.representatives == representatives
+
+
+def test_reduced_reads_pairs_only_up_to_its_witness():
+    # a graph without generators has all n(n - 1) ordered pairs as
+    # representatives; the first type's counts differ at the third
+    g = random_graph(300, 0.05, random.Random(1))
+    verdict = check_tvc(g, 4, mode="reduced")
+    assert (verdict.status, verdict.k, verdict.representatives) \
+        == ("violated", 0, 3)
+    w = verdict.witness
+    assert w.graph_type.order == 3
+    assert (w.pair_a, w.pair_b) == ((0, 10), (0, 14))
+    assert count_type_anchored(g, w.graph_type, w.pair_a) == w.count_a
+    assert count_type_anchored(g, w.graph_type, w.pair_b) == w.count_b
 
 
 def test_t3_exhaustive_witness_on_a_path():
@@ -418,6 +433,17 @@ def test_reduced_budget_checked_per_pair(q5_2_graph, unsearched_tvc):
 def test_negative_budget_is_a_parameter_error(mode, budget):
     with pytest.raises(ParameterError, match="budget_seconds must be at"):
         check_tvc(graph_of("w2"), 4, mode=mode, k=2, budget_seconds=budget)
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "reduced"])
+@pytest.mark.parametrize("budget", ["1", True, [1]])
+def test_budget_that_is_not_a_number_is_a_parameter_error(mode, budget):
+    # checked before any work: no orbit is searched
+    g = fresh(graph_of("w2"))
+    message = re.escape(f"budget_seconds must be a number, got {budget!r}")
+    with pytest.raises(ParameterError, match=message):
+        check_tvc(g, 4, mode=mode, k=2, budget_seconds=budget)
+    assert not g.stabilisers
 
 
 @pytest.mark.parametrize("call, message", [
