@@ -569,9 +569,14 @@ CONSTRUCTIONS = {
 }
 
 
-@lru_cache(maxsize=None)
 def get_construction(name: str, dual: bool = False) -> PartialLinearSpace:
-    """The built-in quadrangle registered under ``name``, or its dual."""
+    """The built-in quadrangle registered under ``name``, or its dual;
+    one object, however the call is spelt."""
+    return _construction(name, bool(dual))
+
+
+@lru_cache(maxsize=None)
+def _construction(name: str, dual: bool) -> PartialLinearSpace:
     if name not in CONSTRUCTIONS:
         raise GeometryError(f"unknown construction {name!r}; "
                             f"choose from {', '.join(sorted(CONSTRUCTIONS))}")

@@ -94,10 +94,9 @@ class Graph:
 
     @cached_property
     def searched(self) -> dict:
-        """Automorphism searches of the rows, kept while the graph lives:
-        by work bound, the generators ``symmetry.automorphisms`` found,
-        and under ``"graph"`` the copy of the graph with generators that
-        ``check_tvc`` scanned last."""
+        """Under ``"graph"``, the copy of the graph with the generators
+        that ``symmetry.automorphisms`` found, which ``check_tvc`` keeps
+        and scans while the graph lives."""
         return {}
 
     @cached_property
@@ -319,7 +318,11 @@ def check_ints(**values) -> None:
 
 
 def check_pair(n: int, pair: tuple[int, int]) -> tuple[int, int]:
-    """``pair`` as two distinct vertices of 0..n-1, else ParameterError."""
+    """``pair`` as two distinct vertices of 0..n-1, else ParameterError;
+    a vertex is an int, not a bool."""
+    if not isinstance(pair, (tuple, list)) or len(pair) != 2 \
+            or type(pair[0]) is not int or type(pair[1]) is not int:
+        raise ParameterError(f"pair must be two ints, got {pair!r}")
     u, v = pair
     if n < 2:
         raise ParameterError(f"graph has {n} vertices, fewer than a pair")

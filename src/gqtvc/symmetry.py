@@ -211,27 +211,34 @@ def pair_orbits(g: Graph, deadline=None):
 FIXERS = 16
 
 
-def _walk(via, x, n: int) -> tuple[int, ...]:
-    """w[x], mapping x to the root of the Schreier vector ``via`` on
-    0..n-1: the inverse generators along it, applied from the root."""
-    path = []
-    while via[x]:
-        x, undo = via[x]
-        path.append(undo)
-    w = tuple(range(n))
-    for undo in reversed(path):
-        w = undo(w)
-    return w
+def _walker(via, n: int):
+    """x -> w[x], mapping x to the root of the Schreier vector ``via`` on
+    0..n-1 (its first point), w[x] = undo(w[u]) for via[x] = (u, undo):
+    each built once, by a loop (a vector can be n - 1 deep) from the
+    nearest one built before."""
+    ws = {next(iter(via)): tuple(range(n))}
+
+    def walk(x):
+        path = []
+        while x not in ws:
+            path.append(x)
+            x = via[x][0]
+        w = ws[x]
+        for y in reversed(path):
+            w = ws[y] = via[y][1](w)
+        return w
+    return walk
 
 
-def _schreier(via, gens, seed: int) -> list[tuple[int, ...]]:
+def _schreier(via, walk, gens, seed: int) -> list[tuple[int, ...]]:
     """``FIXERS`` Schreier generators w[s(u)] s w[u]^-1 of the stabiliser
     of the root of the Schreier vector ``via`` (Sims, 1970), u drawn from
-    its points in search order and s from ``gens`` by ``seed``."""
-    rng, points, n = random.Random(seed), list(via), len(gens[0])
+    its points in search order and s from ``gens`` by ``seed``; ``walk``
+    is a ``_walker`` of ``via``."""
+    rng, points = random.Random(seed), list(via)
     draws = [(rng.choice(points), rng.choice(gens)) for _ in range(FIXERS)]
-    return [itemgetter(*itemgetter(*_inverse(_walk(via, u, n)))(s))(
-        _walk(via, s[u], n)) for u, s in draws]
+    return [itemgetter(*itemgetter(*_inverse(walk(u)))(s))(walk(s[u]))
+            for u, s in draws]
 
 
 class Stabilisers(dict):
@@ -266,15 +273,16 @@ class Stabilisers(dict):
         """Automorphisms fixing x and y, products of the generators:
         Schreier generators of G_r (drawn once per r), then of their
         stabiliser of c = w[x](y), conjugated by w[x]; each w is walked
-        along a Schreier vector, none stored.  They generate a subgroup
+        once per vector and call, none kept.  They generate a subgroup
         of the pair's stabiliser, as large as fixed seeds make it."""
         if not self.generators:
             return ()
         r, _, via = self.search(x)
+        walk = _walker(via, self.n)
         if r not in self.moves:
-            self.moves[r] = [(s, itemgetter(*_inverse(s)))
-                             for s in _schreier(via, self.generators, 0)]
-        wx = _walk(via, x, self.n)
+            self.moves[r] = [(s, itemgetter(*_inverse(s))) for s in
+                             _schreier(via, walk, self.generators, 0)]
+        wx = walk(x)
         tree, order = {wx[y]: None}, [wx[y]]  # c's orbit, as in _stabiliser
         for z in order:
             for s, inverse in self.moves[r]:
@@ -282,7 +290,8 @@ class Stabilisers(dict):
                     tree[s[z]] = z, inverse
                     order.append(s[z])
         into, back = itemgetter(*wx), _inverse(wx)
-        found = _schreier(tree, [s for s, _ in self.moves[r]], 1)
+        found = _schreier(tree, _walker(tree, self.n),
+                          [s for s, _ in self.moves[r]], 1)
         return tuple({itemgetter(*into(h))(back) for h in found}
                      - {tuple(range(self.n))})
 
@@ -360,14 +369,11 @@ def automorphisms(g: Graph, deadline=None) -> tuple[tuple[int, ...], ...]:
     and keeps the first leaf that the first leaf maps onto by an
     automorphism.  After ``SEARCH_WORK * n * n`` units of refinement
     work (see ``_refine``) it returns what it has, a subgroup, whose
-    finer orbits are still sound; it is kept in ``g.searched`` by that
-    bound.  Raises BudgetExceeded once ``deadline`` has passed."""
+    finer orbits are still sound.  Raises BudgetExceeded once
+    ``deadline`` has passed."""
     rows, n = g.rows, g.n
-    bound = SEARCH_WORK * n * n
-    if bound in g.searched:
-        return g.searched[bound]
     found: list[tuple[int, ...]] = []
-    work = [bound]
+    work = [SEARCH_WORK * n * n]
 
     def charge(units):
         work[0] -= units
@@ -417,5 +423,4 @@ def automorphisms(g: Graph, deadline=None) -> tuple[tuple[int, ...], ...]:
     except BudgetExceeded:
         if work[0] >= 0:  # the deadline, not the work bound
             raise
-    g.searched[bound] = tuple(found)
-    return g.searched[bound]
+    return tuple(found)

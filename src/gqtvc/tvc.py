@@ -193,13 +193,13 @@ def check_tvc(g: Graph, t: int, mode: str = "exhaustive", k: int = 3,
     verdict sets ``rank3``.  For t >= 4 a strongly regular graph without
     generators gets those that ``symmetry.automorphisms`` finds, each
     checked by ``Graph`` to map every row onto a row before the scan
-    uses it; the copy of ``g`` with them is kept in ``g.searched`` while
-    the search returns the same generators, so its orbits are searched
-    once.  Any other graph without generators fails the condition for
-    every t >= 3 and is scanned pair by pair, as the search could only
-    delay its witness: in both modes some count differs at the first
-    pair whose degrees or common neighbours differ from those of the
-    first pair of its class.
+    uses it; the copy of ``g`` with them is kept in ``g.searched`` on
+    first use and scanned by every later check, so the search and its
+    orbits are made once.  Any other graph without generators fails the
+    condition for every t >= 3 and is scanned pair by pair, as the search
+    could only delay its witness: in both modes some count differs at the
+    first pair whose degrees or common neighbours differ from those of
+    the first pair of its class.
     """
     check_ints(t=t)
     top = {"exhaustive": MAX_EXHAUSTIVE_ORDER, "reduced": MAX_TYPE_ORDER}
@@ -232,11 +232,10 @@ def check_tvc(g: Graph, t: int, mode: str = "exhaustive", k: int = 3,
             searched = order > 3 and not g.generators \
                 and check_isoregular(g, 2, deadline).ok
             if searched:
-                found = automorphisms(g, deadline)
-                copy = g.searched.get("graph")
-                if copy is None or copy.generators != found:
-                    copy = g.searched["graph"] = Graph(g.n, g.rows, found)
-                g = copy
+                if "graph" not in g.searched:
+                    g.searched["graph"] = Graph(g.n, g.rows,
+                                                automorphisms(g, deadline))
+                g = g.searched["graph"]
             orbits = pair_orbits(g, deadline=deadline)
             head = list(itertools.islice(orbits, 3))
             # edges come first: a class seen twice among three has two orbits

@@ -51,11 +51,13 @@ def chang():
 @pytest.fixture
 def unsearched_tvc(monkeypatch):
     """``check_tvc`` with its automorphism search switched off, so that a
-    graph without generators is scanned one pair at a time."""
-    def check(*args, **kwargs):
+    graph without generators is scanned one pair at a time; it checks a
+    ``fresh`` copy, so that the copy without generators that it keeps is
+    not the one a later ``check_tvc`` of the same graph scans."""
+    def check(g, *args, **kwargs):
         with monkeypatch.context() as m:
             m.setattr(gqtvc.tvc, "automorphisms", lambda g, deadline=None: ())
-            return gqtvc.tvc.check_tvc(*args, **kwargs)
+            return gqtvc.tvc.check_tvc(fresh(g), *args, **kwargs)
     return check
 
 

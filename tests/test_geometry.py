@@ -147,6 +147,19 @@ def test_flock_construction_validates():
     assert validate_pls(d).order == (5, 25)
 
 
+@pytest.mark.parametrize("name", ["w2", "payne"])
+def test_every_spelling_of_a_construction_is_one_object(name):
+    # one geometry, with one point graph and one set of orbit searches
+    primal, dual = geometry(name), geometry(name, True)
+    assert primal is not dual
+    for args, kwargs in [((name, False), {}), ((name, 0), {}),
+                         ((name,), {"dual": False}), ((), {"name": name})]:
+        assert geometry(*args, **kwargs) is primal
+    for args, kwargs in [((name,), {"dual": True}), ((name, 1), {}),
+                         ((), {"name": name, "dual": True})]:
+        assert geometry(*args, **kwargs) is dual
+
+
 def multiplied_out_flock_gq(clan):
     """``build_flock_gq`` with the right cosets of A(t) and of
     A*(t) = {(a, c, b) : (a, c', b) in A(t)} each multiplied out element

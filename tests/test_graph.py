@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -115,8 +116,13 @@ def test_graph6_rejects_garbage():
      "duplicate vertex in induced subgraph"),
     (lambda: canonical_code(graph_from_edges(11, [])),
      "canonical form limited to order 10"),
+    (lambda: canonical_code(graph_from_edges(3, [(0, 1)]), (0,)),
+     re.escape("pair must be two ints, got (0,)")),
+    (lambda: canonical_code(graph_from_edges(3, [(0, 1)]), (0, 1.0)),
+     re.escape("pair must be two ints, got (0, 1.0)")),
 ], ids=["graph6-header-only", "graph6-truncated-header", "loop",
-        "endpoint-out-of-range", "duplicate-vertex", "canonical-order-11"])
+        "endpoint-out-of-range", "duplicate-vertex", "canonical-order-11",
+        "canonical-pair-short", "canonical-pair-float"])
 def test_bad_arguments_raise_with_message(call, message):
     with pytest.raises(GraphError, match=message):
         call()

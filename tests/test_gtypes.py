@@ -1,4 +1,5 @@
 import hashlib
+import re
 from math import comb
 
 import pytest
@@ -159,8 +160,12 @@ def test_s_candidates_at_eight():
     (lambda: enumerate_types(9, 0), "type order must be between 2 and 8"),
     (lambda: enumerate_types(5, -1), "valency bound out of range"),
     (lambda: enumerate_s_candidates(5), "supported core searches: 6 <= t0 <= 8"),
+    (lambda: type_from_graph(graph_from_edges(3, [(0, 1)]), (True, 2)),
+     re.escape("pair must be two ints, got (True, 2)")),
+    (lambda: type_from_graph(graph_from_edges(3, [(0, 1)]), ("0", "1")),
+     re.escape("pair must be two ints, got ('0', '1')")),
 ], ids=["type-order-9", "enumerate-order-9", "enumerate-valency-below-0",
-        "s-candidates-order-5"])
+        "s-candidates-order-5", "type-pair-bool", "type-pair-str"])
 def test_bad_arguments_raise_with_message(call, message):
     with pytest.raises(GraphError, match=message):
         call()

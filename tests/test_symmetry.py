@@ -543,6 +543,15 @@ def test_fixers_equal_those_of_stored_transversals(name, dual):
         assert same, (x, y)
 
 
+def test_fixers_walk_a_vector_deeper_than_the_recursion_limit():
+    # C_1500 with its rotation alone: the Schreier vector of 0 is a path
+    # 1,499 deep, and only the identity fixes 0 and 1
+    n = 1500
+    g = Graph(n, tuple(1 << (v - 1) % n | 1 << (v + 1) % n for v in range(n)),
+              (tuple((v + 1) % n for v in range(n)),))
+    assert g.stabilisers.fixers(0, 1) == ()
+
+
 def bipartite_generated(seed):
     """A seeded graph on two sides of m vertices, i and m + i, with
     hand-made generators: two rotations of complementary blocks of a
@@ -816,6 +825,12 @@ def test_a_graph_keeps_its_searched_automorphisms(monkeypatch):
     assert g.searched["graph"] is copy
 
 
+def test_the_search_keeps_nothing_on_its_graph():
+    # check_tvc alone keeps the copy it scans
+    g = chang()
+    assert automorphisms(g) and "searched" not in vars(g)
+
+
 def test_a_search_cut_at_its_deadline_is_not_kept(monkeypatch):
     g = unreduced(graph_of("w3"))
     reads = []
@@ -866,10 +881,13 @@ def test_search_work_is_bounded(monkeypatch):
     full = list(pair_orbits(Graph(g.n, g.rows, automorphisms(g))))
     want = check_tvc(g, 5)
     monkeypatch.setattr(gqtvc.symmetry, "SEARCH_WORK", 2)
-    some = list(pair_orbits(Graph(g.n, g.rows, automorphisms(g))))
+    cut = automorphisms(g)
+    some = list(pair_orbits(Graph(g.n, g.rows, cut)))
     assert len(full) < len(some) < g.n * (g.n - 1)
-    got = check_tvc(g, 5)
-    assert (got.status, got.witness) == (want.status, want.witness)
+    # on a new graph: g keeps the copy with the full group it was checked by
+    got = check_tvc(chang(), 5)
+    assert (got.status, got.witness, got.generators) \
+        == (want.status, want.witness, len(cut))
     monkeypatch.setattr(gqtvc.symmetry, "SEARCH_WORK", 0)
     assert automorphisms(g) == ()
 

@@ -450,7 +450,18 @@ def test_budget_that_is_not_a_number_is_a_parameter_error(mode, budget):
     (lambda: check_tvc(graph_of("w2"), 4, mode="fast"), "unknown mode 'fast'"),
     (lambda: pair_fingerprint(graph_of("w2"), 8, (0, 1)),
      "exhaustive fingerprints support 3 <= t <= 7"),
-], ids=["unknown-mode", "fingerprint-order-8"])
+    (lambda: count_type_anchored(graph_of("w3"), order5_type("0", False),
+                                 (0.0, 1.0)),
+     re.escape("pair must be two ints, got (0.0, 1.0)")),
+    (lambda: count_type_anchored(graph_of("w3"), order5_type("0", True),
+                                 (True, 2)),
+     re.escape("pair must be two ints, got (True, 2)")),
+    (lambda: pair_fingerprint(graph_of("w2"), 4, ("0", "1")),
+     re.escape("pair must be two ints, got ('0', '1')")),
+    (lambda: pair_fingerprint(graph_of("w2"), 4, (0, 1, 2)),
+     re.escape("pair must be two ints, got (0, 1, 2)")),
+], ids=["unknown-mode", "fingerprint-order-8", "anchored-pair-float",
+        "anchored-pair-bool", "fingerprint-pair-str", "fingerprint-pair-long"])
 def test_bad_arguments_raise_with_message(call, message):
     with pytest.raises(ParameterError, match=message):
         call()
